@@ -18,6 +18,8 @@ RUNS = [
      ["hilbert", "line_and_double_point.ideal"]),
     ("Variety of the three-quadrics ideal",
      ["solve", "three_quadrics.ideal", "--linear-form", "y + z"]),
+    ("The same three quadrics over GF(2^31 - 1)",
+     ["solve", "three_quadrics_p31.ideal"]),
     ("False-point filtering",
      ["solve", "monomial_false_point.ideal", "--linear-form", "x + z"]),
     ("Single point with an embedded component",

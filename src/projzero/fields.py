@@ -124,9 +124,6 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def elements(self):
-        return range(self.p)
-
     def parse(self, text):
         text = text.strip()
         if "/" in text:
@@ -147,7 +144,7 @@ class PrimeField:
         return a % self.p
 
     def sample_pool(self):
-        return list(range(self.p))
+        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -334,32 +334,27 @@ class RootReport:
         return max(0, len(self.residual) - 1)
 
 
-def _trial_divisors(n):
-    """All positive divisors of |n| by trial-division factorization."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    factors = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, e in factors.items():
-        divs = [dv * p**k for dv in divs for k in range(e + 1)]
-    return sorted(divs)
+def deflate(poly, root, field):
+    """Multiplicity k of root in poly and the cofactor q, poly = (t - root)^k q."""
+    k = 0
+    while len(poly) > 1:
+        q, rem = poly_divide_linear(poly, root, field)
+        if not field.is_zero(rem):
+            break
+        poly = q
+        k += 1
+    return k, poly
 
 
 def roots_in_field(poly, field):
     """All roots of poly lying in the field, with multiplicities.
 
-    Over Q the candidates come from the rational root theorem on the
-    primitive integer form of the polynomial; over GF(p) every residue is
-    tested. The report's residual is whatever does not split.
+    No candidate is enumerated. Over GF(p) the distinct roots are those of
+    gcd(f, t^p - t), split by equal-degree splitting; over Q they are the
+    roots modulo a good prime of the square-free part, Hensel-lifted,
+    rationally reconstructed and verified by exact evaluation. Each
+    multiplicity is found by deflation, and the report's residual is the
+    cofactor left once every in-field root is divided out.
     """
     f = field
     p = list(poly)
@@ -377,51 +372,236 @@ def roots_in_field(poly, field):
         pairs.append((f.zero, k))
         p = p[k:]
 
-    if f.size is None:
-        candidates = _rational_candidates(p)
-    else:
-        candidates = f.elements()
-
-    for cand in candidates:
-        if len(p) <= 1:
-            break
-        mult = 0
-        while len(p) > 1:
-            q, rem = poly_divide_linear(p, cand, f)
-            if not f.is_zero(rem):
-                break
-            p = q
-            mult += 1
-        if mult:
-            pairs.append((cand, mult))
+    if len(p) > 1:
+        if f.size is None:
+            distinct = _rational_roots(p)
+        else:
+            distinct = _gfp_roots([c % f.size for c in p], f.size)
+        for root in distinct:
+            mult, p = deflate(p, root, f)
+            if mult == 0:
+                raise ProjzeroError(f"root finder returned a non-root {root}")
+            pairs.append((root, mult))
 
     pairs.sort(key=lambda rm: f.sort_key(rm[0]))
     return RootReport(pairs=pairs, residual=p)
 
 
-def _rational_candidates(p):
+# Polynomials over GF(p) below are ascending lists of ints without trailing
+# zeros; [] is the zero polynomial. Reductions are modulo a monic divisor.
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gfp_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _gfp_divmod(a, f, p):
+    """Quotient and remainder of a by the monic f."""
+    n = len(f) - 1
+    a = list(a)
+    q = [0] * max(0, len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = q[i - n] = a[i] % p
+        if c:
+            s = i - n
+            for j in range(n):
+                a[s + j] -= c * f[j]
+    return q, _trim([c % p for c in a[:n]])
+
+
+def _gfp_rem(a, f, p):
+    return _gfp_divmod(a, f, p)[1]
+
+
+def _gfp_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _gfp_rem(out, f, p)
+
+
+def _gfp_powmod(base, e, f, p):
+    """base^e mod the monic f, by repeated squaring."""
+    base = _gfp_rem(base, f, p)
+    acc = _gfp_rem([1], f, p)
+    for bit in bin(e)[2:]:
+        acc = _gfp_mulmod(acc, acc, f, p)
+        if bit == "1":
+            acc = _gfp_mulmod(acc, base, f, p)
+    return acc
+
+
+def _gfp_gcd(a, b, p):
+    """Monic gcd; a must be nonzero."""
+    while b:
+        b = _gfp_monic(b, p)
+        a, b = b, _gfp_rem(a, b, p)
+    return _gfp_monic(a, p)
+
+
+def _gfp_roots(f, p):
+    """Distinct roots in GF(p) of f (residues, degree >= 1, f(0) != 0),
+    unsorted.
+
+    g = gcd(f, t^p - t) is the product of (t - r) over the roots r. For odd
+    p, gcd(g, (t + a)^((p-1)/2) - 1) collects the roots r for which r + a is
+    a nonzero square, a proper factor for about half of the shifts a
+    (Cantor & Zassenhaus); the seeded shifts change only the running time.
+    For p = 2, g divides t - 1 since f(0) != 0, and needs no splitting.
+    """
+    import random
+
+    f = _gfp_monic(_trim(list(f)), p)
+    tp = _gfp_powmod([0, 1], p, f, p)
+    tp += [0] * (2 - len(tp))
+    tp[1] -= 1
+    g = _gfp_gcd(f, _trim([c % p for c in tp]), p)
+    rng = random.Random(p)
+    roots, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        d = len(h) - 1
+        if d == 1:
+            roots.append(-h[0] % p)
+            continue
+        while d > 1:  # draw shifts until one splits h
+            w = _gfp_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p)
+            w += [0] * (1 - len(w))
+            w[0] -= 1
+            s = _gfp_gcd(h, _trim([c % p for c in w]), p)
+            if 0 < len(s) - 1 < d:
+                todo += [s, _gfp_divmod(h, s, p)[0]]
+                break
+    return roots
+
+
+# Primes for Hensel lifting, largest first; the search goes on below the
+# list only if every listed prime divides the discriminant or the leading
+# coefficient, and a square-free input has few such primes.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+           2147483549, 2147483543, 2147483497)
+
+
+def _hensel_primes():
+    from .fields import is_prime
+
+    yield from _PRIMES
+    yield from filter(is_prime, range(_PRIMES[-1] - 2, 2**30, -2))
+
+
+def _zprimitive(a):
+    """a divided by its content, leading coefficient positive."""
+    from math import gcd
+
+    g = gcd(*a) if a else 1
+    if a and a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _zprem(a, b):
+    """Pseudo-remainder of a by b over Z."""
+    a = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    while len(a) > n:
+        c = a.pop()
+        s = len(a) - n
+        a = [lb * x for x in a]
+        for j in range(n):
+            a[s + j] -= c * b[j]
+        _trim(a)
+    return a
+
+
+def _zsquarefree(h):
+    """Primitive square-free part h / gcd(h, h') of a primitive h over Z,
+    the gcd by the primitive pseudo-remainder sequence."""
+    a, b = h, _zprimitive([i * c for i, c in enumerate(h)][1:])
+    while b:
+        a, b = b, _zprimitive(_zprem(a, b))
+    n = len(a) - 1
+    if n == 0:
+        return h
+    # exact division by the primitive gcd stays in Z (Gauss's lemma)
+    rest = list(h)
+    q = [0] * (len(h) - n)
+    for i in range(len(h) - 1, n - 1, -1):
+        c = rest[i] // a[-1]
+        q[i - n] = c
+        for j in range(n + 1):
+            rest[i - n + j] -= c * a[j]
+    return _zprimitive(q)
+
+
+def _zeval_mod(h, r, m):
+    acc = 0
+    for c in reversed(h):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def _rational_reconstruction(r, m, bound):
+    """a/b = r mod m with |a| <= bound, by the half-extended Euclid of
+    (m, r); it is the unique such fraction with 0 < b <= B whenever
+    m > 2 * bound * B."""
     from fractions import Fraction
+
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    return Fraction(r1, s1)
+
+
+def _rational_roots(p):
+    """Distinct rational roots of p (Fractions, degree >= 1, p(0) != 0).
+
+    A rational root a/b in lowest terms of the primitive square-free part h
+    has a | h_0 and b | h_n, so lifting a root mod q past 2 |h_0| |h_n|
+    determines a/b (von zur Gathen & Gerhard, Modern Computer Algebra,
+    chapters 5 and 15). A lifted root that is the image of no rational root
+    reconstructs to a value that fails the exact evaluation and is dropped.
+    """
     from math import lcm
 
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else 1
-    ip = [int(c * den) for c in p]
-    from math import gcd
-    g = 0
-    for c in ip:
-        g = gcd(g, c)
-    if g > 1:
-        ip = [c // g for c in ip]
-    a0, an = ip[0], ip[-1]
-    if a0 == 0:  # zero roots were stripped already; p[0] == 0 means p is constant 0
+    den = lcm(*(c.denominator for c in p))
+    h = _zsquarefree(_zprimitive([c.numerator * (den // c.denominator)
+                                  for c in p]))
+    n = len(h) - 1
+    if n == 0:
         return []
-    cands = []
-    for num in _trial_divisors(a0):
-        for den2 in _trial_divisors(an):
-            r = Fraction(num, den2)
-            cands.append(r)
-            cands.append(-r)
-    # deterministic order, no duplicates
-    return sorted(set(cands))
+    dh = [i * c for i, c in enumerate(h)][1:]
+    for q in _hensel_primes():
+        hq = [c % q for c in h]
+        if hq[-1] and len(_gfp_gcd(hq, _trim([c % q for c in dh]), q)) == 1:
+            break
+    else:
+        raise ProjzeroError("no prime below 2^31 keeps the polynomial "
+                            "square-free")
+    a0, an = abs(h[0]), abs(h[-1])
+    roots = []
+    for r in _gfp_roots(hq, q):
+        m = q
+        while m <= 2 * a0 * an:
+            m *= m
+            r = (r - _zeval_mod(h, r, m)
+                 * pow(_zeval_mod(dh, r, m), -1, m)) % m
+        cand = _rational_reconstruction(r, m, a0)
+        a, b = cand.numerator, cand.denominator
+        if sum(c * a**i * b**(n - i) for i, c in enumerate(h)) == 0:
+            roots.append(cand)
+    return roots
 
 
 def eigenspace(M: Matrix, lam):

@@ -11,7 +11,7 @@ which would be fooled by the valleys a mixed ideal can produce.
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InputError
 from .linalg import Matrix, rref
 from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
@@ -165,12 +165,13 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     then pins hf forever, so hf(d*) is the stable value m (m = 0 reports an
     artinian quotient, i.e. an empty variety). Raises CapExceeded when no
     certificate appears up to the cap, which signals either projective
-    dimension > 0 or a cap that is too low.
+    dimension > 0 or a cap that is too low, and InputError for a cap below
+    the generator degree.
     """
     t = I.max_gen_degree
     cap = I.default_cap() if max_degree is None else max_degree
     if cap < t:
-        raise ValueError(f"max_degree {cap} is below the generator degree {t}")
+        raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []
     for d in range(cap + 2):
         hf.append(ideal_piece(I, d, order).hf)

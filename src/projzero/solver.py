@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import GenericityFailure
-from .linalg import (Matrix, char_poly, eigenspace, kernel,
+from .linalg import (Matrix, char_poly, deflate, eigenspace, kernel,
                      normalize_vector, roots_in_field, rref)
 from .quotient import IdealPresentation, hilbert_scan
 from .polyring import MonomialOrder, Form
@@ -157,8 +157,11 @@ def _generic_combination(A, coeffs, field):
 def multiplicity(p: EigenPoint, triplet: Triplet, seed=0) -> int:
     """Algebraic multiplicity of p's eigenvalue on a generic combination.
 
-    Two draws must agree; a third breaks a single mismatch and three
-    pairwise-distinct answers raise GenericityFailure.
+    The combination sum c_j A_j has p's eigenvalue sum c_j lambda_j, whose
+    multiplicity is the number of times (t - that value) divides its char
+    poly, so no root search is needed. Two draws must agree; a third breaks
+    a single mismatch and three pairwise-distinct answers raise
+    GenericityFailure.
     """
     field = triplet.l.field
     rng = random.Random(f"mult:{seed}")
@@ -169,12 +172,7 @@ def multiplicity(p: EigenPoint, triplet: Triplet, seed=0) -> int:
         for c, lam in zip(coeffs, p.lambdas):
             target = field.add(target, field.mul(c, lam))
         A = _generic_combination(triplet.A, coeffs, field)
-        report = roots_in_field(char_poly(A), field)
-        mult = 0
-        for root, k in report.pairs:
-            if root == target:
-                mult = k
-                break
+        mult, _ = deflate(char_poly(A), target, field)
         if mult == 0:
             raise GenericityFailure("eigenvalue missing from the combination")
         if mult in seen:

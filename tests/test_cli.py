@@ -54,6 +54,24 @@ def test_solve_three_quadrics_json(capsys, data_dir):
     assert doc["triplet"]["l"] == "y + z"
 
 
+def test_solve_three_quadrics_large_prime(capsys, data_dir):
+    # GF(2^31 - 1): root finding and linear-form draws must not depend on p
+    code, doc, _ = run_json(capsys, "solve",
+                            str(data_dir / "three_quadrics_p31.ideal"))
+    assert code == 0
+    assert [(p["point"], p["multiplicity"]) for p in doc["points"]] == [
+        (["0", "1", "1"], 1), (["1", "0", "1"], 1), (["1", "1", "0"], 1)]
+    assert doc["rejected"] == [] and doc["residual_degree"] == 0
+
+
+@pytest.mark.parametrize("command", ["hilbert", "solve", "bound"])
+def test_max_degree_below_generators_exit_1(capsys, data_dir, command):
+    code, out, err = run(capsys, command, str(data_dir / "three_quadrics.ideal"),
+                         "--max-degree", "0")
+    assert code == 1 and out == ""
+    assert err == "error: max_degree 0 is below the generator degree 2\n"
+
+
 def test_solve_false_point(capsys, data_dir):
     code, doc, _ = run_json(capsys, "solve",
                             str(data_dir / "monomial_false_point.ideal"),

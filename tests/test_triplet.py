@@ -26,6 +26,14 @@ A_Y = qm([[2, 2, -2], [1, 3, -1], [-1, 1, 1]], Fraction(1, 4))
 A_Z = qm([[2, -2, 2], [-1, 1, 1], [1, -1, 3]], Fraction(1, 4))
 
 
+def test_sample_pool_is_a_range():
+    # indexing a range draws the same residues as a list would, with the
+    # same RNG use, and takes no memory proportional to p
+    assert list(PrimeField(7).sample_pool()) == list(range(7))
+    big = PrimeField(2147483647).sample_pool()
+    assert isinstance(big, range) and len(big) == 2147483647
+
+
 def test_find_surjective_main(main_ideal, order3):
     p1 = ideal_piece(main_ideal, 1, order3)
     p2 = ideal_piece(main_ideal, 2, order3)
