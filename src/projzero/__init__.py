@@ -8,9 +8,9 @@ no floating point anywhere.
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
                      DuplicatePoint, FieldTooSmall, FormSyntax,
-                     GenericityFailure, InputError, NoSurjectionFound,
-                     NotHomogeneous, ProjzeroError, RankDeficientBasis,
-                     UnknownVariable, ZeroPoint)
+                     GenericityFailure, InputError, InvariantViolation,
+                     NoSurjectionFound, NotHomogeneous, ProjzeroError,
+                     RankDeficientBasis, UnknownVariable, ZeroPoint)
 from .fields import PrimeField, RationalField, parse_field_spec
 from .linalg import (Matrix, char_poly, eigenspace, kernel, roots_in_field,
                      rref, solve_in_rowspace)

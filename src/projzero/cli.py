@@ -15,8 +15,10 @@ names, then one point per line with ':' or whitespace separators:
     coords 3
     1 : 2 : 2
 
-Exit codes: 0 success, 1 input error, 2 degree cap exceeded, 3 no surjective
-linear form found, 4 field too small.
+Exit codes: 0 success, 1 input error (or a failed internal invariant check),
+2 degree cap exceeded, 3 no surjective linear form found, 4 field too small.
+With --json, exit 2 still prints a JSON document, carrying the error, the
+partial Hilbert function and the cap.
 """
 
 import argparse
@@ -36,6 +38,14 @@ from .solver import SolveOptions, solve
 from .triplet import TripletOptions, build_triplet, fast_normal_form
 
 SCHEMA = "projzero.v1"
+
+
+def _read(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _strip(line):
@@ -156,7 +166,7 @@ def _apply_order_flags(order, args, var_names):
 
 
 def cmd_hilbert(args):
-    I, order = parse_ideal_file(open(args.file).read())
+    I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
     scan = hilbert_scan(I, order, args.max_degree)
     doc = {
@@ -189,7 +199,7 @@ def _solve_options(args, I):
 
 
 def cmd_solve(args):
-    I, order = parse_ideal_file(open(args.file).read())
+    I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
     opts = _solve_options(args, I)
     report = solve(I, order, opts)
@@ -232,7 +242,7 @@ def cmd_solve(args):
 
 
 def cmd_nf(args):
-    I, order = parse_ideal_file(open(args.file).read())
+    I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
     f = parse_form(args.poly, I.vars, I.field)
     field = I.field
@@ -289,7 +299,7 @@ def cmd_nf(args):
 
 
 def cmd_vanish(args):
-    P, var_names = parse_points_file(open(args.file).read())
+    P, var_names = parse_points_file(_read(args.file))
     order = _apply_order_flags(MonomialOrder.default(P.n + 1), args, var_names)
     l = None
     if args.linear_form:
@@ -323,7 +333,7 @@ def cmd_vanish(args):
 
 
 def cmd_separators(args):
-    P, var_names = parse_points_file(open(args.file).read())
+    P, var_names = parse_points_file(_read(args.file))
     cm = c_matrix(P)
     seps = separators(P, scaled=args.scaled)
     bound = P.n * P.size + P.size * P.size
@@ -340,7 +350,7 @@ def cmd_separators(args):
 
 
 def cmd_bound(args):
-    I, order = parse_ideal_file(open(args.file).read())
+    I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
     scan = hilbert_scan(I, order, args.max_degree)
     if scan.artinian:
@@ -441,7 +451,10 @@ def main(argv=None):
         return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"partial hf: {' '.join(str(v) for v in exc.partial_hf)}")
+        doc = {"schema": SCHEMA, "command": args.command, "error": str(exc),
+               "partial_hf": exc.partial_hf, "cap": exc.cap}
+        _emit(doc, args, [
+            f"partial hf: {' '.join(str(v) for v in exc.partial_hf)}"])
         return 2
     except NoSurjectionFound as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,14 @@ class DuplicatePoint(InputError):
         self.j = j
 
 
+class InvariantViolation(ProjzeroError):
+    """A checked invariant behind a reported answer failed.
+
+    Raised by explicit checks rather than `assert`, so that the checks also
+    run under `python -O`; it signals a defect in projzero, not in the input.
+    """
+
+
 class CapExceeded(ProjzeroError):
     """Degree cap reached before the Hilbert function could be certified.
 

@@ -6,6 +6,7 @@ compose by multiplying row vectors on the left.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ProjzeroError
 
@@ -73,19 +74,9 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        f = self.field
-        ot = other.rows
-        out = []
-        for r in self.rows:
-            acc = [f.zero] * other.ncols
-            for k, c in enumerate(r):
-                if f.is_zero(c):
-                    continue
-                rk = ot[k]
-                for j in range(other.ncols):
-                    acc[j] = f.add(acc[j], f.mul(c, rk[j]))
-            out.append(acc)
-        return Matrix(f, out, ncols=other.ncols)
+        cols = list(zip(*other.rows))
+        return Matrix(self.field, [_row_times_cols(r, cols, other)
+                                   for r in self.rows], ncols=other.ncols)
 
     def mat_pow(self, e):
         if self.nrows != self.ncols:
@@ -115,71 +106,88 @@ class Matrix:
         f = self.field
         aug = [list(r) + [f.one if i == j else f.zero for j in range(n)]
                for i, r in enumerate(self.rows)]
-        red, rank, _ = _rref_rows(aug, f)
-        if rank < n:
+        # [M | I] always has rank n; M is invertible iff its pivots are
+        # the first n columns
+        red, _, pivot_cols = _rref_rows(aug, f)
+        if pivot_cols != list(range(n)):
             raise ProjzeroError("matrix is singular")
         return Matrix(f, [r[n:] for r in red], ncols=n)
 
 
 def vec_matmul(row, M):
     """Row vector times matrix; returns a list."""
-    f = M.field
-    acc = [f.zero] * M.ncols
-    for k, c in enumerate(row):
-        if f.is_zero(c):
-            continue
-        rk = M.rows[k]
-        for j in range(M.ncols):
-            acc[j] = f.add(acc[j], f.mul(c, rk[j]))
-    return acc
+    return _row_times_cols(row, list(zip(*M.rows)), M)
 
 
-def mat_vec(M, col):
-    f = M.field
-    return [
-        _dot(r, col, f)
-        for r in M.rows
-    ]
-
-
-def _dot(a, b, f):
-    acc = f.zero
-    for x, y in zip(a, b):
-        if not (f.is_zero(x) or f.is_zero(y)):
-            acc = f.add(acc, f.mul(x, y))
-    return acc
+def _row_times_cols(row, cols, M):
+    """row times M, given the columns of M: one dot product per column,
+    summed in C and reduced once mod p over GF(p)."""
+    p = M.field.size
+    if not M.nrows:
+        return [M.field.zero] * M.ncols
+    if p is None:
+        zero = M.field.zero
+        return [sum(map(mul, row, col), zero) for col in cols]
+    return [sum(map(mul, row, col)) % p for col in cols]
 
 
 def _rref_rows(rows, field):
-    """In-place RREF on a list of row lists. Leftmost pivot, topmost row."""
+    """RREF of a list of row lists: (reduced rows, rank, pivot columns).
+
+    Leftmost pivot column, topmost pivot row. The input is not modified: the
+    rows are copied once on entry (over GF(p) reduced to canonical residues,
+    so that truth tests are zero tests) and then updated in place. Each
+    pivot row is scaled once. Every other row with a nonzero f in the pivot
+    column gets that entry cleared and is updated only on the pivot row's
+    nonzeros b right of the pivot column, since a pivot row has no nonzero
+    left of its pivot. The arithmetic is inline: (a + f*(p - b)) % p over
+    GF(p), a + f*(-b) on Fractions over Q.
+    """
+    p = field.size
+    if p is None:
+        rows = [list(row) for row in rows]
+    else:
+        rows = [[v % p for v in row] for row in rows]
     if not rows:
         return rows, 0, []
     nrows = len(rows)
     ncols = len(rows[0])
+    zero, one = field.zero, field.one
     pivot_cols = []
     r = 0
     for c in range(ncols):
-        pivot = None
         for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
+            if rows[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != field.one:
-            inv = field.inv(pv)
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
-        prow = rows[r]
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        pv = prow[c]
+        if pv != one:
+            if p is None:
+                inv = one / pv
+                prow[c:] = [inv * v for v in prow[c:]]
+            else:
+                inv = pow(pv, p - 2, p)
+                prow[c:] = [inv * v % p for v in prow[c:]]
+        if p is None:
+            neg = [(j, -b) for j in range(c + 1, ncols) if (b := prow[j])]
+        else:
+            neg = [(j, p - b) for j in range(c + 1, ncols) if (b := prow[j])]
         for i in range(nrows):
-            if i == r:
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
                 continue
-            factor = rows[i][c]
-            if field.is_zero(factor):
-                continue
-            rows[i] = [field.sub(v, field.mul(factor, pv2))
-                       for v, pv2 in zip(rows[i], prow)]
+            row[c] = zero
+            if p is None:
+                for j, b in neg:
+                    row[j] += f * b
+            else:
+                for j, b in neg:
+                    row[j] = (row[j] + f * b) % p
         pivot_cols.append(c)
         r += 1
         if r == nrows:
@@ -189,7 +197,7 @@ def _rref_rows(rows, field):
 
 def rref(M: Matrix):
     """Reduced row echelon form. Returns (R, rank, pivot_cols)."""
-    rows, rank, pivot_cols = _rref_rows(M.copy_rows(), M.field)
+    rows, rank, pivot_cols = _rref_rows(M.rows, M.field)
     return Matrix(M.field, rows, ncols=M.ncols), rank, pivot_cols
 
 
@@ -221,8 +229,7 @@ def solve_in_rowspace(v, rows: Matrix):
     if len(v) != rows.ncols:
         raise ValueError("dimension mismatch")
     # Solve rows^T c = v; pivot columns of rows^T pick the earliest row basis.
-    aug = [[rows.rows[i][j] for i in range(rows.nrows)] + [v[j]]
-           for j in range(rows.ncols)]
+    aug = [col + (x,) for col, x in zip(zip(*rows.rows), v)]
     red, rank, pivot_cols = _rref_rows(aug, f)
     if rows.nrows in pivot_cols:
         return None  # inconsistent: v outside the row space
@@ -273,48 +280,60 @@ def char_poly(M: Matrix):
         raise ValueError("char_poly of non-square matrix")
     n = M.nrows
     f = M.field
+    p = f.size
+    zero, one = f.zero, f.one
     if n == 0:
-        return [f.one]
-    H = M.copy_rows()
+        return [one]
+    if p is None:
+        H = M.copy_rows()
+    else:
+        H = [[v % p for v in row] for row in M.rows]
     for c in range(n - 2):
-        pivot = None
         for i in range(c + 1, n):
-            if not f.is_zero(H[i][c]):
-                pivot = i
+            if H[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        if pivot != c + 1:
-            H[c + 1], H[pivot] = H[pivot], H[c + 1]
-            for r in range(n):
-                H[r][c + 1], H[r][pivot] = H[r][pivot], H[r][c + 1]
-        pv = H[c + 1][c]
+        if i != c + 1:
+            H[c + 1], H[i] = H[i], H[c + 1]
+            for row in H:
+                row[c + 1], row[i] = row[i], row[c + 1]
+        prow = H[c + 1]
+        inv = one / prow[c] if p is None else pow(prow[c], p - 2, p)
         for i in range(c + 2, n):
-            if f.is_zero(H[i][c]):
+            if not H[i][c]:
                 continue
-            t = f.div(H[i][c], pv)
-            H[i] = [f.sub(a, f.mul(t, b)) for a, b in zip(H[i], H[c + 1])]
-            for r in range(n):
-                H[r][c + 1] = f.add(H[r][c + 1], f.mul(t, H[r][i]))
-    # p[m] = charpoly of the leading m x m block of H
-    polys = [[f.one]]
+            if p is None:
+                t = H[i][c] * inv
+                H[i] = [a - t * b for a, b in zip(H[i], prow)]
+                for row in H:
+                    row[c + 1] += t * row[i]
+            else:
+                t = H[i][c] * inv % p
+                H[i] = [(a - t * b) % p for a, b in zip(H[i], prow)]
+                for row in H:
+                    row[c + 1] = (row[c + 1] + t * row[i]) % p
+    # polys[m] = charpoly of the leading m x m block of H; over GF(p) each
+    # one is summed unreduced and reduced once
+    polys = [[one]]
     for m in range(1, n + 1):
         # (t - H[m-1][m-1]) * p[m-1]
         prev = polys[m - 1]
-        cur = [f.zero] + list(prev)
-        for k in range(len(prev)):
-            cur[k] = f.sub(cur[k], f.mul(H[m - 1][m - 1], prev[k]))
-        sub = f.one
+        h = H[m - 1][m - 1]
+        cur = [a - h * b for a, b in zip([zero] + prev, prev + [zero])]
+        sub = one
         for i in range(m - 1, 0, -1):
-            sub = f.mul(sub, H[i][i - 1])
-            if f.is_zero(sub):
+            sub = sub * H[i][i - 1]
+            coeff = H[i - 1][m - 1] * sub
+            if p is not None:
+                sub, coeff = sub % p, coeff % p
+            if not sub:
                 break
-            coeff = f.mul(H[i - 1][m - 1], sub)
-            if f.is_zero(coeff):
+            if not coeff:
                 continue
             for k, v in enumerate(polys[i - 1]):
-                cur[k] = f.sub(cur[k], f.mul(coeff, v))
-        polys.append(cur)
+                cur[k] -= coeff * v
+        polys.append(cur if p is None else [v % p for v in cur])
     return polys[n]
 
 

@@ -11,9 +11,9 @@ prefix table.
 
 from dataclasses import dataclass
 
-from .errors import (DuplicatePoint, FieldTooSmall, RankDeficientBasis,
-                     ZeroPoint)
-from .linalg import Matrix, kernel, solve_in_rowspace
+from .errors import (DuplicatePoint, FieldTooSmall, InvariantViolation,
+                     RankDeficientBasis, ZeroPoint)
+from .linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
 from .polyring import (Form, MonomialOrder, mono_divides, mono_one,
                        monomials_of_degree)
 from .quotient import IdealPresentation, ideal_piece
@@ -139,7 +139,9 @@ def nzd_sweep(P: ProjPointSet) -> Form:
             if not f.is_zero(values(cand, P.reps[i])):
                 w = cand
                 break
-        assert w is not None, "distinct points always admit a correction"
+        if w is None:
+            raise InvariantViolation(
+                "distinct points always admit a correction")
         alphas = (f.from_int(k) for k in range(1, m + 1)) if f.size is None \
             else (f.from_int(k) for k in range(1, f.size))
         fixed = None
@@ -248,7 +250,8 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     d = 0
     while len(B[d]) != m:
         d += 1
-        assert d <= m, "interpolation must stop by degree |P|"
+        if d > m:
+            raise InvariantViolation("interpolation must stop by degree |P|")
         Bd, rows_d = [], []
         for t in monomials_of_degree(nv, d, order):
             if any(mono_divides(g, t) for g in initials):
@@ -273,7 +276,10 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
         for row in rows:
             vec = [f.mul(xv, ev) for xv, ev in zip(xvals, row)]
             c = solve_in_rowspace(vec, G)
-            assert c is not None
+            if c is None:
+                raise InvariantViolation(
+                    "x_j times a basis row is outside the span of l times "
+                    "the basis rows")
             mat_rows.append(c)
         A_core.append(Matrix(f, mat_rows, ncols=m))
 
@@ -444,12 +450,7 @@ def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,
                                  {mn: cv for mn, cv in zip(monos, vec)
                                   if not f.is_zero(cv)}))
                 span_rows.append(vec)
-                span_rows, _, _ = _rref_list(span_rows, f)
+                span_rows, _, _ = _rref_rows(span_rows, f)
     if not gens:
         raise ValueError("no generators found; raise up_to")
     return IdealPresentation(field=f, vars=var_names, generators=gens)
-
-
-def _rref_list(rows, field):
-    from .linalg import _rref_rows
-    return _rref_rows([list(r) for r in rows], field)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import FormSyntax, NotHomogeneous, UnknownVariable
+from .errors import (FormSyntax, InvariantViolation, NotHomogeneous,
+                     UnknownVariable)
 
 
 def mono_degree(m):
@@ -85,7 +86,8 @@ def monomials_of_degree(nvars, d, order: MonomialOrder):
             prev = b
         exps.append(d + nvars - 1 - prev - 1)
         monos.append(tuple(exps))
-    assert len(monos) == comb(nvars - 1 + d, d)
+    if len(monos) != comb(nvars - 1 + d, d):
+        raise InvariantViolation(f"wrong number of degree-{d} monomials")
     return order.sort_desc(monos)
 
 

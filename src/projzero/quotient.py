@@ -11,7 +11,7 @@ which would be fooled by the valleys a mixed ideal can produce.
 from dataclasses import dataclass
 from math import comb
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InvariantViolation
 from .linalg import Matrix, rref
 from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
@@ -102,13 +102,17 @@ def normal_form_by_degree(f: Form, piece: DegreePiece) -> Form:
     if f.degree != piece.d:
         raise ValueError(f"form has degree {f.degree}, piece is degree {piece.d}")
     fld = f.field
+    p = fld.size
     v = f.coeff_vector(piece.monomials)
-    for r, pc in enumerate(piece.pivot_cols):
-        c = v[pc]
-        if fld.is_zero(c):
-            continue
-        row = piece.echelon.rows[r]
-        v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, row)]
+    # The echelon is reduced: row r is zero on every other pivot column, so
+    # v[pc] is the same before and after the other rows are subtracted.
+    # Over GF(p) v is reduced once at the end.
+    for pc, row in zip(piece.pivot_cols, piece.echelon.rows):
+        c = v[pc] if p is None else v[pc] % p
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    if p is not None:
+        v = [a % p for a in v]
     return form_from_coeffs(fld, f.nvars, piece.d, piece.monomials, v)
 
 
@@ -130,7 +134,8 @@ def binomial_expansion(h: int, i: int):
         out.append((n, i))
         h -= comb(n, i)
         i -= 1
-    assert h == 0
+    if h != 0:
+        raise InvariantViolation(f"binomial expansion leaves remainder {h}")
     return out
 
 

@@ -154,25 +154,48 @@ def _generic_combination(A, coeffs, field):
     return acc
 
 
-def multiplicity(p: EigenPoint, triplet: Triplet, seed=0) -> int:
+class CombinationDraws:
+    """The seeded generic combinations sum c_j A_j that `multiplicity` draws.
+
+    The draws depend only on the seed, so one instance serves every point
+    of a triplet: each draw's coefficients and char poly are computed once,
+    on first use, in the order of the seeded generator.
+    """
+
+    def __init__(self, triplet: Triplet, seed=0):
+        self.field = triplet.l.field
+        self._A = triplet.A
+        self._rng = random.Random(f"mult:{seed}")
+        self._draws = []
+
+    def __getitem__(self, k):
+        while len(self._draws) <= k:
+            coeffs = _draw_coefficients(self.field, len(self._A), self._rng)
+            A = _generic_combination(self._A, coeffs, self.field)
+            self._draws.append((coeffs, char_poly(A)))
+        return self._draws[k]
+
+
+def multiplicity(p: EigenPoint, triplet: Triplet, seed=0, draws=None) -> int:
     """Algebraic multiplicity of p's eigenvalue on a generic combination.
 
     The combination sum c_j A_j has p's eigenvalue sum c_j lambda_j, whose
     multiplicity is the number of times (t - that value) divides its char
     poly, so no root search is needed. Two draws must agree; a third breaks
     a single mismatch and three pairwise-distinct answers raise
-    GenericityFailure.
+    GenericityFailure. Pass the triplet's CombinationDraws as `draws` to
+    share the draws between points; otherwise they are drawn from `seed`.
     """
-    field = triplet.l.field
-    rng = random.Random(f"mult:{seed}")
+    if draws is None:
+        draws = CombinationDraws(triplet, seed)
+    field = draws.field
     seen = []
-    for _ in range(3):
-        coeffs = _draw_coefficients(field, len(triplet.A), rng)
+    for k in range(3):
+        coeffs, cp = draws[k]
         target = field.zero
         for c, lam in zip(coeffs, p.lambdas):
             target = field.add(target, field.mul(c, lam))
-        A = _generic_combination(triplet.A, coeffs, field)
-        mult, _ = deflate(char_poly(A), target, field)
+        mult, _ = deflate(cp, target, field)
         if mult == 0:
             raise GenericityFailure("eigenvalue missing from the combination")
         if mult in seen:
@@ -243,9 +266,17 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
     kept, rejected = filter_points(candidates, I)
     kept.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
     rejected.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
-    points = [(ep, multiplicity(ep, triplet, seed=options.seed)) for ep in kept]
+    draws = CombinationDraws(triplet, options.seed)
+    points = [(ep, multiplicity(ep, triplet, draws=draws)) for ep in kept]
     resid = residual_degree_of(triplet, seed=options.seed)
     warnings = []
+    total = sum(mult for _, mult in points)
+    if total > scan.m:
+        warnings.append(
+            f"multiplicities sum to {total}, more than the stable Hilbert "
+            f"value m = {scan.m} (triplet degree {triplet.d}, stabilization "
+            f"degree {scan.stabilization_degree}); --degree-policy "
+            "certified_stable builds the triplet where hf is stable")
     if resid > 0:
         warnings.append(
             f"incomplete splitting: residual degree {resid} (eigenvalue mass "

@@ -4,7 +4,7 @@ A triplet is (degree d, basis E of R_d, linear form l, matrices A_0..A_n)
 where the map [a] -> [l a] from R_d onto R_{d+1} is surjective. Row i of A_j
 holds the coordinates of [x_j e_i] in the basis {[l e_k]} of R_{d+1}; in
 particular sum_j coeff_j(l) A_j is the identity, which every constructor
-here asserts.
+here checks.
 
 Two degree policies are supported. first_surjective stops at the first
 degree with hf(d) >= hf(d+1) and a surjective l, which is all the variety
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
-                     NoSurjectionFound)
+                     InvariantViolation, NoSurjectionFound)
 from .linalg import Matrix, rref, solve_in_rowspace, vec_matmul
 from .polyring import Form, MonomialOrder
 from .quotient import (DegreePiece, IdealPresentation, hilbert_scan,
@@ -176,7 +176,9 @@ def _assemble(I, order, d, l, piece_d, piece_d1, L, hf_prefix, stable):
                    stable_certified=stable,
                    piece_d=piece_d, piece_d1=piece_d1, l_matrix=L,
                    basis_rows=basis_rows, order=order)
-    assert l_combination(trip) == Matrix.identity(field, target)
+    if l_combination(trip) != Matrix.identity(field, target):
+        raise InvariantViolation(
+            "the l-combination sum_j coeff_j(l) A_j is not the identity")
     return trip
 
 

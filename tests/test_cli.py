@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +41,39 @@ def test_hilbert_cap_exceeded_exit_2(capsys, data_dir):
                          "--max-degree", "6")
     assert code == 2
     assert "partial hf: 1 3 3 4" in out
+
+
+@pytest.mark.parametrize("command", ["hilbert", "solve", "bound"])
+def test_cap_exceeded_json_exit_2(capsys, data_dir, command):
+    code, doc, err = run_json(capsys, command,
+                              str(data_dir / "proj_dim_one.ideal"),
+                              "--max-degree", "6")
+    assert code == 2
+    assert doc == {"schema": "projzero.v1", "command": command,
+                   "error": err.strip()[len("error: "):],
+                   "partial_hf": [1, 3, 3, 4, 5, 6, 7, 8], "cap": 6}
+
+
+def test_invariant_violation_exit_1(capsys, data_dir, monkeypatch):
+    monkeypatch.setattr(Matrix, "inverse", lambda self: self.scale(2))
+    code, out, err = run(capsys, "solve", str(data_dir / "three_quadrics.ideal"))
+    assert code == 1
+    assert err.startswith("error: the l-combination")
+    assert out == ""
+
+
+def test_solve_under_python_O_matches_golden(data_dir):
+    """The invariant checks are not asserts, so -O keeps them and the
+    answer."""
+    root = data_dir.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "projzero.cli", "solve",
+         str(data_dir / "three_quadrics.ideal"), "--json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    golden = json.loads((root / "tests" / "golden" / "solve.json").read_text())
+    assert {"exit": proc.returncode, "output": json.loads(proc.stdout)} \
+        == golden["three_quadrics"]
 
 
 def test_solve_three_quadrics_json(capsys, data_dir):

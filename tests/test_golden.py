@@ -2,7 +2,11 @@
 
 The expected documents in golden/solve.json were recorded from the code
 before root finding stopped enumerating candidates; every later change must
-reproduce them exactly. To re-record after an intended change of output:
+reproduce them exactly. Two entries were re-recorded on purpose since:
+`proj_dim_one`, when exit 2 began to print a JSON document under --json,
+and `line_and_double_point`, when solve began to warn that its
+multiplicities sum to more than m. To re-record after an intended change of
+output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +24,7 @@ from projzero.cli import main
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "solve.json"
 
-# proj_dim_one has a small cap: at the default cap it takes a minute to
+# proj_dim_one has a small cap: at the default cap it takes about 5 s to
 # reach exit 2.
 CASES = {
     "artinian": [],
@@ -34,18 +38,14 @@ CASES = {
 
 
 def run_solve(name):
-    """Exit code and output of `solve --json`: parsed JSON, or the raw text
-    when the command prints none (exit 2 prints the partial hf)."""
+    """Exit code and parsed output of `solve --json` (exit 2 prints a JSON
+    document too)."""
     argv = ["solve", str(DATA / f"{name}.ideal"), *CASES[name], "--json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    text = out.getvalue()
-    try:
-        return {"exit": code, "output": json.loads(text)}
-    except json.JSONDecodeError:
-        return {"exit": code, "output": text}
+    return {"exit": code, "output": json.loads(out.getvalue())}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,0 +1,157 @@
+"""The field-specialised kernels of linalg and quotient against the
+per-scalar oracle in tests/rref_oracle.py: elimination, kernel, inverse,
+row-space solves, char polys, matrix products and Macaulay reduction."""
+
+import copy
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from projzero import (Form, Matrix, ProjzeroError, char_poly, ideal_piece,
+                      kernel, normal_form_by_degree, rref, solve_in_rowspace)
+from projzero.cli import parse_ideal_file
+from projzero.fields import PrimeField, RationalField
+from projzero.linalg import _rref_rows, vec_matmul
+from projzero.polyring import monomials_of_degree
+from tests import rref_oracle as oracle
+
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003),
+          PrimeField(2**31 - 1), RationalField()]
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def scalars(field):
+    """Entries biased towards zero, so that rows and columns vanish and
+    pivots are sparse."""
+    if field.size is None:
+        value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        value = st.integers(0, field.size - 1)
+    return st.one_of(st.just(field.zero), value)
+
+
+@st.composite
+def matrices(draw, field, nrows=None, ncols=None):
+    """A matrix of 0-7 rows and 0-7 columns; half of them are products
+    C B through an inner dimension below both sides, so rank-deficient."""
+    if nrows is None:
+        nrows = draw(st.integers(0, 7))
+    if ncols is None:
+        ncols = draw(st.integers(0, 7))
+    entry = scalars(field)
+
+    def block(r, c):
+        return Matrix(field, [[draw(entry) for _ in range(c)]
+                              for _ in range(r)], ncols=c)
+
+    if draw(st.booleans()):
+        return block(nrows, ncols)
+    k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    return oracle.matmul(block(nrows, k), block(k, ncols))
+
+
+field_index = st.integers(0, len(FIELDS) - 1)
+
+
+@given(field_index, st.data())
+def test_rref_matches_oracle(fi, data):
+    field = FIELDS[fi]
+    M = data.draw(matrices(field))
+    before = copy.deepcopy(M.rows)
+    rows, rank, pivots = _rref_rows(M.rows, field)
+    want_rows, want_rank, want_pivots = oracle.rref_rows(M.copy_rows(), field)
+    assert (rows, rank, pivots) == (want_rows, want_rank, want_pivots)
+    R, rank2, pivots2 = rref(M)
+    assert (R.rows, rank2, pivots2) == (want_rows, want_rank, want_pivots)
+    assert M.rows == before
+
+
+@given(field_index, st.data())
+def test_kernel_and_rowspace_leave_input_unchanged(fi, data):
+    field = FIELDS[fi]
+    M = data.draw(matrices(field))
+    before = copy.deepcopy(M.rows)
+    null = kernel(M)
+    assert len(null) == M.ncols - oracle.rref_rows(M.copy_rows(), field)[1]
+    for v in null:
+        assert not any(vec_matmul(v, M.transpose()))
+    assert M.rows == before
+    v = data.draw(st.lists(scalars(field), min_size=M.ncols,
+                           max_size=M.ncols))
+    if data.draw(st.booleans()) and M.nrows:
+        # a vector that is in the row space
+        coeffs = data.draw(st.lists(scalars(field), min_size=M.nrows,
+                                    max_size=M.nrows))
+        v = vec_matmul(coeffs, M)
+    assert solve_in_rowspace(v, M) == oracle.solve_in_rowspace(v, M)
+    assert M.rows == before
+
+
+@given(field_index, st.integers(0, 6), st.data())
+def test_inverse_matches_oracle(fi, n, data):
+    field = FIELDS[fi]
+    M = data.draw(matrices(field, n, n))
+    before = copy.deepcopy(M.rows)
+    aug = [r + [field.one if i == j else field.zero for j in range(n)]
+           for i, r in enumerate(M.copy_rows())]
+    red, _, pivots = oracle.rref_rows(aug, field)
+    if pivots != list(range(n)):  # some pivot of [M | I] lies in I
+        with pytest.raises(ProjzeroError):
+            M.inverse()
+    else:
+        inv = M.inverse()
+        assert inv.rows == [r[n:] for r in red]
+        assert M @ inv == Matrix.identity(field, n)
+    assert M.rows == before
+
+
+@given(field_index, st.integers(0, 7), st.data())
+def test_char_poly_matches_oracle(fi, n, data):
+    field = FIELDS[fi]
+    M = data.draw(matrices(field, n, n))
+    before = copy.deepcopy(M.rows)
+    assert char_poly(M) == oracle.char_poly(M)
+    assert M.rows == before
+
+
+@given(field_index, st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_matmul_matches_oracle(fi, a, b, c, data):
+    field = FIELDS[fi]
+    A = data.draw(matrices(field, a, b))
+    B = data.draw(matrices(field, b, c))
+    assert (A @ B).rows == oracle.matmul(A, B).rows
+    for row in A.rows:
+        assert vec_matmul(row, B) == oracle.vec_matmul(row, B)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(32003)],
+                         ids=str)
+def test_rref_reduces_noncanonical_residues(field):
+    p = field.size
+    rows = [[p, 1, 2 * p + 1], [p - 1, 3 * p, -1], [2, -p, 1]]
+    canonical = Matrix(field, [[v % p for v in r] for r in rows])
+    assert _rref_rows(rows, field) \
+        == oracle.rref_rows(canonical.copy_rows(), field)
+    assert char_poly(Matrix(field, rows)) == oracle.char_poly(canonical)
+
+
+@pytest.mark.parametrize("name,degree", [
+    ("three_quadrics", 4), ("line_and_double_point", 5),
+    ("single_point_embedded", 3), ("three_quadrics_p31", 3),
+    ("monomial_false_point", 3)])
+@given(data=st.data())
+def test_normal_form_matches_oracle(name, degree, data):
+    I, order = parse_ideal_file((DATA / f"{name}.ideal").read_text())
+    piece = ideal_piece(I, degree, order)
+    monos = monomials_of_degree(I.nvars, degree, order)
+    coeffs = data.draw(st.lists(scalars(I.field), min_size=len(monos),
+                                max_size=len(monos)))
+    f = Form(I.field, I.nvars, degree,
+             dict(zip(monos, coeffs)))
+    want = oracle.normal_form_coeffs(f.coeff_vector(piece.monomials), piece,
+                                     I.field)
+    assert normal_form_by_degree(f, piece).coeff_vector(piece.monomials) \
+        == want

@@ -8,7 +8,9 @@ from projzero import (Matrix, MonomialOrder, build_triplet, candidate_points,
                       filter_points, multiplicity, normalize, parse_form,
                       solve, vanishing_ideal)
 from projzero.fields import PrimeField, RationalField
-from projzero.solver import SolveOptions
+from projzero import solver
+from projzero.linalg import char_poly
+from projzero.solver import CombinationDraws, SolveOptions
 from projzero.triplet import TripletOptions
 from tests.conftest import ideal_from
 
@@ -181,3 +183,37 @@ def test_solve_conjugate_points_report_residual():
     assert rep.points == []
     assert rep.residual_degree == 2
     assert any("incomplete splitting" in w for w in rep.warnings)
+
+
+def test_shared_draws_give_per_point_multiplicities(mixed_2var_triplet,
+                                                    monkeypatch):
+    pts = candidate_points(mixed_2var_triplet)
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return char_poly(M)
+
+    monkeypatch.setattr(solver, "char_poly", counted)
+    for seed in (0, 1):
+        separate = [multiplicity(ep, mixed_2var_triplet, seed=seed)
+                    for ep in pts]
+        calls.clear()
+        draws = CombinationDraws(mixed_2var_triplet, seed)
+        shared = [multiplicity(ep, mixed_2var_triplet, draws=draws)
+                  for ep in pts]
+        assert shared == separate
+        assert len(pts) == 2 and len(calls) <= 3  # per draw, not per point
+
+
+def test_multiplicity_overcount_warns(mixed_2var_ideal, order2):
+    # data/line_and_double_point.ideal: first_surjective builds the triplet
+    # at d = 3, below d* = 5, and counts (1 : 0) three times against m = 3
+    I, order = mixed_2var_ideal, order2
+    rep = solve(I, order, SolveOptions())
+    assert sorted(m for _, m in rep.points) == [1, 3]
+    assert any("sum to 4" in w and "m = 3" in w
+               and "certified_stable" in w for w in rep.warnings)
+    stable = solve(I, order, SolveOptions(degree_policy="certified_stable"))
+    assert sorted(m for _, m in stable.points) == [1, 2]
+    assert not any("sum to" in w for w in stable.warnings)

@@ -8,7 +8,8 @@ from projzero import (Form, Matrix, MonomialOrder, build_triplet,
                       l_combination, l_map_matrix, multiplication_matrix,
                       normal_form_by_degree, parse_form,
                       normalized_linear_forms, rebuild_at_next_degree)
-from projzero.errors import DegreeTooLow, NoSurjectionFound
+from projzero.errors import (DegreeTooLow, InvariantViolation,
+                             NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from projzero.triplet import TripletOptions
 from tests.conftest import ideal_from
@@ -217,3 +218,12 @@ def test_build_triplet_certified_policy(mixed_2var_triplet):
     assert t.d == 5 and t.stable_certified
     assert t.hf_prefix == [1, 2, 3, 4, 4, 3, 3]
     assert t.size == 3
+
+
+def test_corrupt_inverse_raises_invariant_violation(main_ideal, order3,
+                                                    monkeypatch):
+    # the l-combination identity certifies inverse and matmul in every
+    # triplet: a wrong inverse must not yield matrices
+    monkeypatch.setattr(Matrix, "inverse", lambda self: self.scale(2))
+    with pytest.raises(InvariantViolation):
+        build_triplet(main_ideal, order3)
