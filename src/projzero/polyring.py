@@ -177,12 +177,47 @@ class Form:
         return Form(f, self.nvars, self.degree + other.degree, terms)
 
     def power(self, e):
+        """self^e by the multinomial theorem.
+
+        Walks the compositions (k_1, ..., k_t) of e over the t terms c_i m_i
+        and adds e! / (k_1! ... k_t!) prod c_i^k_i times prod m_i^k_i. The
+        multinomial coefficient is built as an exact integer, a product of
+        binomials, and mapped into the field once, so coefficients divisible
+        by p vanish in GF(p); nothing is divided in the field. For a linear
+        form every composition is a distinct output monomial.
+        """
         if e < 0:
             raise ValueError("negative power")
-        result = Form.monomial(self.field, self.nvars, mono_one(self.nvars))
-        for _ in range(e):
-            result = result * self
-        return result
+        f = self.field
+        items = list(self.terms.items())
+        powers = []  # powers[i][k] = c_i^k
+        for _, c in items:
+            row = [f.one]
+            for _ in range(e):
+                row.append(f.mul(row[-1], c))
+            powers.append(row)
+        last = len(items) - 1
+        terms = {}
+
+        def walk(i, rest, mono, coeff, multi):
+            m_i, pw = items[i][0], powers[i]
+            if i == last:  # the last term takes the rest
+                mono = tuple(a + rest * b for a, b in zip(mono, m_i))
+                c = f.mul(f.from_int(multi), f.mul(coeff, pw[rest]))
+                terms[mono] = f.add(terms[mono], c) if mono in terms else c
+                return
+            binom = 1  # C(rest, k)
+            for k in range(rest + 1):
+                walk(i + 1, rest - k,
+                     tuple(a + k * b for a, b in zip(mono, m_i)),
+                     f.mul(coeff, pw[k]), multi * binom)
+                binom = binom * (rest - k) // (k + 1)
+
+        if items:
+            walk(0, e, mono_one(self.nvars), f.one, 1)
+        elif e == 0:
+            terms[mono_one(self.nvars)] = f.one
+        return Form(f, self.nvars, self.degree * e, terms)
 
     def evaluate(self, rep):
         """Evaluate at a fixed affine representative (list of scalars)."""

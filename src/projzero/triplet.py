@@ -15,6 +15,7 @@ independent of the degree at which they are rebuilt.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
                      InvariantViolation, NoSurjectionFound)
@@ -265,10 +266,29 @@ def rebuild_at_next_degree(triplet: Triplet, I: IdealPresentation,
 
 @dataclass
 class FastNormalForm:
+    """Coordinates of a normal form in the basis {l^k e_i}.
+
+    The represented element sum_i c_i l^k e_i is expanded only when `form`
+    is first read: C(k + n, n) terms for n + 1 variables, against the
+    O(|f| n m^3 log k) field operations of the coordinates.
+    """
+
     coords: list       # coordinates in the basis {l^k e_i}
     k: int             # power of l
     basis_label: str
-    form: Form         # the represented element, expanded
+    l: Form
+    E: list            # the basis forms e_i of the triplet
+
+    @cached_property
+    def form(self) -> Form:
+        """The represented element sum_i c_i l^k e_i, expanded."""
+        l = self.l
+        lk = l.power(self.k)
+        rep = Form.zero(l.field, l.nvars, self.E[0].degree + self.k)
+        for c, e in zip(self.coords, self.E):
+            if not l.field.is_zero(c):
+                rep = rep + (lk * e).scale(c)
+        return rep
 
 
 def _split_monomial(mono, d, order: MonomialOrder):
@@ -286,14 +306,14 @@ def _split_monomial(mono, d, order: MonomialOrder):
     return a, tuple(b)
 
 
-def fast_normal_form(f: Form, triplet: Triplet, linear_schedule=False) -> FastNormalForm:
+def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
     """Normal form of a high-degree form as coordinates in {l^k e_i}.
 
     Each monomial is split as a*b with deg b = triplet.d; nf(b) is computed
     by Macaulay reduction at degree d and the coordinate row is then pushed
-    up by the matrices, one variable at a time (binary powers by default,
-    or one multiplication per step with linear_schedule, matching the
-    naive O(|a| m^3) schedule).
+    up by the matrices, one variable at a time, with binary matrix powers
+    A_j^e shared by all monomials. Nothing is expanded: the result's `form`
+    builds sum_i c_i l^k e_i on first use.
     """
     if f.degree < triplet.d:
         raise DegreeTooLow(
@@ -321,20 +341,12 @@ def fast_normal_form(f: Form, triplet: Triplet, linear_schedule=False) -> FastNo
         for j, e in enumerate(a):
             if e == 0:
                 continue
-            if linear_schedule:
-                for _ in range(e):
-                    row = vec_matmul(row, triplet.A[j])
-            else:
-                key = (j, e)
-                if key not in powers_cache:
-                    powers_cache[key] = triplet.A[j].mat_pow(e)
-                row = vec_matmul(row, powers_cache[key])
+            key = (j, e)
+            if key not in powers_cache:
+                powers_cache[key] = triplet.A[j].mat_pow(e)
+            row = vec_matmul(row, powers_cache[key])
         total = [field.add(t, field.mul(coeff, r)) for t, r in zip(total, row)]
 
-    lk = triplet.l.power(k)
-    rep = Form.zero(field, f.nvars, f.degree)
-    for c, e in zip(total, triplet.E):
-        if not field.is_zero(c):
-            rep = rep + (lk * e).scale(c)
     label = f"l^{k} * e_i" if k else "e_i"
-    return FastNormalForm(coords=total, k=k, basis_label=label, form=rep)
+    return FastNormalForm(coords=total, k=k, basis_label=label,
+                          l=triplet.l, E=triplet.E)

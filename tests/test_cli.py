@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import Matrix, eigenpoints_from_matrices, normalize
+from projzero import Form, Matrix, eigenpoints_from_matrices, normalize
 from projzero.cli import main, parse_ideal_file, parse_points_file
 from projzero.fields import RationalField
 
@@ -74,6 +74,15 @@ def test_solve_under_python_O_matches_golden(data_dir):
     golden = json.loads((root / "tests" / "golden" / "solve.json").read_text())
     assert {"exit": proc.returncode, "output": json.loads(proc.stdout)} \
         == golden["three_quadrics"]
+
+
+def test_worked_examples_script_runs(data_dir):
+    root = data_dir.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_worked_examples.py")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_three_quadrics_json(capsys, data_dir):
@@ -172,6 +181,29 @@ def test_nf_check_oracle_agrees(capsys, data_dir):
     code2, doc2, _ = run_json(capsys, "nf", str(data_dir / "three_quadrics.ideal"),
                               "x^4*y^2", "--oracle")
     assert doc2["reduced"] == doc["reduced"]
+
+
+def test_nf_print_path_expands_nothing(capsys, data_dir, monkeypatch):
+    argv = ("nf", str(data_dir / "three_quadrics.ideal"), "x^600")
+    code, expected, _ = run_json(capsys, *argv)
+    assert code == 0
+
+    def no_power(self, e):
+        raise AssertionError("nf without --check-oracle expanded l^k")
+
+    calls = []
+    mul = Form.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Form, "power", no_power)
+    monkeypatch.setattr(Form, "__mul__", counting_mul)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["coordinates"] == expected["coordinates"]
+    assert len(calls) < 100
 
 
 def test_vanish_six_points(capsys, data_dir):

@@ -12,6 +12,7 @@ from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from projzero.triplet import TripletOptions
+from tests import nf_oracle
 from tests.conftest import ideal_from
 
 Q = RationalField()
@@ -209,8 +210,9 @@ def test_fast_normal_form_oracle_mixed(mixed_2var_ideal, order2,
 def test_fast_normal_form_linear_schedule_agrees(main_triplet):
     f = parse_form("x^9 + 2*x^3*y^2*z^4", XYZ, Q)
     fast = fast_normal_form(f, main_triplet)
-    slow = fast_normal_form(f, main_triplet, linear_schedule=True)
-    assert fast.coords == slow.coords and fast.form == slow.form
+    slow = nf_oracle.linear_push(f, main_triplet)
+    assert fast.coords == slow
+    assert fast.form == nf_oracle.expand(slow, fast.k, main_triplet)
 
 
 def test_build_triplet_certified_policy(mixed_2var_triplet):
