@@ -1,4 +1,5 @@
-"""Golden `solve --json` and `nf --json` outputs for the fixtures under data/.
+"""Golden `--json` outputs of solve, nf, hilbert and bound for the fixtures
+under data/.
 
 The expected documents in golden/solve.json were recorded from the code
 before root finding stopped enumerating candidates; every later change must
@@ -7,8 +8,12 @@ reproduce them exactly. Two entries were re-recorded on purpose since:
 and `line_and_double_point`, when solve began to warn that its
 multiplicities sum to more than m. The documents in golden/nf.json were
 recorded from the code that still expanded sum c_i l^k e_i on every `nf`
-call; none has been re-recorded. To re-record after an intended change of
-output:
+call; none has been re-recorded. golden/hilbert.json, golden/bound.json
+and the `certified_stable` and `cap 2` entries of golden/solve.json were
+recorded from the code whose Hilbert scan still eliminated every degree up
+to Gotzmann's d* + 1; the `cap` entries exit 2 with a cap between the
+degree where hf becomes constant and d*. To re-record after an intended
+change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,17 +31,41 @@ from projzero.cli import main
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+IDEALS = ("artinian", "ci_3_4_p32003", "line_and_double_point",
+          "monomial_false_point", "proj_dim_one", "single_linear",
+          "single_point_embedded", "three_quadrics", "three_quadrics_p31")
+
 # proj_dim_one has a small cap: at the default cap it takes about 5 s to
 # reach exit 2.
-SOLVE_CASES = {
-    "artinian": [],
-    "line_and_double_point": [],
-    "monomial_false_point": [],
-    "single_linear": [],
-    "single_point_embedded": [],
-    "three_quadrics": [],
-    "proj_dim_one": ["--max-degree", "6"],
+CAPS = {"proj_dim_one": ["--max-degree", "6"]}
+
+# Caps between the certificate degrees: hf is constant from degree 2 on
+# the three quadrics (d* = 3) and from degree 5 on the (3,4) complete
+# intersection (d* = 12), so each of these exits 2.
+CAP_CASES = {
+    "three_quadrics cap 2": ("three_quadrics", ["--max-degree", "2"]),
+    "three_quadrics_p31 cap 2": ("three_quadrics_p31", ["--max-degree", "2"]),
+    "ci_3_4_p32003 cap 8": ("ci_3_4_p32003", ["--max-degree", "8"]),
 }
+
+# case name -> (fixture, solve arguments)
+SOLVE_CASES = {
+    "artinian": ("artinian", []),
+    "line_and_double_point": ("line_and_double_point", []),
+    "monomial_false_point": ("monomial_false_point", []),
+    "single_linear": ("single_linear", []),
+    "single_point_embedded": ("single_point_embedded", []),
+    "three_quadrics": ("three_quadrics", []),
+    "proj_dim_one": ("proj_dim_one", CAPS["proj_dim_one"]),
+    **{f"{name} certified_stable": (
+        name, ["--degree-policy", "certified_stable", *CAPS.get(name, [])])
+       for name in IDEALS},
+    "three_quadrics cap 2": CAP_CASES["three_quadrics cap 2"],
+}
+
+# case name -> (fixture, hilbert or bound arguments)
+SCAN_CASES = {**{name: (name, CAPS.get(name, [])) for name in IDEALS},
+              **CAP_CASES}
 
 # case name -> (fixture, nf arguments); the last case exits 1 with
 # DegreeTooLow and prints nothing on stdout
@@ -60,11 +89,11 @@ NF_CASES = {
 }
 
 
-def _run(argv):
+def _run(command, fixture, args):
     """Exit code, parsed stdout (None when empty) and stderr lines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--json"])
+        code = main([command, str(DATA / f"{fixture}.ideal"), *args, "--json"])
     text = out.getvalue()
     return {"exit": code, "output": json.loads(text) if text else None,
             "stderr": err.getvalue().splitlines()}
@@ -73,31 +102,58 @@ def _run(argv):
 def run_solve(name):
     """Exit code and parsed output of `solve --json` (exit 2 prints a JSON
     document too)."""
-    res = _run(["solve", str(DATA / f"{name}.ideal"), *SOLVE_CASES[name]])
+    res = _run("solve", *SOLVE_CASES[name])
     return {"exit": res["exit"], "output": res["output"]}
 
 
 def run_nf(name):
-    fixture, args = NF_CASES[name]
-    return _run(["nf", str(DATA / f"{fixture}.ideal"), *args])
+    return _run("nf", *NF_CASES[name])
+
+
+def run_hilbert(name):
+    return _run("hilbert", *SCAN_CASES[name])
+
+
+def run_bound(name):
+    return _run("bound", *SCAN_CASES[name])
+
+
+GOLDEN_FILES = {
+    "solve.json": (SOLVE_CASES, run_solve),
+    "nf.json": (NF_CASES, run_nf),
+    "hilbert.json": (SCAN_CASES, run_hilbert),
+    "bound.json": (SCAN_CASES, run_bound),
+}
+
+
+def _check(fname, name):
+    expected = json.loads((GOLDEN / fname).read_text())[name]
+    assert GOLDEN_FILES[fname][1](name) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
 def test_solve_matches_golden(name):
-    expected = json.loads((GOLDEN / "solve.json").read_text())[name]
-    assert run_solve(name) == expected
+    _check("solve.json", name)
 
 
 @pytest.mark.parametrize("name", sorted(NF_CASES))
 def test_nf_matches_golden(name):
-    expected = json.loads((GOLDEN / "nf.json").read_text())[name]
-    assert run_nf(name) == expected
+    _check("nf.json", name)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_hilbert_matches_golden(name):
+    _check("hilbert.json", name)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_bound_matches_golden(name):
+    _check("bound.json", name)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for fname, cases, run in (("solve.json", SOLVE_CASES, run_solve),
-                              ("nf.json", NF_CASES, run_nf)):
+    for fname, (cases, run) in GOLDEN_FILES.items():
         (GOLDEN / fname).write_text(
             json.dumps({n: run(n) for n in sorted(cases)},
                        indent=1, sort_keys=True) + "\n")
