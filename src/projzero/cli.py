@@ -356,7 +356,7 @@ def cmd_bound(args):
     if scan.artinian:
         raise InputError("artinian quotient; no projective variety to bound")
     bound = gb_degree_bound(scan, scan.stabilization_degree)
-    mins = initial_ideal_min_generators(I, order, bound + 1)
+    mins = initial_ideal_min_generators(I, order, bound + 1, scan)
     measured = max(d for _, d in mins)
     doc = {
         "schema": SCHEMA, "command": "bound",

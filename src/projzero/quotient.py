@@ -3,16 +3,22 @@
 Each degree d is handled independently: the Macaulay matrix of I_d (all
 monomial multiples of the generators, echelonized) yields the Hilbert
 function value, the lead monomials and the standard-monomial basis of R_d.
-Stabilization of the Hilbert function is certified with Gotzmann's
-persistence criterion rather than by spotting equal consecutive values,
-which would be fooled by the valleys a mixed ideal can produce.
+Stabilization of the Hilbert function is certified rather than read off
+equal consecutive values, which would be fooled by the valleys a mixed
+ideal can produce. Two certificates close a scan: commuting multiplication
+matrices at a degree with a bijective linear form, which holds at the least
+degree from which hf is constant, and Gotzmann persistence, which cannot
+hold below degree m and is the fallback for fields too small to have a
+bijective linear form. Pieces are therefore built only up to the degree
+where hf becomes constant, plus one, whenever the first applies; the
+initial ideal above that degree comes from rank tests on the matrices.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceeded, InputError, InvariantViolation
-from .linalg import Matrix, rref
+from .linalg import Matrix, rref, vec_matmul
 from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
 
@@ -148,7 +154,8 @@ def macaulay_growth(h: int, i: int) -> int:
 
 @dataclass
 class HilbertScan:
-    """Hilbert function values 0..d*+1 with the Gotzmann certificate."""
+    """Hilbert function values 0..d*+1, Gotzmann's d* and the certificate
+    that closed the scan."""
 
     hf_values: list
     t: int                      # max generator degree
@@ -156,6 +163,12 @@ class HilbertScan:
     m: int                      # stable value hf(d*)
     gotzmann_certified: bool
     postulation: int            # least degree from which hf is constant
+    # The certificate that closed the scan, "gotzmann" or "commutation", the
+    # degree at which it holds, and for "commutation" the triplet there,
+    # whose matrices commute.
+    certificate: str = "gotzmann"
+    certificate_degree: int | None = None
+    triplet: object = None
 
     @property
     def artinian(self) -> bool:
@@ -164,34 +177,89 @@ class HilbertScan:
 
 def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
                  max_degree: int | None = None) -> HilbertScan:
-    """Scan hf(0), hf(1), ... until Gotzmann persistence certifies stability.
+    """Scan hf(0), hf(1), ... until a certificate pins hf for good.
 
-    The certificate at degree d >= t is hf(d+1) = hf(d)^{<d>}; persistence
-    then pins hf forever, so hf(d*) is the stable value m (m = 0 reports an
-    artinian quotient, i.e. an empty variety). Raises CapExceeded when no
-    certificate appears up to the cap, which signals either projective
-    dimension > 0 or a cap that is too low, and InputError for a cap below
-    the generator degree.
+    At each degree d >= t (the generator degree) two certificates are
+    tried, Gotzmann's first:
+
+    - Gotzmann: hf(d+1) = hf(d) = hf(d)^{<d>}. Persistence then pins hf
+      forever, so hf(d*) is the stable value m (m = 0 reports an artinian
+      quotient, i.e. an empty variety). It cannot hold below d = m.
+    - Commutation: hf(d+1) = hf(d) > 0, a seeded draw of l makes
+      ·l : R_d -> R_{d+1} bijective, and the matrices A_j of the triplet
+      at d commute pairwise (`triplet.commuting_triplet`).
+
+    Theorem. Let I be generated in degrees <= t, R = S/I, d >= t, and l a
+    linear form with ·l : R_d -> R_{d+1} bijective; let
+    M_j = (·l)^{-1} ∘ (·x_j) on R_d, whose matrices are the A_j. Then the
+    M_j commute pairwise if and only if hf(e) = hf(d) for every e >= d.
+
+    Proof. Upper bound: R_{d+1} = l R_d and R_{e+1} = S_1 R_e give
+    R_e = l^{e-d} R_d, so hf(e) <= hf(d). Lower bound: with commuting M_j,
+    psi(x^a g) = M^a [g] (g in S_d) is well defined on S_e, since two
+    splittings of a monomial differ by moves x_i <-> x_k and
+    M_i [x_k h] = M_k [x_i h], both being (·l)^{-1} [x_i x_k h]. psi
+    vanishes on I_e = S_{e-d} I_d, and sum_j coeff_j(l) M_j = 1 gives
+    psi(l^{e-d} g) = [g], so psi maps R_e onto R_d and hf(e) >= hf(d).
+    Converse: R_{d+2} = S_1 l R_d = l R_{d+1}, so l is bijective there too
+    when hf is constant; x_i x_k a = l^2 M_i M_k a for a in R_d, which is
+    symmetric in i and k, and l^2 is injective on R_d.
+
+    This is the projective form of the criterion that commuting
+    multiplication matrices characterise a normal form (Mourrain, "A new
+    criterion for normal form algorithms", AAECC-13, 1999; Kehrein, Kreuzer
+    and Robbiano, "An algebraist's view on border bases", 2005). By the
+    converse the commutation certificate holds at the least d >= t from
+    which hf is constant, whenever a drawn l is bijective there; pieces are
+    then built only up to that degree plus one. hf(e) = m is known for
+    every e >= d, and Gotzmann's d*, the hf list up to d* + 1 and the
+    postulation follow by arithmetic. Gotzmann alone closes scans over
+    fields too small to have a bijective l.
+
+    Raises CapExceeded when Gotzmann's d* exceeds the cap, with hf up to
+    cap + 1, which signals either projective dimension > 0 or a cap that is
+    too low, and InputError for a cap below the generator degree.
     """
+    from .triplet import commuting_triplet
     t = I.max_gen_degree
     cap = I.default_cap() if max_degree is None else max_degree
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []
+    prev = None
     for d in range(cap + 2):
-        hf.append(ideal_piece(I, d, order).hf)
+        piece = ideal_piece(I, d, order)
+        hf.append(piece.hf)
         dd = d - 1
         # persistence alone is not enough: an ideal of projective dimension
         # one meets the Macaulay bound forever while still growing, so the
         # two consecutive values must also agree
-        if dd >= t and hf[d] == hf[dd] and hf[d] == macaulay_growth(hf[dd], dd):
-            m = hf[dd]
-            post = dd
-            while post > 0 and hf[post - 1] == m:
-                post -= 1
-            return HilbertScan(hf_values=hf, t=t, stabilization_degree=dd,
-                               m=m, gotzmann_certified=True, postulation=post)
+        if dd >= t and hf[d] == hf[dd]:
+            if hf[d] == macaulay_growth(hf[dd], dd):
+                return _closed(hf, t, dd, "gotzmann", dd)
+            trip = commuting_triplet(I, order, prev, piece, list(hf))
+            if trip is not None:
+                # hf(e) = m for all e >= dd, and Gotzmann failed up to dd
+                m, dstar = hf[dd], d
+                while macaulay_growth(m, dstar) != m:
+                    dstar += 1
+                hf += [m] * (min(dstar, cap) + 2 - len(hf))
+                if dstar > cap:
+                    raise CapExceeded(hf, cap)
+                return _closed(hf, t, dstar, "commutation", dd, trip)
+        prev = piece
     raise CapExceeded(hf, cap)
+
+
+def _closed(hf, t, dstar, certificate, degree, triplet=None):
+    m = hf[dstar]
+    post = dstar
+    while post > 0 and hf[post - 1] == m:
+        post -= 1
+    return HilbertScan(hf_values=hf, t=t, stabilization_degree=dstar, m=m,
+                       gotzmann_certified=True, postulation=post,
+                       certificate=certificate, certificate_degree=degree,
+                       triplet=triplet)
 
 
 def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
@@ -202,14 +270,65 @@ def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
 
 
 def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
-                                 up_to: int):
-    """Minimal generators (monomial, degree) of the initial ideal up to a degree."""
+                                 up_to: int, scan: HilbertScan | None = None):
+    """Minimal generators (monomial, degree) of the initial ideal up to a degree.
+
+    Degrees come from the Macaulay pieces, except above the certificate
+    degree d of a scan closed by commutation. There psi from the theorem in
+    `hilbert_scan` is an isomorphism R_e -> R_d, with
+    psi(x_j s) = psi(s) A_j in coordinates on the standard monomials of
+    R_d. A monomial of degree e is a lead iff its psi-vector depends on
+    those of smaller monomials, and only x_j s for standard s of degree
+    e - 1 can be a minimal generator; these are tested in ascending order
+    against one echelon per degree.
+    """
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
+    trip = scan.triplet if scan is not None else None
+    top = up_to if trip is None else min(up_to, trip.d)
     mins = []
-    for d in range(1, up_to + 1):
-        piece = ideal_piece(I, d, order)
-        for mono in order.sort_desc(piece.lead_monomials):
+
+    def add(leads, d):
+        for mono in order.sort_desc(leads):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
+
+    for d in range(1, top + 1):
+        add(ideal_piece(I, d, order).lead_monomials, d)
+    if top == up_to:
+        return mins
+    field = I.field
+    p = field.size
+    m = trip.size
+    # psi-vectors of the standard monomials of the previous degree
+    psi = {s: [field.one if k == i else field.zero for k in range(m)]
+           for i, s in enumerate(trip.E_monomials)}
+    units = [tuple(int(k == j) for k in range(I.nvars)) for j in range(I.nvars)]
+    for e in range(top + 1, up_to + 1):
+        candidates = {}
+        for s, v in psi.items():
+            for j, x in enumerate(units):
+                u = mono_mul(s, x)
+                if u not in candidates:
+                    candidates[u] = (v, j)
+        echelon, psi, leads = [], {}, []
+        for u in reversed(order.sort_desc(candidates)):
+            v, j = candidates[u]
+            w = vec_matmul(v, trip.A[j])
+            r = w
+            for pc, row in echelon:
+                c = r[pc] if p is None else r[pc] % p
+                if c:
+                    r = [a - c * b for a, b in zip(r, row)]
+            if p is not None:
+                r = [a % p for a in r]
+            pc = next((k for k, a in enumerate(r) if a), None)
+            if pc is None:
+                leads.append(u)
+            else:
+                inv = field.inv(r[pc])
+                row = [a * inv for a in r]
+                echelon.append((pc, row if p is None else [a % p for a in row]))
+                psi[u] = w
+        add(leads, e)
     return mins

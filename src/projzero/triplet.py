@@ -8,9 +8,11 @@ here checks.
 
 Two degree policies are supported. first_surjective stops at the first
 degree with hf(d) >= hf(d+1) and a surjective l, which is all the variety
-computation needs. certified_stable additionally waits for the Gotzmann
-certificate, after which hf is provably constant and the matrices are
-independent of the degree at which they are rebuilt.
+computation needs. certified_stable builds the triplet at Gotzmann's
+stabilization degree d*, where hf is provably constant and the matrices are
+independent of the degree at which they are rebuilt. The Hilbert scan's
+commutation certificate (`commuting_triplet`) builds one at the least
+degree from which hf is constant.
 """
 
 import random
@@ -45,7 +47,7 @@ class Triplet:
     A: list            # n+1 multiplication matrices, one per variable
     hf_prefix: list    # hf(0..d+1)
     surjective_certified: bool  # hf(d) == hf(d+1) and the l-map has full rank
-    stable_certified: bool      # d >= Gotzmann stabilization degree
+    stable_certified: bool      # hf is certified constant from d on
     piece_d: DegreePiece
     piece_d1: DegreePiece
     l_matrix: Matrix   # rows: nf(l*s_i) over standard monomials of R_{d+1}
@@ -113,6 +115,11 @@ def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
                            piece_d1: DegreePiece, strategy="random",
                            seed=0, max_trials=200) -> Form:
     """Find l with [l] R_d = R_{d+1} by random draws or exhaustive search."""
+    return _search(I, piece_d, piece_d1, strategy, seed, max_trials)[0]
+
+
+def _search(I, piece_d, piece_d1, strategy, seed, max_trials):
+    """find_surjective_linear's l together with its l-map matrix."""
     hf_d, hf_d1 = len(piece_d.standard_monomials), len(piece_d1.standard_monomials)
     if not hf_d >= hf_d1 > 0:
         raise ValueError(f"need hf(d) >= hf(d+1) > 0, got {hf_d}, {hf_d1}")
@@ -121,14 +128,16 @@ def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
         trials = 0
         for l in normalized_linear_forms(field, I.nvars):
             trials += 1
-            if _surjective(l, piece_d, piece_d1) is not None:
-                return l
+            L = _surjective(l, piece_d, piece_d1)
+            if L is not None:
+                return l, L
         raise NoSurjectionFound(trials, degree=piece_d.d)
     rng = random.Random(seed)
     for _ in range(max_trials):
         l = _random_linear(field, I.nvars, rng)
-        if _surjective(l, piece_d, piece_d1) is not None:
-            return l
+        L = _surjective(l, piece_d, piece_d1)
+        if L is not None:
+            return l, L
     raise NoSurjectionFound(max_trials, degree=piece_d.d)
 
 
@@ -194,22 +203,54 @@ def l_combination(triplet: Triplet) -> Matrix:
     return acc
 
 
+# Seeded draws of l per degree in the commutation certificate. A random l
+# over a large field is bijective almost always; over a field too small to
+# have one every draw fails and the Hilbert scan falls back to Gotzmann.
+COMMUTATION_DRAWS = 4
+
+
+def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
+                      piece_d: DegreePiece, piece_d1: DegreePiece,
+                      hf_prefix) -> Triplet | None:
+    """The triplet at degree d if its matrices commute pairwise, else None.
+
+    Needs hf(d) = hf(d+1) > 0 and d at least the generator degree; l is the
+    first of COMMUTATION_DRAWS draws seeded by d that makes the l-map
+    bijective, and None also means that no draw did. By the theorem in
+    quotient.hilbert_scan, commuting matrices certify that hf is constant
+    from d on, and they commute for every such l once it is.
+    """
+    try:
+        l, L = _search(I, piece_d, piece_d1, "random", piece_d.d,
+                       COMMUTATION_DRAWS)
+    except NoSurjectionFound:
+        return None
+    trip = _assemble(I, order, piece_d.d, l, piece_d, piece_d1, L,
+                     hf_prefix, True)
+    A = trip.A
+    if any(A[i] @ A[j] != A[j] @ A[i]
+           for i in range(len(A)) for j in range(i)):
+        return None
+    return trip
+
+
 def build_triplet(I: IdealPresentation, order: MonomialOrder,
                   options: TripletOptions = TripletOptions()) -> Triplet:
     """Scan degrees, find a surjective linear form and assemble the matrices."""
     cap = I.default_cap() if options.max_degree is None else options.max_degree
     start = 0
     stable_from = None
+    hf = []
     if options.degree_policy == "certified_stable":
         scan = hilbert_scan(I, order, cap)
         if scan.artinian:
             raise ArtinianQuotient("empty variety; no triplet exists")
         start = scan.stabilization_degree
         stable_from = scan.stabilization_degree
+        hf = scan.hf_values[:start]
     elif options.degree_policy != "first_surjective":
         raise ValueError(f"unknown degree policy {options.degree_policy!r}")
 
-    hf = [ideal_piece(I, d, order).hf for d in range(start)]
     piece_d = ideal_piece(I, start, order)
     hf.append(piece_d.hf)
     saw_candidate = False
@@ -231,10 +272,8 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
                 last_error = NoSurjectionFound(1, degree=d)
             else:
                 try:
-                    l = find_surjective_linear(
-                        I, piece_d, piece_d1, strategy=options.strategy,
-                        seed=options.seed, max_trials=options.max_trials)
-                    L = _surjective(l, piece_d, piece_d1)
+                    l, L = _search(I, piece_d, piece_d1, options.strategy,
+                                   options.seed, options.max_trials)
                     return _assemble(I, order, d, l, piece_d, piece_d1, L,
                                      hf[:d + 2],
                                      stable_from is not None and d >= stable_from)
