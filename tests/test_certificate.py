@@ -12,7 +12,7 @@ import pytest
 
 from projzero import (Form, IdealPresentation, MonomialOrder, build_triplet,
                       find_surjective_linear, hilbert_scan, ideal_piece,
-                      initial_ideal_min_generators, normalize, parse_form,
+                      initial_ideal_min_generators, normalize,
                       vanishing_ideal)
 from projzero import quotient, triplet
 from projzero.cli import main, parse_ideal_file
