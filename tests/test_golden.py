@@ -1,5 +1,5 @@
-"""Golden `--json` outputs of solve, nf, hilbert and bound for the fixtures
-under data/.
+"""Golden `--json` outputs of solve, nf, hilbert and bound for the ideal
+fixtures under data/, and of vanish and separators for the point fixtures.
 
 The expected documents in golden/solve.json were recorded from the code
 before root finding stopped enumerating candidates; every later change must
@@ -12,7 +12,10 @@ call; none has been re-recorded. golden/hilbert.json, golden/bound.json
 and the `certified_stable` and `cap 2` entries of golden/solve.json were
 recorded from the code whose Hilbert scan still eliminated every degree up
 to Gotzmann's d* + 1; the `cap` entries exit 2 with a cap between the
-degree where hf becomes constant and d*. To re-record after an intended
+degree where hf becomes constant and d*. golden/vanish.json and
+golden/separators.json were recorded from the code whose interpolation run
+re-echelonised the accepted rows for every candidate monomial and every
+matrix row; `gf2_three_points` exits 4 under `vanish`. To re-record after an intended
 change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -67,6 +70,24 @@ SOLVE_CASES = {
 SCAN_CASES = {**{name: (name, CAPS.get(name, [])) for name in IDEALS},
               **CAP_CASES}
 
+POINT_SETS = ("four_points_p7", "gf2_three_points", "gf3_three_points",
+              "six_points")
+
+# case name -> (fixture, vanish arguments); four_points_p7 has more
+# coordinates than points, so vanish runs on a projected coordinate subset
+VANISH_CASES = {
+    **{name: (name, []) for name in POINT_SETS},
+    "six_points lex z,y,x": (
+        "six_points", ["--order", "lex", "--vars-ranking", "z,y,x"]),
+    "six_points l=x+y+z": ("six_points", ["--linear-form", "x + y + z"]),
+}
+
+# case name -> (fixture, separators arguments)
+SEPARATORS_CASES = {
+    **{name: (name, []) for name in POINT_SETS},
+    **{f"{name} scaled": (name, ["--scaled"]) for name in POINT_SETS},
+}
+
 # case name -> (fixture, nf arguments); the last case exits 1 with
 # DegreeTooLow and prints nothing on stdout
 NF_CASES = {
@@ -89,11 +110,12 @@ NF_CASES = {
 }
 
 
-def _run(command, fixture, args):
+def _run(command, fixture, args, suffix=".ideal"):
     """Exit code, parsed stdout (None when empty) and stderr lines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(DATA / f"{fixture}.ideal"), *args, "--json"])
+        code = main([command, str(DATA / f"{fixture}{suffix}"), *args,
+                     "--json"])
     text = out.getvalue()
     return {"exit": code, "output": json.loads(text) if text else None,
             "stderr": err.getvalue().splitlines()}
@@ -118,11 +140,21 @@ def run_bound(name):
     return _run("bound", *SCAN_CASES[name])
 
 
+def run_vanish(name):
+    return _run("vanish", *VANISH_CASES[name], suffix=".pts")
+
+
+def run_separators(name):
+    return _run("separators", *SEPARATORS_CASES[name], suffix=".pts")
+
+
 GOLDEN_FILES = {
     "solve.json": (SOLVE_CASES, run_solve),
     "nf.json": (NF_CASES, run_nf),
     "hilbert.json": (SCAN_CASES, run_hilbert),
     "bound.json": (SCAN_CASES, run_bound),
+    "vanish.json": (VANISH_CASES, run_vanish),
+    "separators.json": (SEPARATORS_CASES, run_separators),
 }
 
 
@@ -149,6 +181,16 @@ def test_hilbert_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_bound_matches_golden(name):
     _check("bound.json", name)
+
+
+@pytest.mark.parametrize("name", sorted(VANISH_CASES))
+def test_vanish_matches_golden(name):
+    _check("vanish.json", name)
+
+
+@pytest.mark.parametrize("name", sorted(SEPARATORS_CASES))
+def test_separators_matches_golden(name):
+    _check("separators.json", name)
 
 
 if __name__ == "__main__":
