@@ -119,6 +119,20 @@ def vec_matmul(row, M):
     return _row_times_cols(row, list(zip(*M.rows)), M)
 
 
+def linear_combination(coeffs, mats):
+    """sum_j c_j M_j over matrices of one shape, one dot product per entry,
+    summed in C and reduced once mod p over GF(p)."""
+    field = mats[0].field
+    p = field.size
+    rows = []
+    for parts in zip(*(M.rows for M in mats)):
+        cols = zip(*parts)
+        rows.append([sum(map(mul, coeffs, col), field.zero) for col in cols]
+                    if p is None else
+                    [sum(map(mul, coeffs, col)) % p for col in cols])
+    return Matrix(field, rows, ncols=mats[0].ncols)
+
+
 def _row_times_cols(row, cols, M):
     """row times M, given the columns of M: one dot product per column,
     summed in C and reduced once mod p over GF(p)."""

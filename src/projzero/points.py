@@ -4,19 +4,18 @@ Every point is stored with a fixed affine representative whose first nonzero
 coordinate is one, so evaluation of forms (and hence every rank computation
 below) is well defined. The module covers the non-zero-divisor sweep, the
 per-degree interpolation variant of the Buchberger-Moeller algorithm that
-returns multiplication matrices instead of a Groebner basis, evaluation
-normal forms, and the separator construction with its comparison-counted
-prefix table.
+returns multiplication matrices and, run one degree further, the reduced
+Groebner basis of the vanishing ideal, evaluation normal forms, and the
+separator construction with its comparison-counted prefix table.
 """
 
 from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InvariantViolation,
                      RankDeficientBasis, ZeroPoint)
-from .linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
-from .polyring import (Form, MonomialOrder, mono_divides, mono_one,
-                       monomials_of_degree)
-from .quotient import IdealPresentation, ideal_piece
+from .linalg import Matrix, kernel, linear_combination, solve_in_rowspace
+from .polyring import Form, MonomialOrder, mono_one
+from .quotient import IdealPresentation, _interpolate
 
 
 @dataclass
@@ -29,23 +28,6 @@ class ProjPointSet:
     @property
     def size(self):
         return len(self.reps)
-
-    def eval_monomial(self, mono):
-        """Values of a monomial at every representative."""
-        f = self.field
-        out = []
-        for rep in self.reps:
-            v = f.one
-            for x, e in zip(rep, mono):
-                if e == 0:
-                    continue
-                if f.is_zero(x):
-                    v = f.zero
-                    break
-                for _ in range(e):
-                    v = f.mul(v, x)
-            out.append(v)
-        return out
 
     def eval_form(self, form: Form):
         return [form.evaluate(rep) for rep in self.reps]
@@ -204,6 +186,21 @@ def _restrict_form(form: Form, kept, width):
     return Form(form.field, len(kept), form.degree, terms)
 
 
+def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
+    """`_interpolate` over evaluation at the points, from B_0 = {1}, with
+    candidates in descending order."""
+    f = P.field
+    p = f.size
+    cols = list(zip(*P.reps))
+
+    def step(v, j):
+        w = [a * b for a, b in zip(v, cols[j])]
+        return w if p is None else [a % p for a in w]
+
+    return _interpolate(f, {mono_one(P.n + 1): [f.one] * P.size}, step,
+                        order, False)
+
+
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                l: Form | None = None) -> PointTriplet:
     """Interpolation run over the points: per-degree monomial bases until the
@@ -212,9 +209,11 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     Candidates in each degree are the monomials outside the recorded
     initials, processed in descending order; a candidate whose evaluation
     vector depends on the rows already accepted joins the initials, the
-    rest extend the basis. When the ambient dimension exceeds the number of
-    points the computation runs on a projected coordinate subset and the
-    matrices of dropped variables are recovered by linearity.
+    rest extend the basis. Row i of A_j solves c G = x_j b_i on the points,
+    where G holds l b_k, so every A_j comes from one inverse of G. When the
+    ambient dimension exceeds the number of points the computation runs on
+    a projected coordinate subset and the matrices of dropped variables are
+    recovered by linearity.
     """
     f = P.field
     m = P.size
@@ -247,56 +246,32 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     B = [[mono_one(nv)]]
     rows = [[f.one] * m]
     initials = []
-    d = 0
-    while len(B[d]) != m:
-        d += 1
-        if d > m:
+    runs = _evaluation_run(core, order)
+    while len(B[-1]) != m:
+        if len(B) > m:
             raise InvariantViolation("interpolation must stop by degree |P|")
-        Bd, rows_d = [], []
-        for t in monomials_of_degree(nv, d, order):
-            if any(mono_divides(g, t) for g in initials):
-                continue
-            vec = core.eval_monomial(t)
-            if solve_in_rowspace(vec, Matrix(f, rows_d, ncols=m)) is None:
-                Bd.append(t)
-                rows_d.append(vec)
-            else:
-                initials.append(t)
+        Bd, rows, news, _ = next(runs)
         B.append(Bd)
-        rows = rows_d
+        initials += news
     hf = [len(b) for b in B]
 
-    lvals = core.eval_form(l_core)
-    G = Matrix(f, [[f.mul(lv, ev) for lv, ev in zip(lvals, row)]
-                   for row in rows], ncols=m)
-    A_core = []
-    for j in range(nv):
-        xvals = [rep[j] for rep in core.reps]
-        mat_rows = []
-        for row in rows:
-            vec = [f.mul(xv, ev) for xv, ev in zip(xvals, row)]
-            c = solve_in_rowspace(vec, G)
-            if c is None:
-                raise InvariantViolation(
-                    "x_j times a basis row is outside the span of l times "
-                    "the basis rows")
-            mat_rows.append(c)
-        A_core.append(Matrix(f, mat_rows, ncols=m))
+    def scaled_rows(vals):
+        return Matrix(f, [[f.mul(x, e) for x, e in zip(vals, row)]
+                          for row in rows], ncols=m)
 
+    G_inv = scaled_rows(core.eval_form(l_core)).inverse()
+    A_core = [scaled_rows([rep[j] for rep in core.reps]) @ G_inv
+              for j in range(nv)]
     A_full = [None] * width
     for k, i in enumerate(kept):
         A_full[i] = A_core[k]
     for i, coeffs in subs.items():
-        acc = Matrix.zero(f, m, m)
-        for c, k in zip(coeffs, range(len(kept))):
-            if not f.is_zero(c):
-                acc = acc + A_core[k].scale(c)
-        A_full[i] = acc
+        A_full[i] = linear_combination(coeffs, A_core)
 
     return PointTriplet(B=[[_embed_mono(t, kept, width) for t in bd] for bd in B],
                         initials=[_embed_mono(t, kept, width) for t in initials],
                         l=_embed_form(l_core, kept, width),
-                        A=A_full, hf=hf, d=d, field=f, kept=kept,
+                        A=A_full, hf=hf, d=len(B) - 1, field=f, kept=kept,
                         substitutions=subs)
 
 
@@ -411,46 +386,29 @@ def separators(P: ProjPointSet, scaled=False):
     return out
 
 
-def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,
-                    up_to: int | None = None,
-                    var_names=None) -> IdealPresentation:
-    """Generators of the vanishing ideal, reconstructed degree by degree.
+def vanishing_ideal(P: ProjPointSet,
+                    order: MonomialOrder | None = None) -> IdealPresentation:
+    """The reduced Groebner basis of I(P) up to degree d + 1, where d is the
+    least degree with hf(d) = |P| (the stop degree of `bm_triplet`).
 
-    In each degree the kernel of the evaluation matrix is compared against
-    the span of the previously found generators; whatever is missing becomes
-    a new generator. Degrees up to |P| always suffice for distinct points.
+    This is the interpolation run of `bm_triplet`, over every coordinate,
+    continued one degree past d: each initial t comes with its reduction
+    t - sum c_b b over the standard monomials b > t of its degree, which
+    vanishes on P. These are the basis elements of degree <= d + 1 for the
+    term order that compares degree first and then `order` reversed. I(P)
+    is generated in degrees <= d + 1, its regularity, and a homogeneous
+    element of degree e reduces to 0 by basis elements of degree <= e, so
+    they generate I(P).
     """
     f = P.field
     nv = P.n + 1
-    if order is None:
-        order = MonomialOrder.default(nv)
-    if up_to is None:
-        up_to = max(1, P.size)
-    if var_names is None:
-        var_names = tuple(f"x{i}" for i in range(nv))
-    gens = []
-    for d in range(1, up_to + 1):
-        monos = monomials_of_degree(nv, d, order)
-        E = Matrix(f, [[v for v in P.eval_monomial(mn)] for mn in monos],
-                   ncols=P.size).transpose()
-        null = kernel(E)
-        if not null:
-            continue
-        if gens:
-            piece = ideal_piece(
-                IdealPresentation(field=f, vars=var_names, generators=gens),
-                d, order)
-            span = piece.echelon
-        else:
-            span = Matrix(f, [], ncols=len(monos))
-        span_rows = span.copy_rows()
-        for vec in null:
-            if solve_in_rowspace(vec, Matrix(f, span_rows, ncols=len(monos))) is None:
-                gens.append(Form(f, nv, d,
-                                 {mn: cv for mn, cv in zip(monos, vec)
-                                  if not f.is_zero(cv)}))
-                span_rows.append(vec)
-                span_rows, _, _ = _rref_rows(span_rows, f)
-    if not gens:
-        raise ValueError("no generators found; raise up_to")
-    return IdealPresentation(field=f, vars=var_names, generators=gens)
+    gens, hf = [], 1
+    runs = _evaluation_run(P, order or MonomialOrder.default(nv))
+    for e, (Be, _, news, reductions) in enumerate(runs, 1):
+        gens += [Form(f, nv, e, {t: f.one, **dict(zip(Be, r))})
+                 for t, r in zip(news, reductions)]
+        if hf == P.size:
+            break
+        hf = len(Be)
+    return IdealPresentation(field=f, vars=tuple(f"x{i}" for i in range(nv)),
+                             generators=gens)

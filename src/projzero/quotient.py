@@ -103,12 +103,11 @@ def ideal_piece(I: IdealPresentation, d: int, order: MonomialOrder) -> DegreePie
                        hf=len(monomials) - rank)
 
 
-def normal_form_by_degree(f: Form, piece: DegreePiece) -> Form:
-    """The representative of [f] supported on the standard monomials."""
+def _reduce(f: Form, piece: DegreePiece):
+    """Coefficients of nf(f) on piece.monomials; zero on the pivot columns."""
     if f.degree != piece.d:
         raise ValueError(f"form has degree {f.degree}, piece is degree {piece.d}")
-    fld = f.field
-    p = fld.size
+    p = f.field.size
     v = f.coeff_vector(piece.monomials)
     # The echelon is reduced: row r is zero on every other pivot column, so
     # v[pc] is the same before and after the other rows are subtracted.
@@ -117,15 +116,19 @@ def normal_form_by_degree(f: Form, piece: DegreePiece) -> Form:
         c = v[pc] if p is None else v[pc] % p
         if c:
             v = [a - c * b for a, b in zip(v, row)]
-    if p is not None:
-        v = [a % p for a in v]
-    return form_from_coeffs(fld, f.nvars, piece.d, piece.monomials, v)
+    return v if p is None else [a % p for a in v]
+
+
+def normal_form_by_degree(f: Form, piece: DegreePiece) -> Form:
+    """The representative of [f] supported on the standard monomials."""
+    return form_from_coeffs(f.field, f.nvars, piece.d, piece.monomials,
+                            _reduce(f, piece))
 
 
 def standard_coords(f: Form, piece: DegreePiece):
     """Coordinates of nf(f) on the standard-monomial basis of R_d."""
-    nf = normal_form_by_degree(f, piece)
-    return nf.coeff_vector(piece.standard_monomials)
+    pivots = set(piece.pivot_cols)
+    return [c for k, c in enumerate(_reduce(f, piece)) if k not in pivots]
 
 
 def binomial_expansion(h: int, i: int):
@@ -277,58 +280,87 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     degree d of a scan closed by commutation. There psi from the theorem in
     `hilbert_scan` is an isomorphism R_e -> R_d, with
     psi(x_j s) = psi(s) A_j in coordinates on the standard monomials of
-    R_d. A monomial of degree e is a lead iff its psi-vector depends on
-    those of smaller monomials, and only x_j s for standard s of degree
-    e - 1 can be a minimal generator; these are tested in ascending order
-    against one echelon per degree.
+    R_d, and `_interpolate` over psi in ascending order finds the rest: a
+    monomial of degree e is a lead iff its psi-vector depends on those of
+    smaller monomials.
     """
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
     trip = scan.triplet if scan is not None else None
     top = up_to if trip is None else min(up_to, trip.d)
     mins = []
-
-    def add(leads, d):
-        for mono in order.sort_desc(leads):
+    for d in range(1, top + 1):
+        for mono in order.sort_desc(ideal_piece(I, d, order).lead_monomials):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
-
-    for d in range(1, top + 1):
-        add(ideal_piece(I, d, order).lead_monomials, d)
     if top == up_to:
         return mins
     field = I.field
-    p = field.size
     m = trip.size
-    # psi-vectors of the standard monomials of the previous degree
-    psi = {s: [field.one if k == i else field.zero for k in range(m)]
-           for i, s in enumerate(trip.E_monomials)}
-    units = [tuple(int(k == j) for k in range(I.nvars)) for j in range(I.nvars)]
-    for e in range(top + 1, up_to + 1):
-        candidates = {}
-        for s, v in psi.items():
-            for j, x in enumerate(units):
-                u = mono_mul(s, x)
-                if u not in candidates:
-                    candidates[u] = (v, j)
-        echelon, psi, leads = [], {}, []
-        for u in reversed(order.sort_desc(candidates)):
-            v, j = candidates[u]
-            w = vec_matmul(v, trip.A[j])
-            r = w
+    start = {s: [field.one if k == i else field.zero for k in range(m)]
+             for i, s in enumerate(trip.E_monomials)}
+    runs = _interpolate(field, start, lambda v, j: vec_matmul(v, trip.A[j]),
+                        order, True, [g for g, _ in mins])
+    for e, (_, _, initials, _) in zip(range(top + 1, up_to + 1), runs):
+        mins += [(t, e) for t in order.sort_desc(initials)]
+    return mins
+
+
+def _interpolate(field, start, step, order: MonomialOrder, ascending,
+                 known=()):
+    """Buchberger-Moeller over a linear functional psi: S_e -> K^m.
+
+    `start` maps a monomial basis of R_{d0} to psi-vectors, and step(v, j)
+    is the psi-vector of x_j s when v is that of s. In each degree e > d0
+    the candidates x_j s (s in B_{e-1}) that no initial found so far or in
+    `known` divides are tested in `order`, ascending or descending, against
+    one incremental echelon of the accepted candidates of degree e. An
+    independent psi-vector puts t into B_e. A dependent one makes t a new
+    minimal initial, with reduction t + sum_k r_k B_e[k] in the kernel of
+    psi; each echelon row carries the combination of B_e it is psi of,
+    which gives r. When the kernel is an ideal J these are the minimal
+    generators of in(J) and the reduced Groebner basis of J for the order
+    by degree, then `order` (reversed when descending): the monomials
+    outside the initials form an order ideal, so each is a candidate.
+
+    Yields (B_e, psi-vectors of B_e, initials, reductions r) for
+    e = d0 + 1, d0 + 2, ...; the caller decides where to stop.
+    """
+    p = field.size
+    zero, one = field.zero, field.one
+    known = list(known)
+    basis = dict(start)
+    nv = len(next(iter(basis)))
+    m = len(next(iter(basis.values())))
+    while True:
+        cands = {}
+        for s, v in basis.items():
+            for j in range(nv):
+                cands.setdefault(s[:j] + (s[j] + 1,) + s[j + 1:], (v, j))
+        tested = [t for t in order.sort_desc(cands)
+                  if not any(mono_divides(g, t) for g in known)]
+        if ascending:
+            tested.reverse()
+        echelon, basis, initials, reductions = [], {}, [], []
+        for t in tested:
+            v, j = cands[t]
+            w = step(v, j)
+            r = w + [zero] * m
             for pc, row in echelon:
                 c = r[pc] if p is None else r[pc] % p
                 if c:
                     r = [a - c * b for a, b in zip(r, row)]
             if p is not None:
                 r = [a % p for a in r]
-            pc = next((k for k, a in enumerate(r) if a), None)
+            pc = next((k for k in range(m) if r[k]), None)
             if pc is None:
-                leads.append(u)
-            else:
-                inv = field.inv(r[pc])
-                row = [a * inv for a in r]
-                echelon.append((pc, row if p is None else [a % p for a in row]))
-                psi[u] = w
-        add(leads, e)
-    return mins
+                initials.append(t)
+                reductions.append(r[m:])
+                continue
+            r[m + len(basis)] = one
+            inv = field.inv(r[pc])
+            row = [a * inv for a in r]
+            echelon.append((pc, row if p is None else [a % p for a in row]))
+            basis[t] = w
+        known += initials
+        yield list(basis), list(basis.values()), initials, reductions

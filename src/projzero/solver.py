@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import GenericityFailure
 from .linalg import (Matrix, char_poly, deflate, eigenspace, kernel,
-                     normalize_vector, roots_in_field, rref)
+                     linear_combination, normalize_vector, roots_in_field,
+                     rref)
 from .quotient import IdealPresentation, hilbert_scan
 from .polyring import MonomialOrder, Form
 from .triplet import Triplet, TripletOptions, build_triplet
@@ -147,13 +148,6 @@ def _draw_coefficients(field, n, rng):
     return [field.from_int(rng.randint(1, field.size - 1)) for _ in range(n)]
 
 
-def _generic_combination(A, coeffs, field):
-    acc = Matrix.zero(field, A[0].nrows, A[0].ncols)
-    for c, Aj in zip(coeffs, A):
-        acc = acc + Aj.scale(c)
-    return acc
-
-
 class CombinationDraws:
     """The seeded generic combinations sum c_j A_j that `multiplicity` draws.
 
@@ -171,7 +165,7 @@ class CombinationDraws:
     def __getitem__(self, k):
         while len(self._draws) <= k:
             coeffs = _draw_coefficients(self.field, len(self._A), self._rng)
-            A = _generic_combination(self._A, coeffs, self.field)
+            A = linear_combination(coeffs, self._A)
             self._draws.append((coeffs, char_poly(A)))
         return self._draws[k]
 
@@ -210,7 +204,7 @@ def residual_degree_of(triplet: Triplet, seed=0) -> int:
     field = triplet.l.field
     rng = random.Random(f"residual:{seed}")
     coeffs = _draw_coefficients(field, len(triplet.A), rng)
-    A = _generic_combination(triplet.A, coeffs, field)
+    A = linear_combination(coeffs, triplet.A)
     return roots_in_field(char_poly(A), field).residual_degree
 
 

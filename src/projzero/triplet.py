@@ -21,7 +21,8 @@ from functools import cached_property
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
                      InvariantViolation, NoSurjectionFound)
-from .linalg import Matrix, rref, solve_in_rowspace, vec_matmul
+from .linalg import (Matrix, linear_combination, rref, solve_in_rowspace,
+                     vec_matmul)
 from .polyring import Form, MonomialOrder
 from .quotient import (DegreePiece, IdealPresentation, hilbert_scan,
                        ideal_piece, standard_coords)
@@ -194,13 +195,9 @@ def _assemble(I, order, d, l, piece_d, piece_d1, L, hf_prefix, stable):
 
 def l_combination(triplet: Triplet) -> Matrix:
     """sum_j coeff_j(l) A_j, which must equal the identity."""
-    field = triplet.l.field
-    n = triplet.A[0].nrows
-    acc = Matrix.zero(field, n, n)
-    for mono, c in triplet.l.terms.items():
-        j = mono.index(1)
-        acc = acc + triplet.A[j].scale(c)
-    return acc
+    terms = triplet.l.terms.items()
+    return linear_combination([c for _, c in terms],
+                              [triplet.A[mono.index(1)] for mono, _ in terms])
 
 
 # Seeded draws of l per degree in the commutation certificate. A random l

@@ -132,3 +132,11 @@ def normal_form_coeffs(v, piece, field):
         row = piece.echelon.rows[r]
         v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
     return v
+
+
+def linear_combination(coeffs, mats):
+    """sum_j c_j M_j through Matrix.scale and Matrix.__add__."""
+    acc = Matrix.zero(mats[0].field, mats[0].nrows, mats[0].ncols)
+    for c, M in zip(coeffs, mats):
+        acc = acc + M.scale(c)
+    return acc

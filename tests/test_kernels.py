@@ -1,6 +1,7 @@
 """The field-specialised kernels of linalg and quotient against the
 per-scalar oracle in tests/rref_oracle.py: elimination, kernel, inverse,
-row-space solves, char polys, matrix products and Macaulay reduction."""
+row-space solves, char polys, matrix products, linear combinations of
+matrices and Macaulay reduction."""
 
 import copy
 from fractions import Fraction
@@ -13,8 +14,9 @@ from projzero import (Form, Matrix, ProjzeroError, char_poly, ideal_piece,
                       kernel, normal_form_by_degree, rref, solve_in_rowspace)
 from projzero.cli import parse_ideal_file
 from projzero.fields import PrimeField, RationalField
-from projzero.linalg import _rref_rows, vec_matmul
+from projzero.linalg import _rref_rows, linear_combination, vec_matmul
 from projzero.polyring import monomials_of_degree
+from projzero.quotient import standard_coords
 from tests import rref_oracle as oracle
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003),
@@ -127,6 +129,16 @@ def test_matmul_matches_oracle(fi, a, b, c, data):
         assert vec_matmul(row, B) == oracle.vec_matmul(row, B)
 
 
+@given(field_index, st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_linear_combination_matches_oracle(fi, k, a, b, data):
+    field = FIELDS[fi]
+    mats = [data.draw(matrices(field, a, b)) for _ in range(k)]
+    coeffs = data.draw(st.lists(scalars(field), min_size=k, max_size=k))
+    assert linear_combination(coeffs, mats) \
+        == oracle.linear_combination(coeffs, mats)
+
+
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(32003)],
                          ids=str)
 def test_rref_reduces_noncanonical_residues(field):
@@ -155,3 +167,6 @@ def test_normal_form_matches_oracle(name, degree, data):
                                      I.field)
     assert normal_form_by_degree(f, piece).coeff_vector(piece.monomials) \
         == want
+    index = piece.mono_index()
+    assert standard_coords(f, piece) \
+        == [want[index[s]] for s in piece.standard_monomials]

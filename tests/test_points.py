@@ -339,8 +339,11 @@ def test_x_squared_independent_of_other_quadratics(six_points):
     # interpolation run accepts x^2 into the degree-2 basis
     from projzero import solve_in_rowspace
     others = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0)]
-    rows = Matrix(Q, [six_points.eval_monomial(m) for m in others], ncols=6)
-    assert solve_in_rowspace(six_points.eval_monomial((2, 0, 0)), rows) is None
+    def values(mono):
+        return six_points.eval_form(Form.monomial(Q, 3, mono))
+
+    rows = Matrix(Q, [values(m) for m in others], ncols=6)
+    assert solve_in_rowspace(values((2, 0, 0)), rows) is None
     t = bm_triplet(six_points)
     assert (2, 0, 0) in t.B[2]
 

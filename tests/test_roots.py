@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from projzero import MonomialOrder, roots_in_field, solve, vanishing_ideal
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.fields import PrimeField, RationalField
-from projzero.linalg import char_poly, deflate, poly_mul
+from projzero.linalg import char_poly, deflate, linear_combination, poly_mul
 from projzero.solver import (SolveOptions, _draw_coefficients,
-                             _generic_combination, multiplicity)
+                             multiplicity)
 from tests.root_oracle import enumerate_roots
 
 Q = RationalField()
@@ -124,7 +124,7 @@ def enumerated_multiplicity(ep, triplet, seed):
         target = field.zero
         for c, lam in zip(coeffs, ep.lambdas):
             target = field.add(target, field.mul(c, lam))
-        A = _generic_combination(triplet.A, coeffs, field)
+        A = linear_combination(coeffs, triplet.A)
         mult = dict(enumerate_roots(char_poly(A), field).pairs).get(target, 0)
         if mult in seen:
             return mult
