@@ -91,8 +91,9 @@ def test_engine_matches_oracle(case):
 
 @given(differential_cases())
 def test_generators_are_a_reduced_basis(case):
-    """Each generator is t + (terms after t in `order` of its degree), where
-    no other generator's t divides t or any term of another generator."""
+    """Each generator is t plus terms of its degree above t in `order`, and
+    no other generator's t divides any of its terms: a reduced basis for
+    the order by degree and then `order` reversed."""
     P, order = case
     gens = vanishing_ideal(P, order).generators
     leads = [min(g.terms, key=order.key) for g in gens]
