@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InvariantViolation,
                      RankDeficientBasis, ZeroPoint)
-from .linalg import Matrix, kernel, linear_combination, solve_in_rowspace
+from .linalg import (Matrix, kernel, linear_combination, rref,
+                     solve_in_rowspace)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
 
@@ -63,21 +64,15 @@ def normalize(raw_points, field) -> ProjPointSet:
 
 def project_variables(P: ProjPointSet):
     """Smallest-index maximal independent coordinate subset, with the linear
-    expression of each dropped coordinate in the kept ones (valid on P)."""
-    f = P.field
-    m = P.size
-    coord_rows = [[rep[i] for rep in P.reps] for i in range(P.n + 1)]
-    kept = []
-    kept_rows = []
-    subs = {}
-    for i, row in enumerate(coord_rows):
-        trial = Matrix(f, kept_rows + [row], ncols=m)
-        if trial.rank() > len(kept_rows):
-            kept.append(i)
-            kept_rows.append(row)
-        else:
-            coeffs = solve_in_rowspace(row, Matrix(f, kept_rows, ncols=m))
-            subs[i] = coeffs
+    expression of each dropped coordinate in the kept ones (valid on P).
+
+    One rref of the points-by-coordinates matrix: its pivot columns are the
+    kept coordinates, and a dropped column's entries in the pivot rows are
+    its coefficients on the kept coordinates before it (later ones are 0).
+    """
+    R, _, kept = rref(Matrix(P.field, P.reps))
+    subs = {i: [R.rows[r][i] for r, k in enumerate(kept) if k < i]
+            for i in range(P.n + 1) if i not in kept}
     return kept, subs
 
 

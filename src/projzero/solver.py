@@ -7,19 +7,25 @@ every generator are reported as rejected ("false" points). Multiplicity of
 a kept point is the algebraic multiplicity of its eigenvalue under a random
 linear combination of the matrices, double-checked with a second draw.
 
-The joint eigenspace search never assumes the matrices commute: each step
-intersects the current subspace with a full eigenspace of the next matrix,
-which is correct (if slightly wasteful) for the mixed, below-stability
-triplets the pipeline may produce.
+The joint eigenvectors are read off one seeded generic combination
+M = sum c_j A_j: one char poly, one root search, one kernel per in-field
+root mu. This is exact without any genericity assumption, and it never
+assumes that the matrices commute. A joint eigenspace E(l) with l in K^{n+1}
+lies in ker(M - mu) for mu = sum c_j l_j, a root in K, and the kernels for
+distinct mu meet only in 0, so every E(l) is found once. A one-dimensional
+kernel holds a joint eigenvector only if its spanning vector is one, which is
+checked exactly on every A_j. A larger kernel is descended as before: it is
+intersected with a full eigenspace of each A_j in turn. An unlucky draw only
+sends more roots down that descent.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import GenericityFailure
-from .linalg import (Matrix, char_poly, deflate, eigenspace, kernel,
-                     linear_combination, normalize_vector, roots_in_field,
-                     rref)
+from .linalg import (Matrix, _row_times_cols, char_poly, deflate, eigenspace,
+                     kernel, linear_combination, normalize_vector,
+                     roots_in_field, rref, vec_matmul)
 from .quotient import IdealPresentation, hilbert_scan
 from .polyring import MonomialOrder, Form
 from .triplet import Triplet, TripletOptions, build_triplet
@@ -42,56 +48,83 @@ class JointBlock:
 
 @dataclass
 class EigenSearch:
-    vectors: list   # (v, lambdas) for 1-dimensional joint eigenspaces
-    blocks: list    # JointBlock entries
-    residual: bool  # some subspace had no in-field eigenvalue decomposition
+    vectors: list         # (v, lambdas) for 1-dimensional joint eigenspaces
+    blocks: list          # JointBlock entries
+    residual: bool        # the joint eigenspaces found span less than m
+    residual_degree: int  # degree of the combination's non-split char poly part
 
 
 def _intersect(basis_a, basis_b, field):
-    """Intersection of two column-span subspaces, as a canonical row basis."""
+    """Intersection of two column-span subspaces, as a canonical row basis.
+
+    A kernel vector (alpha, beta) of [a | b] gives alpha a = -beta b, a
+    vector of both spans.
+    """
     if not basis_a or not basis_b:
         return []
-    m = len(basis_a[0])
-    cols = [[basis_a[j][i] for j in range(len(basis_a))] +
-            [field.neg(basis_b[j][i]) for j in range(len(basis_b))]
-            for i in range(m)]
-    stacked = Matrix(field, cols, ncols=len(basis_a) + len(basis_b))
-    out = []
-    for combo in kernel(stacked):
-        alpha = combo[:len(basis_a)]
-        vec = [field.zero] * m
-        for a, bv in zip(alpha, basis_a):
-            if field.is_zero(a):
-                continue
-            for i in range(m):
-                vec[i] = field.add(vec[i], field.mul(a, bv[i]))
-        if any(not field.is_zero(x) for x in vec):
-            out.append(vec)
+    k = len(basis_a)
+    span_a = Matrix(field, basis_a)
+    out = [vec for combo in kernel(Matrix(field, zip(*basis_a, *basis_b)))
+           if any(vec := vec_matmul(combo[:k], span_a))]
     if not out:
         return []
-    R, rank, _ = rref(Matrix(field, out, ncols=m))
+    R, rank, _ = rref(Matrix(field, out))
     return [list(r) for r in R.rows[:rank]]
 
 
-def common_eigenvectors(A: list) -> EigenSearch:
-    """Simultaneous eigenspace search over all matrices, in order.
+def _joint_eigenvector(w, A, field):
+    """(w, lambdas) if the normalized w is an eigenvector of every A_j, else
+    None. lambda_j is (A_j w)_i at the first nonzero w_i = 1."""
+    p = field.size
+    i = next(k for k, x in enumerate(w) if x)
+    lambdas = []
+    for Aj in A:
+        Aw = _row_times_cols(w, Aj.rows, Aj)  # A_j w: rows of A_j as columns
+        lam = Aw[i]
+        if Aw != ([lam * x for x in w] if p is None
+                  else [lam * x % p for x in w]):
+            return None
+        lambdas.append(lam)
+    return w, lambdas
 
-    Processes A_0 first; for each in-field eigenvalue the subspace is
-    intersected with the eigenspace and the next matrix is handled
-    recursively. One-dimensional terminal subspaces emit a vector; larger
-    ones are reported as blocks; mass lost to out-of-field eigenvalues sets
-    the residual flag.
+
+def common_eigenvectors(A: list, seed=0) -> EigenSearch:
+    """Joint eigenspaces of A_0..A_n with eigenvalues in the field.
+
+    Draws the combination M = sum c_j A_j from `seed` and takes ker(M - mu)
+    for each in-field root mu of its char poly. A one-dimensional kernel is
+    kept when its vector is a joint eigenvector; a larger one is descended
+    through the eigenspaces of A_0, A_1, ..., which are computed only then.
+    One-dimensional joint eigenspaces are reported as vectors, larger ones
+    as blocks, both sorted by their eigenvalue tuples. The residual flag is
+    set when they span less than m; none of these depends on the draw (see
+    the module docstring). The residual degree is that of the part of M's
+    char poly without roots in the field.
     """
     field = A[0].field
     m = A[0].nrows
-    eigs = []
-    for Aj in A:
-        report = roots_in_field(char_poly(Aj), field)
-        spaces = [(lam, eigenspace(Aj, lam)) for lam, _ in report.pairs]
-        eigs.append([(lam, sp) for lam, sp in spaces if sp])
-    search = EigenSearch(vectors=[], blocks=[], residual=False)
-    full = [list(r) for r in Matrix.identity(field, m).rows]
-    _descend(full, 0, [], A, eigs, field, search)
+    coeffs = _draw_coefficients(field, len(A), random.Random(f"residual:{seed}"))
+    M = linear_combination(coeffs, A)
+    report = roots_in_field(char_poly(M), field)
+    search = EigenSearch(vectors=[], blocks=[], residual=False,
+                         residual_degree=report.residual_degree)
+    eigs = {}
+    for mu, _ in report.pairs:
+        W = eigenspace(M, mu)
+        if len(W) == 1:
+            found = _joint_eigenvector(normalize_vector(W[0], field), A, field)
+            if found is not None:
+                search.vectors.append(found)
+        else:
+            _descend(W, 0, [], A, eigs, field, search)
+
+    def by_lambdas(lambdas):
+        return [field.sort_key(x) for x in lambdas]
+
+    search.vectors.sort(key=lambda vl: by_lambdas(vl[1]))
+    search.blocks.sort(key=lambda b: by_lambdas(b.lambdas))
+    spanned = len(search.vectors) + sum(len(b.basis) for b in search.blocks)
+    search.residual = spanned < m
     return search
 
 
@@ -103,28 +136,29 @@ def _descend(space, j, lambdas, A, eigs, field, search):
         else:
             search.blocks.append(JointBlock(basis=space, lambdas=list(lambdas)))
         return
-    covered = 0
+    if j not in eigs:  # (eigenvalue, eigenspace) per in-field root of A_j
+        report = roots_in_field(char_poly(A[j]), field)
+        eigs[j] = [(lam, eigenspace(A[j], lam)) for lam, _ in report.pairs]
     for lam, spc in eigs[j]:
         sub = _intersect(space, spc, field)
-        if not sub:
-            continue
-        covered += len(sub)
-        _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
-    if covered < len(space):
-        search.residual = True
+        if sub:
+            _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
+
+
+def _eigenpoints(found: EigenSearch, field) -> list:
+    """EigenPoints of the found vectors; an all-zero eigenvalue tuple has no
+    projective point behind it and is skipped."""
+    points = []
+    for v, lambdas in found.vectors:
+        pt = normalize_vector(lambdas, field)
+        if pt is not None:
+            points.append(EigenPoint(v=v, lambdas=lambdas, point=pt))
+    return points
 
 
 def eigenpoints_from_matrices(A: list) -> list:
     """EigenPoints for every 1-dimensional joint eigenspace of the matrices."""
-    field = A[0].field
-    found = common_eigenvectors(A)
-    points = []
-    for v, lambdas in found.vectors:
-        pt = normalize_vector(lambdas, field)
-        if pt is None:
-            continue  # all eigenvalues zero: no projective point behind it
-        points.append(EigenPoint(v=v, lambdas=lambdas, point=pt))
-    return points
+    return _eigenpoints(common_eigenvectors(A), A[0].field)
 
 
 def candidate_points(triplet: Triplet) -> list:
@@ -198,16 +232,6 @@ def multiplicity(p: EigenPoint, triplet: Triplet, seed=0, draws=None) -> int:
     raise GenericityFailure(f"three disagreeing draws: {seen}")
 
 
-def residual_degree_of(triplet: Triplet, seed=0) -> int:
-    """Degree of the char-poly part of a generic combination not splitting
-    over the ground field."""
-    field = triplet.l.field
-    rng = random.Random(f"residual:{seed}")
-    coeffs = _draw_coefficients(field, len(triplet.A), rng)
-    A = linear_combination(coeffs, triplet.A)
-    return roots_in_field(char_poly(A), field).residual_degree
-
-
 @dataclass
 class SolveOptions:
     seed: int = 0
@@ -250,19 +274,14 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
                           max_trials=options.max_trials,
                           linear_form=options.linear_form)
     triplet = build_triplet(I, order, topt)
-    found = common_eigenvectors(triplet.A)
+    found = common_eigenvectors(triplet.A, seed=options.seed)
     field = I.field
-    candidates = []
-    for v, lambdas in found.vectors:
-        pt = normalize_vector(lambdas, field)
-        if pt is not None:
-            candidates.append(EigenPoint(v=v, lambdas=lambdas, point=pt))
-    kept, rejected = filter_points(candidates, I)
+    kept, rejected = filter_points(_eigenpoints(found, field), I)
     kept.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
     rejected.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
     draws = CombinationDraws(triplet, options.seed)
     points = [(ep, multiplicity(ep, triplet, draws=draws)) for ep in kept]
-    resid = residual_degree_of(triplet, seed=options.seed)
+    resid = found.residual_degree
     warnings = []
     total = sum(mult for _, mult in points)
     if total > scan.m:

@@ -1,0 +1,81 @@
+"""The joint eigenvector search that projzero ran before it searched through
+one generic combination, kept as the oracle of the differential tests.
+
+Every matrix A_j gets its own char poly, root search and one eigenspace per
+in-field eigenvalue; the search descends A_0, A_1, ... intersecting the
+current subspace with each eigenspace, and sets `residual` when some level
+covers less than its subspace. `common_eigenvectors` here is the old
+`solver.common_eigenvectors` unchanged.
+"""
+
+from projzero.linalg import (Matrix, char_poly, eigenspace, kernel,
+                             normalize_vector, roots_in_field, rref)
+from projzero.solver import EigenSearch, JointBlock
+
+
+def _intersect(basis_a, basis_b, field):
+    """Intersection of two column-span subspaces, as a canonical row basis."""
+    if not basis_a or not basis_b:
+        return []
+    m = len(basis_a[0])
+    cols = [[basis_a[j][i] for j in range(len(basis_a))] +
+            [field.neg(basis_b[j][i]) for j in range(len(basis_b))]
+            for i in range(m)]
+    stacked = Matrix(field, cols, ncols=len(basis_a) + len(basis_b))
+    out = []
+    for combo in kernel(stacked):
+        alpha = combo[:len(basis_a)]
+        vec = [field.zero] * m
+        for a, bv in zip(alpha, basis_a):
+            if field.is_zero(a):
+                continue
+            for i in range(m):
+                vec[i] = field.add(vec[i], field.mul(a, bv[i]))
+        if any(not field.is_zero(x) for x in vec):
+            out.append(vec)
+    if not out:
+        return []
+    R, rank, _ = rref(Matrix(field, out, ncols=m))
+    return [list(r) for r in R.rows[:rank]]
+
+
+def common_eigenvectors(A: list) -> EigenSearch:
+    """Simultaneous eigenspace search over all matrices, in order.
+
+    Processes A_0 first; for each in-field eigenvalue the subspace is
+    intersected with the eigenspace and the next matrix is handled
+    recursively. One-dimensional terminal subspaces emit a vector; larger
+    ones are reported as blocks; mass lost to out-of-field eigenvalues sets
+    the residual flag.
+    """
+    field = A[0].field
+    m = A[0].nrows
+    eigs = []
+    for Aj in A:
+        report = roots_in_field(char_poly(Aj), field)
+        spaces = [(lam, eigenspace(Aj, lam)) for lam, _ in report.pairs]
+        eigs.append([(lam, sp) for lam, sp in spaces if sp])
+    search = EigenSearch(vectors=[], blocks=[], residual=False,
+                         residual_degree=None)  # not computed here
+    full = [list(r) for r in Matrix.identity(field, m).rows]
+    _descend(full, 0, [], A, eigs, field, search)
+    return search
+
+
+def _descend(space, j, lambdas, A, eigs, field, search):
+    if j == len(A):
+        if len(space) == 1:
+            v = normalize_vector(space[0], field)
+            search.vectors.append((v, list(lambdas)))
+        else:
+            search.blocks.append(JointBlock(basis=space, lambdas=list(lambdas)))
+        return
+    covered = 0
+    for lam, spc in eigs[j]:
+        sub = _intersect(space, spc, field)
+        if not sub:
+            continue
+        covered += len(sub)
+        _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
+    if covered < len(space):
+        search.residual = True

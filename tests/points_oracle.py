@@ -5,14 +5,14 @@ test oracle.
 accepted so far in its degree and solves for every matrix row separately;
 `vanishing_ideal` compares the kernel of each degree's evaluation matrix
 against the Macaulay piece of the generators found so far, in every degree
-up to |P|. `eval_monomial` is the per-point monomial evaluation both used.
+up to |P|. `eval_monomial` is the per-point monomial evaluation both used,
+and `project_variables` the per-coordinate projection `bm_triplet` used.
 """
 
 from projzero.errors import InvariantViolation
 from projzero.linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
 from projzero.points import (PointTriplet, ProjPointSet, _embed_form,
-                             _embed_mono, _restrict_form, nzd_sweep,
-                             project_variables)
+                             _embed_mono, _restrict_form, nzd_sweep)
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
@@ -34,6 +34,27 @@ def eval_monomial(P: ProjPointSet, mono):
                 v = f.mul(v, x)
         out.append(v)
     return out
+
+
+def project_variables(P: ProjPointSet):
+    """Smallest-index maximal independent coordinate subset, with the linear
+    expression of each dropped coordinate in the kept ones (valid on P):
+    one rank test per coordinate and one row-space solve per dropped one."""
+    f = P.field
+    m = P.size
+    coord_rows = [[rep[i] for rep in P.reps] for i in range(P.n + 1)]
+    kept = []
+    kept_rows = []
+    subs = {}
+    for i, row in enumerate(coord_rows):
+        trial = Matrix(f, kept_rows + [row], ncols=m)
+        if trial.rank() > len(kept_rows):
+            kept.append(i)
+            kept_rows.append(row)
+        else:
+            coeffs = solve_in_rowspace(row, Matrix(f, kept_rows, ncols=m))
+            subs[i] = coeffs
+    return kept, subs
 
 
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,

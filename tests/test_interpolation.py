@@ -75,8 +75,10 @@ def test_engine_matches_oracle(case):
     if isinstance(old, type):
         assert new is old
     else:
-        assert (new.B, new.initials, new.hf, new.d, new.kept) \
-            == (old.B, old.initials, old.hf, old.d, old.kept)
+        assert (new.B, new.initials, new.hf, new.d, new.kept,
+                new.substitutions) \
+            == (old.B, old.initials, old.hf, old.d, old.kept,
+                old.substitutions)
         assert new.l.terms == old.l.terms
         assert [A.rows for A in new.A] == [A.rows for A in old.A]
     I_new = vanishing_ideal(P, order)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import projzero.points
 from projzero import (Form, Matrix, MonomialOrder, bm_triplet, c_matrix,
                       char_poly, eigenpoints_from_matrices, eval_normal_form,
                       hilbert_scan, ideal_piece, normalize, nzd_sweep,
                       parse_form, project_variables, refine_partitions,
                       roots_in_field, separators, vanishing_ideal)
+from projzero.cli import parse_points_file
 from projzero.errors import (DuplicatePoint, FieldTooSmall,
                              RankDeficientBasis, ZeroPoint)
 from projzero.fields import PrimeField, RationalField
@@ -60,6 +63,31 @@ def test_project_variables_single_point():
     kept, subs = project_variables(P)
     assert kept == [0]
     assert subs == {1: [0], 2: [0]}
+
+
+def test_project_variables_one_rref(monkeypatch):
+    # four points in P^7: bm_triplet projects away four coordinates
+    path = Path(__file__).resolve().parent.parent / "data" / "four_points_p7.pts"
+    P, _ = parse_points_file(path.read_text())
+    calls = []
+
+    def forbidden(name):
+        def record(*args):
+            calls.append(name)
+        return record
+
+    monkeypatch.setattr(Matrix, "rank", forbidden("rank"))
+    monkeypatch.setattr(projzero.points, "solve_in_rowspace",
+                        forbidden("solve_in_rowspace"))
+    t = bm_triplet(P)
+    assert t.substitutions and calls == []
+
+
+def test_project_variables_dropped_before_kept():
+    # x0 is zero on every point: dropped with an empty expression
+    P = qpts([[0, 1, 2], [0, 1, 3]])
+    kept, subs = project_variables(P)
+    assert kept == [1, 2] and subs == {0: []}
 
 
 def test_nzd_sweep_z3_example():

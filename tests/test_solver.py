@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from projzero import (Matrix, MonomialOrder, build_triplet, candidate_points,
-                      common_eigenvectors, eigenpoints_from_matrices,
-                      filter_points, multiplicity, normalize, parse_form,
-                      solve, vanishing_ideal)
+from projzero import (Matrix, MonomialOrder, bm_triplet, build_triplet,
+                      candidate_points, common_eigenvectors,
+                      eigenpoints_from_matrices, filter_points, multiplicity,
+                      normalize, parse_form, solve, vanishing_ideal)
+from projzero.cli import parse_ideal_file, parse_points_file
+from projzero.errors import ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero import solver
-from projzero.linalg import char_poly
+from projzero.linalg import char_poly, eigenspace
 from projzero.solver import CombinationDraws, SolveOptions
 from projzero.triplet import TripletOptions
+from tests import eigen_oracle
 from tests.conftest import ideal_from
 
 Q = RationalField()
@@ -217,3 +222,145 @@ def test_multiplicity_overcount_warns(mixed_2var_ideal, order2):
     stable = solve(I, order, SolveOptions(degree_policy="certified_stable"))
     assert sorted(m for _, m in stable.points) == [1, 2]
     assert not any("sum to" in w for w in stable.warnings)
+
+
+# The search through one generic combination against the per-matrix descent
+# it replaced (tests/eigen_oracle.py).
+
+EIGEN_FIELDS = [PrimeField(3), PrimeField(7), PrimeField(101), Q]
+
+
+def small_matrices(field, m):
+    entry = st.integers(-2, 2).map(field.from_int)
+    return st.lists(st.lists(entry, min_size=m, max_size=m),
+                    min_size=m, max_size=m).map(lambda rows: Matrix(field, rows))
+
+
+@st.composite
+def conjugator(draw, field, m):
+    """A random invertible S with its inverse, or the identity."""
+    S = draw(small_matrices(field, m))
+    try:
+        return S, S.inverse()
+    except ProjzeroError:
+        return Matrix.identity(field, m), Matrix.identity(field, m)
+
+
+@st.composite
+def eigen_tuples(draw):
+    """Matrix tuples of three kinds: polynomials in one matrix (commuting),
+    conjugated diagonal matrices with repeated entries (blocks), and
+    unrelated matrices, some upper triangular so that e_0 is a common
+    eigenvector (non-commuting)."""
+    field = draw(st.sampled_from(EIGEN_FIELDS))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["poly", "diag", "unrelated"]))
+    small = st.integers(-2, 2).map(field.from_int)
+    S, S_inv = draw(conjugator(field, m))
+
+    def triangular(B):
+        return Matrix(field, [[x if j >= i else field.zero
+                               for j, x in enumerate(r)]
+                              for i, r in enumerate(B.rows)])
+
+    if kind == "poly":
+        B = draw(small_matrices(field, m))
+        if draw(st.booleans()):
+            B = S @ triangular(B) @ S_inv
+        I = Matrix.identity(field, m)
+        A = []
+        for _ in range(k):
+            c0, c1, c2 = draw(st.lists(small, min_size=3, max_size=3))
+            A.append(I.scale(c0) + B.scale(c1) + (B @ B).scale(c2))
+    elif kind == "diag":
+        # coordinates with one label share their entry on every diagonal
+        labels = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        A = []
+        for _ in range(k):
+            value = draw(st.lists(small, min_size=3, max_size=3))
+            D = Matrix(field, [[value[labels[i]] if i == j else field.zero
+                                for j in range(m)] for i in range(m)])
+            A.append(S @ D @ S_inv)
+    else:
+        A = [draw(small_matrices(field, m)) for _ in range(k)]
+        A = [triangular(B) if draw(st.booleans()) else B for B in A]
+    return A, draw(st.sampled_from([0, 1]))
+
+
+def assert_same_search(A, seed):
+    got = common_eigenvectors(A, seed=seed)
+    want = eigen_oracle.common_eigenvectors(A)
+    assert got.vectors == want.vectors
+    assert [(b.basis, b.lambdas) for b in got.blocks] \
+        == [(b.basis, b.lambdas) for b in want.blocks]
+    assert got.residual == want.residual
+
+
+@settings(max_examples=200)
+@given(eigen_tuples())
+def test_common_eigenvectors_match_oracle(case):
+    assert_same_search(*case)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ideal")),
+                         ids=lambda p: p.stem)
+def test_common_eigenvectors_match_oracle_on_ideal_fixtures(path):
+    I, order = parse_ideal_file(path.read_text())
+    try:
+        t = build_triplet(I, order, TripletOptions(max_degree=8))
+    except ProjzeroError:
+        pytest.skip("no triplet below degree 9")
+    for seed in (0, 1):
+        assert_same_search(t.A, seed)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pts")),
+                         ids=lambda p: p.stem)
+def test_common_eigenvectors_match_oracle_on_point_fixtures(path):
+    P, _ = parse_points_file(path.read_text())
+    try:
+        t = bm_triplet(P)
+    except ProjzeroError:
+        pytest.skip("field too small for the sweep")
+    for seed in (0, 1):
+        assert_same_search(t.A, seed)
+
+
+@pytest.mark.parametrize("name", ["ci_3_4_p32003", "three_quadrics"])
+def test_solve_searches_one_combination(name, monkeypatch):
+    """One root search, one char poly besides the multiplicity draws, and
+    no eigenspace of any A_j."""
+    I, order = parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())
+    calls = {"roots_in_field": 0, "char_poly": 0}
+    shifted = []
+    draws_used = [0]
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def recorded(M, lam):
+        shifted.append(M)
+        return eigenspace(M, lam)
+
+    getitem = CombinationDraws.__getitem__
+
+    def draw(self, k):
+        draws_used[0] = max(draws_used[0], k + 1)
+        return getitem(self, k)
+
+    for name_ in calls:
+        monkeypatch.setattr(solver, name_, counting(name_, getattr(solver, name_)))
+    monkeypatch.setattr(solver, "eigenspace", recorded)
+    monkeypatch.setattr(CombinationDraws, "__getitem__", draw)
+    rep = solve(I, order)
+    assert rep.points and rep.residual_degree == 0
+    assert calls["roots_in_field"] == 1
+    assert calls["char_poly"] <= 1 + draws_used[0]
+    assert shifted and not any(M == Aj for M in shifted for Aj in rep.triplet.A)
