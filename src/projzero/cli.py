@@ -22,6 +22,7 @@ partial Hilbert function and the cap.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -392,7 +393,10 @@ def _add_triplet_flags(p):
     p.add_argument("--max-trials", type=int, default=200)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building it costs more than a small command."""
     ap = argparse.ArgumentParser(
         prog="projzero",
         description="Exact solver for ideals of projective dimension zero")

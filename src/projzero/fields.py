@@ -25,6 +25,18 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length. CPython's str() refuses ints longer
+    than sys.get_int_max_str_digits() digits, so a longer one is split at a
+    power of ten and its halves are written one after the other."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits of n
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
 class RationalField:
     """The field Q. All values are Fraction instances."""
 
@@ -65,7 +77,9 @@ class RationalField:
             raise InputError(f"bad rational literal {text!r}") from exc
 
     def format(self, a):
-        return str(a)
+        if a.denominator == 1:
+            return _decimal(a.numerator)
+        return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
 
     def sort_key(self, a):
         return a

@@ -6,6 +6,9 @@ compose by multiplying row vectors on the left.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ProjzeroError
@@ -74,23 +77,29 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
+        cols = _as_columns(zip(*other.rows), self.field)
         return Matrix(self.field, [_row_times_cols(r, cols, other)
                                    for r in self.rows], ncols=other.ncols)
 
     def mat_pow(self, e):
+        """self^e by repeated squaring. Over Q the powers are carried as
+        (integer matrix N, denominator D) with gcd(D, entries of N) = 1, so
+        each product is integer dot products plus one content division, and
+        the entries become Fractions once, at the end."""
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
         if e < 0:
             raise ValueError("negative power")
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        return result
+        n = self.nrows
+        if self.field.size is not None:
+            return _power(self, e, Matrix.identity(self.field, n),
+                          Matrix.__matmul__)
+        nums, d = _cleared(list(chain.from_iterable(self.rows)))
+        base = ([nums[i * n:(i + 1) * n] for i in range(n)], d)
+        one = ([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        N, D = _power(base, e, one, _zmatmul)
+        return Matrix(self.field, [[Fraction(v, D) for v in r] for r in N],
+                      ncols=n)
 
     def is_zero(self):
         f = self.field
@@ -116,33 +125,81 @@ class Matrix:
 
 def vec_matmul(row, M):
     """Row vector times matrix; returns a list."""
-    return _row_times_cols(row, list(zip(*M.rows)), M)
+    return _row_times_cols(row, _as_columns(zip(*M.rows), M.field), M)
 
 
 def linear_combination(coeffs, mats):
     """sum_j c_j M_j over matrices of one shape, one dot product per entry,
-    summed in C and reduced once mod p over GF(p)."""
+    summed in C: reduced once mod p over GF(p), and over Q taken on the
+    integer numerators of the coefficients and of the entries' vector."""
     field = mats[0].field
     p = field.size
+    if p is None:
+        cn, cd = _cleared(coeffs)
     rows = []
     for parts in zip(*(M.rows for M in mats)):
         cols = zip(*parts)
-        rows.append([sum(map(mul, coeffs, col), field.zero) for col in cols]
-                    if p is None else
-                    [sum(map(mul, coeffs, col)) % p for col in cols])
+        rows.append([sum(map(mul, coeffs, col)) % p for col in cols]
+                    if p is not None else
+                    [Fraction(sum(map(mul, cn, en)), cd * ed)
+                     for en, ed in map(_cleared, cols)])
     return Matrix(field, rows, ncols=mats[0].ncols)
 
 
+# Over Q the product kernels clear denominators once per vector, take the
+# dot products on Python ints, and build one Fraction per output entry,
+# instead of one Fraction multiply-add (and gcd) per term (von zur Gathen &
+# Gerhard, Modern Computer Algebra, ch. 5).
+
+def _cleared(vec):
+    """(integer numerators, common denominator) of a vector over Q."""
+    d = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (d // v.denominator) for v in vec], d
+
+
+def _as_columns(vecs, field):
+    """Vectors in the form _row_times_cols takes its columns: over Q
+    cleared."""
+    return list(vecs) if field.size is not None else list(map(_cleared, vecs))
+
+
 def _row_times_cols(row, cols, M):
-    """row times M, given the columns of M: one dot product per column,
-    summed in C and reduced once mod p over GF(p)."""
+    """row times M, given the columns of M from _as_columns: one dot
+    product per column, summed in C; reduced once mod p over GF(p), and over
+    Q taken on integer numerators, with one Fraction per entry."""
     p = M.field.size
     if not M.nrows:
         return [M.field.zero] * M.ncols
-    if p is None:
-        zero = M.field.zero
-        return [sum(map(mul, row, col), zero) for col in cols]
-    return [sum(map(mul, row, col)) % p for col in cols]
+    if p is not None:
+        return [sum(map(mul, row, col)) % p for col in cols]
+    rn, rd = _cleared(row)
+    return [Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in cols]
+
+
+def _zmatmul(a, b):
+    """Product of (N, D) pairs, content-reduced: the result's N has no factor
+    in common with its D, which keeps the entries as small as those of the
+    exact product."""
+    (na, da), (nb, db) = a, b
+    cols = list(zip(*nb))
+    n = [[sum(map(mul, r, c)) for c in cols] for r in na]
+    d = da * db
+    g = gcd(d, *chain.from_iterable(n))
+    if g > 1:
+        n = [[v // g for v in r] for r in n]
+        d //= g
+    return n, d
+
+
+def _power(base, e, one, times):
+    """base^e by repeated squaring under the product `times`."""
+    result = one
+    while e:
+        if e & 1:
+            result = times(result, base)
+        base = times(base, base) if e > 1 else base
+        e >>= 1
+    return result
 
 
 def _rref_rows(rows, field):

@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import GenericityFailure
-from .linalg import (Matrix, _row_times_cols, char_poly, deflate, eigenspace,
-                     kernel, linear_combination, normalize_vector,
-                     roots_in_field, rref, vec_matmul)
+from .linalg import (Matrix, _as_columns, _row_times_cols, char_poly,
+                     deflate, eigenspace, kernel, linear_combination,
+                     normalize_vector, roots_in_field, rref, vec_matmul)
 from .quotient import IdealPresentation, hilbert_scan
 from .polyring import MonomialOrder, Form
 from .triplet import Triplet, TripletOptions, build_triplet
@@ -79,7 +79,8 @@ def _joint_eigenvector(w, A, field):
     i = next(k for k, x in enumerate(w) if x)
     lambdas = []
     for Aj in A:
-        Aw = _row_times_cols(w, Aj.rows, Aj)  # A_j w: rows of A_j as columns
+        # A_j w: the rows of A_j are the columns
+        Aw = _row_times_cols(w, _as_columns(Aj.rows, field), Aj)
         lam = Aw[i]
         if Aw != ([lam * x for x in w] if p is None
                   else [lam * x % p for x in w]):
@@ -263,16 +264,17 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
     """Full pipeline: Hilbert scan, triplet, eigenvectors, filter, multiplicity."""
     if order is None:
         order = MonomialOrder.default(I.nvars)
-    scan = hilbert_scan(I, order, options.max_degree)
-    if scan.artinian:
-        return SolutionReport(points=[], rejected=[], hf_prefix=scan.hf_values,
-                              scan=scan, triplet=None, residual_degree=0,
-                              blocks=0, warnings=["artinian quotient; variety is empty"])
+    # built first, so that invalid options fail before any elimination
     topt = TripletOptions(degree_policy=options.degree_policy,
                           seed=options.seed, max_degree=options.max_degree,
                           strategy=options.strategy,
                           max_trials=options.max_trials,
                           linear_form=options.linear_form)
+    scan = hilbert_scan(I, order, options.max_degree)
+    if scan.artinian:
+        return SolutionReport(points=[], rejected=[], hf_prefix=scan.hf_values,
+                              scan=scan, triplet=None, residual_degree=0,
+                              blocks=0, warnings=["artinian quotient; variety is empty"])
     triplet = build_triplet(I, order, topt)
     found = common_eigenvectors(triplet.A, seed=options.seed)
     field = I.field

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
+from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
                      InvariantViolation, NoSurjectionFound)
 from .linalg import (Matrix, linear_combination, rref, solve_in_rowspace,
                      vec_matmul)
@@ -36,6 +36,13 @@ class TripletOptions:
     strategy: str = "random"  # or "exhaustive" (prime fields only)
     max_trials: int = 200
     linear_form: Form | None = None  # explicit l, skips the search
+
+    def __post_init__(self):
+        # a random search with no draws could only fail, degree after degree
+        if (self.linear_form is None and self.strategy == "random"
+                and self.max_trials < 1):
+            raise InputError(f"max_trials must be at least 1 for the random "
+                             f"search of l, got {self.max_trials}")
 
 
 @dataclass

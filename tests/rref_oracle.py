@@ -1,7 +1,8 @@
 """The per-scalar kernels that projzero used before its elimination, char
-poly and matrix products did field arithmetic inline; kept as the oracle of
-the differential tests in test_kernels.py. Every scalar operation is a call
-of a field method, over the full row width, exactly as before.
+poly and matrix products did field arithmetic inline, and before its Q
+products worked on integer numerators; kept as the oracle of the
+differential tests in test_kernels.py. Every scalar operation is a call of a
+field method (over Q one Fraction operation), over the full row width.
 """
 
 from projzero.linalg import Matrix
@@ -74,6 +75,14 @@ def vec_matmul(row, M):
 
 def matmul(A, B):
     return Matrix(A.field, [vec_matmul(r, B) for r in A.rows], ncols=B.ncols)
+
+
+def mat_pow(M, e):
+    """M^e as e products by matmul."""
+    acc = Matrix.identity(M.field, M.nrows)
+    for _ in range(e):
+        acc = matmul(acc, M)
+    return acc
 
 
 def char_poly(M: Matrix):

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import Form, Matrix, eigenpoints_from_matrices, normalize
-from projzero.cli import main, parse_ideal_file, parse_points_file
+from projzero import (Form, InputError, Matrix, build_triplet,
+                      eigenpoints_from_matrices, fast_normal_form, linalg,
+                      normalize, parse_form)
+from projzero.cli import (build_parser, main, parse_ideal_file,
+                          parse_points_file)
 from projzero.fields import RationalField
+from projzero.triplet import TripletOptions
 
 Q = RationalField()
 
@@ -157,6 +161,26 @@ def test_solve_deterministic_output(capsys, data_dir):
     assert out1 == out2
 
 
+def test_max_trials_below_one_is_an_input_error(capsys, data_dir,
+                                                 monkeypatch):
+    """Rejected before any elimination: no degree piece is built."""
+    def no_elimination(*args):
+        raise AssertionError("a degree piece was built")
+
+    monkeypatch.setattr(linalg, "_rref_rows", no_elimination)
+    ideal = str(data_dir / "three_quadrics.ideal")
+    for argv in (("solve", ideal), ("nf", ideal, "x^5"),
+                 ("solve", ideal, "--degree-policy", "certified_stable")):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--max-trials", trials)
+            assert code == 1 and out == ""
+            assert err == ("error: max_trials must be at least 1 for the "
+                           f"random search of l, got {trials}\n")
+    I, order = parse_ideal_file((data_dir / "three_quadrics.ideal").read_text())
+    with pytest.raises(InputError):
+        build_triplet(I, order, TripletOptions(max_trials=0))
+
+
 def test_nf_x17(capsys, data_dir):
     code, doc, _ = run_json(capsys, "nf", str(data_dir / "three_quadrics.ideal"),
                             "x^17", "--linear-form", "y + z")
@@ -204,6 +228,44 @@ def test_nf_print_path_expands_nothing(capsys, data_dir, monkeypatch):
     assert code == 0
     assert doc["coordinates"] == expected["coordinates"]
     assert len(calls) < 100
+
+
+def test_nf_prints_rationals_of_any_length(capsys, data_dir):
+    """Coordinates longer than CPython's int-to-str digit limit print in
+    full, and the limit is the same after the call."""
+    path = data_dir / "three_quadrics.ideal"
+    poly = "x^10000*y^10000"
+    limit = sys.get_int_max_str_digits()
+    code, doc, _ = run_json(capsys, "nf", str(path), poly)
+    assert code == 0
+    code, out, _ = run(capsys, "nf", str(path), poly)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    I, order = parse_ideal_file(path.read_text())
+    res = fast_normal_form(parse_form(poly, I.vars, I.field),
+                           build_triplet(I, order))
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(c) for c in res.coords]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, want)) > 4300  # CPython's default limit
+    assert doc["coordinates"] == want
+    assert out.splitlines()[0] == (f"coordinates: ({', '.join(want)}) "
+                                   f"in basis {{e_i * l^{res.k}}}")
+
+
+def test_consecutive_calls_leak_no_state(capsys, data_dir):
+    """One parser serves every call in a process; no call's arguments or
+    outcome reach the next."""
+    ideal = str(data_dir / "three_quadrics.ideal")
+    text = run(capsys, "solve", ideal)
+    assert text[0] == 0 and not text[1].startswith("{")
+    assert run_json(capsys, "solve", ideal, "--seed", "3")[0] == 0
+    assert run(capsys, "solve", ideal) == text
+    assert run(capsys, "solve", ideal, "--max-trials", "0")[0] == 1
+    assert run(capsys, "solve", ideal) == text
+    assert build_parser() is build_parser()
 
 
 def test_vanish_six_points(capsys, data_dir):

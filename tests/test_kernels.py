@@ -14,6 +14,7 @@ from projzero import (Form, Matrix, ProjzeroError, char_poly, ideal_piece,
                       kernel, normal_form_by_degree, rref, solve_in_rowspace)
 from projzero.cli import parse_ideal_file
 from projzero.fields import PrimeField, RationalField
+from projzero import linalg
 from projzero.linalg import _rref_rows, linear_combination, vec_matmul
 from projzero.polyring import monomials_of_degree
 from projzero.quotient import standard_coords
@@ -170,3 +171,95 @@ def test_normal_form_matches_oracle(name, degree, data):
     index = piece.mono_index()
     assert standard_coords(f, piece) \
         == [want[index[s]] for s in piece.standard_monomials]
+
+
+Q = RationalField()
+
+
+# Over Q the product kernels clear denominators per vector and multiply
+# integer numerators; these entries make that clearing do real work.
+def rationals():
+    """Zero, negative values, large numerators, and denominators that are
+    small, shared (powers and multiples of 2, 3 and 5), large primes or
+    arbitrary and large, so common denominators are coprime or overlap."""
+    num = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
+    den = st.one_of(st.integers(1, 6),
+                    st.sampled_from([12, 30, 2**64, 3**40, 5**20 * 6,
+                                     2**61 - 1, 10**18 + 3]),
+                    st.integers(1, 10**25))
+    return st.one_of(st.just(Q.zero), st.builds(Fraction, num, den))
+
+
+@st.composite
+def q_matrices(draw, nrows, ncols):
+    return Matrix(Q, [[draw(rationals()) for _ in range(ncols)]
+                      for _ in range(nrows)], ncols=ncols)
+
+
+shapes = st.integers(0, 5)
+
+
+@given(shapes, shapes, shapes, st.data())
+def test_q_products_match_oracle(a, b, c, data):
+    """Non-square, empty and 1x1 shapes, zero rows and columns."""
+    A = data.draw(q_matrices(a, b))
+    B = data.draw(q_matrices(b, c))
+    before = (copy.deepcopy(A.rows), copy.deepcopy(B.rows))
+    assert (A @ B).rows == oracle.matmul(A, B).rows
+    for row in A.rows:
+        assert vec_matmul(row, B) == oracle.vec_matmul(row, B)
+    assert (A.rows, B.rows) == before
+
+
+@given(st.integers(1, 4), shapes, shapes, st.data())
+def test_q_linear_combination_matches_oracle(k, a, b, data):
+    mats = [data.draw(q_matrices(a, b)) for _ in range(k)]
+    coeffs = data.draw(st.lists(rationals(), min_size=k, max_size=k))
+    before = copy.deepcopy(([M.rows for M in mats], coeffs))
+    assert linear_combination(coeffs, mats) \
+        == oracle.linear_combination(coeffs, mats)
+    assert ([M.rows for M in mats], coeffs) == before
+
+
+@given(st.integers(0, 3), st.integers(0, 64), st.data())
+def test_q_mat_pow_matches_repeated_products(n, e, data):
+    M = data.draw(q_matrices(n, n))
+    before = copy.deepcopy(M.rows)
+    assert M.mat_pow(e) == oracle.mat_pow(M, e)
+    assert M.rows == before
+
+
+def test_mat_pow_of_an_idempotent_keeps_its_size(main_triplet, monkeypatch):
+    """A_x of the three quadrics with l = y + z is idempotent (x/l is 0, 1,
+    1 at the three points) and has denominator 2; the content reduction keeps
+    that denominator through every product, where without it the e'th power
+    would carry 2^e."""
+    A_x = main_triplet.A[0]
+    assert A_x @ A_x == A_x
+    denominators = []
+    zmatmul = linalg._zmatmul
+
+    def recording(a, b):
+        n, d = zmatmul(a, b)
+        denominators.append(d)
+        return n, d
+
+    monkeypatch.setattr(linalg, "_zmatmul", recording)
+    assert A_x.mat_pow(10**6) == A_x
+    assert set(denominators) == {2}
+
+
+def test_q_mat_pow_does_no_fraction_arithmetic(monkeypatch):
+    M = Matrix(Q, [[Fraction(1, 2), Fraction(-1, 3), Q.zero],
+                   [Fraction(2, 5), Q.one, Fraction(1, 7)],
+                   [Fraction(-3), Fraction(5, 6), Fraction(1, 4)]])
+    want = oracle.mat_pow(M, 600)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside mat_pow")
+
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            patch.setattr(Fraction, name, refuse)
+        got = M.mat_pow(600)
+    assert got == want
