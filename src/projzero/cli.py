@@ -169,7 +169,7 @@ def _apply_order_flags(order, args, var_names):
 def cmd_hilbert(args):
     I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
-    scan = hilbert_scan(I, order, args.max_degree)
+    scan = hilbert_scan(I, order, args.max_degree, args.seed)
     doc = {
         "schema": SCHEMA, "command": "hilbert",
         "hf": scan.hf_values, "t": scan.t,
@@ -353,7 +353,7 @@ def cmd_separators(args):
 def cmd_bound(args):
     I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
-    scan = hilbert_scan(I, order, args.max_degree)
+    scan = hilbert_scan(I, order, args.max_degree, args.seed)
     if scan.artinian:
         raise InputError("artinian quotient; no projective variety to bound")
     bound = gb_degree_bound(scan, scan.stabilization_degree)

@@ -5,11 +5,13 @@ range(p) for GF(p)); a field object supplies the arithmetic. Rationals are
 kept in lowest terms with positive denominator by Fraction itself.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
 MAX_PRIME = 2**31
+_FRACTION = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def is_prime(p: int) -> bool:
@@ -35,6 +37,21 @@ def _decimal(n: int) -> str:
         k = n.bit_length() * 3 // 20  # about half the digits of n
         hi, lo = divmod(abs(n), 10**k)
         return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _integer(text: str) -> int:
+    """int(text) of any length, the input side of _decimal: a signed digit
+    string too long for int() is split and its halves are read apart."""
+    try:
+        return int(text)
+    except ValueError:
+        s = text.strip()
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        n = _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+        return -n if s[0] == "-" else n
 
 
 class RationalField:
@@ -72,7 +89,15 @@ class RationalField:
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ValueError:
+                # Fraction(text) refuses digit strings beyond int()'s limit
+                match = _FRACTION.fullmatch(text)
+                if match is None:
+                    raise
+                num, den = match.groups()
+                return Fraction(_integer(num), _integer(den or "1"))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {text!r}") from exc
 
@@ -143,11 +168,12 @@ class PrimeField:
         if "/" in text:
             num, den = text.split("/", 1)
             try:
-                return self.div(int(num) % self.p, int(den) % self.p)
+                return self.div(_integer(num) % self.p,
+                                _integer(den) % self.p)
             except ValueError as exc:
                 raise InputError(f"bad field literal {text!r}") from exc
         try:
-            return int(text) % self.p
+            return _integer(text) % self.p
         except ValueError as exc:
             raise InputError(f"bad field literal {text!r}") from exc
 

@@ -103,6 +103,20 @@ def ideal_piece(I: IdealPresentation, d: int, order: MonomialOrder) -> DegreePie
                        hf=len(monomials) - rank)
 
 
+class GradedIdeal:
+    """The degree pieces of I under one order, each built on first use; one
+    command's scan, triplet and initial ideal share one."""
+
+    def __init__(self, I: IdealPresentation, order: MonomialOrder):
+        self.I, self.order, self._pieces = I, order, {}
+
+    def piece(self, d) -> DegreePiece:
+        if d not in self._pieces:
+            # the module global, so that a wrapped ideal_piece sees each build
+            self._pieces[d] = ideal_piece(self.I, d, self.order)
+        return self._pieces[d]
+
+
 def _reduce(f: Form, piece: DegreePiece):
     """Coefficients of nf(f) on piece.monomials; zero on the pivot columns."""
     if f.degree != piece.d:
@@ -168,10 +182,11 @@ class HilbertScan:
     postulation: int            # least degree from which hf is constant
     # The certificate that closed the scan, "gotzmann" or "commutation", the
     # degree at which it holds, and for "commutation" the triplet there,
-    # whose matrices commute.
+    # whose matrices commute; then the pieces the scan built.
     certificate: str = "gotzmann"
     certificate_degree: int | None = None
     triplet: object = None
+    pieces: GradedIdeal | None = None
 
     @property
     def artinian(self) -> bool:
@@ -179,7 +194,7 @@ class HilbertScan:
 
 
 def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
-                 max_degree: int | None = None) -> HilbertScan:
+                 max_degree: int | None = None, seed=0) -> HilbertScan:
     """Scan hf(0), hf(1), ... until a certificate pins hf for good.
 
     At each degree d >= t (the generator degree) two certificates are
@@ -188,7 +203,7 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     - Gotzmann: hf(d+1) = hf(d) = hf(d)^{<d>}. Persistence then pins hf
       forever, so hf(d*) is the stable value m (m = 0 reports an artinian
       quotient, i.e. an empty variety). It cannot hold below d = m.
-    - Commutation: hf(d+1) = hf(d) > 0, a seeded draw of l makes
+    - Commutation: hf(d+1) = hf(d) > 0, a draw of l from `seed` makes
       ·l : R_d -> R_{d+1} bijective, and the matrices A_j of the triplet
       at d commute pairwise (`triplet.commuting_triplet`).
 
@@ -219,6 +234,12 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     postulation follow by arithmetic. Gotzmann alone closes scans over
     fields too small to have a bijective l.
 
+    `seed` picks the certificate's l, on which hf, d*, m and the
+    postulation do not depend. The scan returns its GradedIdeal and the
+    commuting triplet for the rest of the command: `build_triplet` and
+    `initial_ideal_min_generators` take their pieces from it, and
+    `build_triplet` returns the triplet where its own search would build it.
+
     Raises CapExceeded when Gotzmann's d* exceeds the cap, with hf up to
     cap + 1, which signals either projective dimension > 0 or a cap that is
     too low, and InputError for a cap below the generator degree.
@@ -228,10 +249,10 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     cap = I.default_cap() if max_degree is None else max_degree
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
+    pieces = GradedIdeal(I, order)
     hf = []
-    prev = None
     for d in range(cap + 2):
-        piece = ideal_piece(I, d, order)
+        piece = pieces.piece(d)
         hf.append(piece.hf)
         dd = d - 1
         # persistence alone is not enough: an ideal of projective dimension
@@ -239,8 +260,9 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
         # two consecutive values must also agree
         if dd >= t and hf[d] == hf[dd]:
             if hf[d] == macaulay_growth(hf[dd], dd):
-                return _closed(hf, t, dd, "gotzmann", dd)
-            trip = commuting_triplet(I, order, prev, piece, list(hf))
+                return _closed(hf, t, dd, "gotzmann", dd, pieces)
+            trip = commuting_triplet(I, order, pieces.piece(dd), piece,
+                                     list(hf), seed)
             if trip is not None:
                 # hf(e) = m for all e >= dd, and Gotzmann failed up to dd
                 m, dstar = hf[dd], d
@@ -249,12 +271,11 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
                 hf += [m] * (min(dstar, cap) + 2 - len(hf))
                 if dstar > cap:
                     raise CapExceeded(hf, cap)
-                return _closed(hf, t, dstar, "commutation", dd, trip)
-        prev = piece
+                return _closed(hf, t, dstar, "commutation", dd, pieces, trip)
     raise CapExceeded(hf, cap)
 
 
-def _closed(hf, t, dstar, certificate, degree, triplet=None):
+def _closed(hf, t, dstar, certificate, degree, pieces, triplet=None):
     m = hf[dstar]
     post = dstar
     while post > 0 and hf[post - 1] == m:
@@ -262,7 +283,7 @@ def _closed(hf, t, dstar, certificate, degree, triplet=None):
     return HilbertScan(hf_values=hf, t=t, stabilization_degree=dstar, m=m,
                        gotzmann_certified=True, postulation=post,
                        certificate=certificate, certificate_degree=degree,
-                       triplet=triplet)
+                       triplet=triplet, pieces=pieces)
 
 
 def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
@@ -282,15 +303,17 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     psi(x_j s) = psi(s) A_j in coordinates on the standard monomials of
     R_d, and `_interpolate` over psi in ascending order finds the rest: a
     monomial of degree e is a lead iff its psi-vector depends on those of
-    smaller monomials.
+    smaller monomials. The pieces come from the scan's cache when a scan is
+    given.
     """
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
     trip = scan.triplet if scan is not None else None
+    pieces = (scan and scan.pieces) or GradedIdeal(I, order)
     top = up_to if trip is None else min(up_to, trip.d)
     mins = []
     for d in range(1, top + 1):
-        for mono in order.sort_desc(ideal_piece(I, d, order).lead_monomials):
+        for mono in order.sort_desc(pieces.piece(d).lead_monomials):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
     if top == up_to:

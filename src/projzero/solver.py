@@ -238,7 +238,6 @@ class SolveOptions:
     seed: int = 0
     max_degree: int | None = None
     degree_policy: str = "first_surjective"
-    strategy: str = "random"
     max_trials: int = 200
     linear_form: Form | None = None
 
@@ -267,15 +266,14 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
     # built first, so that invalid options fail before any elimination
     topt = TripletOptions(degree_policy=options.degree_policy,
                           seed=options.seed, max_degree=options.max_degree,
-                          strategy=options.strategy,
                           max_trials=options.max_trials,
                           linear_form=options.linear_form)
-    scan = hilbert_scan(I, order, options.max_degree)
+    scan = hilbert_scan(I, order, options.max_degree, options.seed)
     if scan.artinian:
         return SolutionReport(points=[], rejected=[], hf_prefix=scan.hf_values,
                               scan=scan, triplet=None, residual_degree=0,
                               blocks=0, warnings=["artinian quotient; variety is empty"])
-    triplet = build_triplet(I, order, topt)
+    triplet = build_triplet(I, order, topt, scan)
     found = common_eigenvectors(triplet.A, seed=options.seed)
     field = I.field
     kept, rejected = filter_points(_eigenpoints(found, field), I)

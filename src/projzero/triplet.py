@@ -13,6 +13,13 @@ stabilization degree d*, where hf is provably constant and the matrices are
 independent of the degree at which they are rebuilt. The Hilbert scan's
 commutation certificate (`commuting_triplet`) builds one at the least
 degree from which hf is constant.
+
+`solve` hands its scan to `build_triplet`, which takes the scan's pieces,
+so each degree is eliminated once per command. The certificate draws l from
+the caller's seed, and the search's stream restarts at every degree; where
+hf(d) = hf(d+1) surjective means bijective, so at the certificate degree the
+search would find the certificate's l, and `build_triplet` returns the
+scan's triplet unless an explicit l or too few trials change the search.
 """
 
 import random
@@ -21,11 +28,10 @@ from functools import cached_property
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
                      InvariantViolation, NoSurjectionFound)
-from .linalg import (Matrix, linear_combination, rref, solve_in_rowspace,
-                     vec_matmul)
+from .linalg import Matrix, linear_combination, rref, vec_matmul
 from .polyring import Form, MonomialOrder
-from .quotient import (DegreePiece, IdealPresentation, hilbert_scan,
-                       ideal_piece, standard_coords)
+from .quotient import (DegreePiece, GradedIdeal, HilbertScan,
+                       IdealPresentation, hilbert_scan, standard_coords)
 
 
 @dataclass(frozen=True)
@@ -33,14 +39,12 @@ class TripletOptions:
     degree_policy: str = "first_surjective"  # or "certified_stable"
     seed: int = 0
     max_degree: int | None = None
-    strategy: str = "random"  # or "exhaustive" (prime fields only)
     max_trials: int = 200
     linear_form: Form | None = None  # explicit l, skips the search
 
     def __post_init__(self):
         # a random search with no draws could only fail, degree after degree
-        if (self.linear_form is None and self.strategy == "random"
-                and self.max_trials < 1):
+        if self.linear_form is None and self.max_trials < 1:
             raise InputError(f"max_trials must be at least 1 for the random "
                              f"search of l, got {self.max_trials}")
 
@@ -51,6 +55,7 @@ class Triplet:
     E: list            # basis forms of R_d (standard monomials, possibly a subset)
     E_monomials: list
     l: Form
+    trials: int        # draws of l tried at degree d, the last one giving l
     F: list            # the forms l*e_i, a basis of R_{d+1}
     A: list            # n+1 multiplication matrices, one per variable
     hf_prefix: list    # hf(0..d+1)
@@ -97,82 +102,30 @@ def _random_linear(field, nvars, rng):
                          for i, c in enumerate(coeffs) if not field.is_zero(c)})
 
 
-def normalized_linear_forms(field, nvars):
-    """All linear forms with first nonzero coefficient 1 (prime fields only)."""
-    if field.size is None:
-        raise ValueError("exhaustive enumeration needs a finite field")
-    for lead in range(nvars):
-        tail = nvars - lead - 1
-        counters = [0] * tail
-        while True:
-            coeffs = [field.zero] * lead + [field.one] + [
-                field.from_int(c) for c in counters]
-            yield Form(field, nvars, 1,
-                       {tuple(1 if k == i else 0 for k in range(nvars)): c
-                        for i, c in enumerate(coeffs) if not field.is_zero(c)})
-            i = tail - 1
-            while i >= 0 and counters[i] == field.size - 1:
-                counters[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            counters[i] += 1
-
-
 def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
-                           piece_d1: DegreePiece, strategy="random",
-                           seed=0, max_trials=200) -> Form:
-    """Find l with [l] R_d = R_{d+1} by random draws or exhaustive search."""
-    return _search(I, piece_d, piece_d1, strategy, seed, max_trials)[0]
+                           piece_d1: DegreePiece, seed=0,
+                           max_trials=200) -> Form:
+    """Find l with [l] R_d = R_{d+1} by seeded random draws."""
+    return _search(I, piece_d, piece_d1, seed, max_trials)[0]
 
 
-def _search(I, piece_d, piece_d1, strategy, seed, max_trials):
-    """find_surjective_linear's l together with its l-map matrix."""
+def _search(I, piece_d, piece_d1, seed, max_trials):
+    """find_surjective_linear's l with its l-map matrix and the number of
+    draws it took."""
     hf_d, hf_d1 = len(piece_d.standard_monomials), len(piece_d1.standard_monomials)
     if not hf_d >= hf_d1 > 0:
         raise ValueError(f"need hf(d) >= hf(d+1) > 0, got {hf_d}, {hf_d1}")
-    field = I.field
-    if strategy == "exhaustive":
-        trials = 0
-        for l in normalized_linear_forms(field, I.nvars):
-            trials += 1
-            L = _surjective(l, piece_d, piece_d1)
-            if L is not None:
-                return l, L
-        raise NoSurjectionFound(trials, degree=piece_d.d)
     rng = random.Random(seed)
-    for _ in range(max_trials):
-        l = _random_linear(field, I.nvars, rng)
+    for trial in range(1, max_trials + 1):
+        l = _random_linear(I.field, I.nvars, rng)
         L = _surjective(l, piece_d, piece_d1)
         if L is not None:
-            return l, L
+            return l, L, trial
     raise NoSurjectionFound(max_trials, degree=piece_d.d)
 
 
-def multiplication_matrix(f: Form, E_forms, F_forms, I: IdealPresentation,
-                          order: MonomialOrder, piece_target=None) -> Matrix:
-    """Matrix of [a] -> [f a] with respect to explicit bases E and F.
-
-    Row i holds the coordinates of nf(f * e_i) in {nf(F_k)}. Raises if some
-    image falls outside the span of F (then F was not a basis).
-    """
-    target_degree = E_forms[0].degree + f.degree
-    if piece_target is None:
-        piece_target = ideal_piece(I, target_degree, order)
-    field = I.field
-    basis = Matrix(field, [standard_coords(g, piece_target) for g in F_forms],
-                   ncols=len(piece_target.standard_monomials))
-    rows = []
-    for e in E_forms:
-        y = standard_coords(f * e, piece_target)
-        c = solve_in_rowspace(y, basis)
-        if c is None:
-            raise ValueError("image of basis element outside the span of F")
-        rows.append(c)
-    return Matrix(field, rows, ncols=len(F_forms))
-
-
-def _assemble(I, order, d, l, piece_d, piece_d1, L, hf_prefix, stable):
+def _assemble(I, order, d, l, trials, piece_d, piece_d1, L, hf_prefix,
+              stable):
     field = I.field
     target = len(piece_d1.standard_monomials)
     # pivot columns of L^T pick the earliest independent row subset of L
@@ -188,7 +141,7 @@ def _assemble(I, order, d, l, piece_d, piece_d1, L, hf_prefix, stable):
         M_j = Matrix(field, [standard_coords(xj * e, piece_d1) for e in E],
                      ncols=target)
         A.append(M_j @ L_E_inv)
-    trip = Triplet(d=d, E=E, E_monomials=E_mon, l=l, F=F, A=A,
+    trip = Triplet(d=d, E=E, E_monomials=E_mon, l=l, trials=trials, F=F, A=A,
                    hf_prefix=hf_prefix,
                    surjective_certified=(len(piece_d.standard_monomials) == target),
                    stable_certified=stable,
@@ -215,23 +168,31 @@ COMMUTATION_DRAWS = 4
 
 def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
                       piece_d: DegreePiece, piece_d1: DegreePiece,
-                      hf_prefix) -> Triplet | None:
+                      hf_prefix, seed=0) -> Triplet | None:
     """The triplet at degree d if its matrices commute pairwise, else None.
 
     Needs hf(d) = hf(d+1) > 0 and d at least the generator degree; l is the
-    first of COMMUTATION_DRAWS draws seeded by d that makes the l-map
-    bijective, and None also means that no draw did. By the theorem in
-    quotient.hilbert_scan, commuting matrices certify that hf is constant
-    from d on, and they commute for every such l once it is.
+    first of COMMUTATION_DRAWS draws from `seed` that makes the l-map
+    bijective, the draws `build_triplet` makes, and None also means that no
+    draw did. By the theorem in quotient.hilbert_scan, commuting matrices
+    certify that hf is constant from d on, and they commute for every such
+    l once it is.
+
+    Only the pairs without one variable x_k are multiplied, for a k with
+    c_k = coeff_k(l) != 0. `_assemble` has checked sum_j c_j A_j = 1, so
+    A_k = c_k^{-1} (1 - sum_{j != k} c_j A_j). If the other A_j commute
+    pairwise, each commutes with that combination, hence with A_k, and all
+    pairs commute; the converse is plain. That is C(n, 2) products of pairs
+    instead of C(n + 1, 2) for n + 1 variables.
     """
     try:
-        l, L = _search(I, piece_d, piece_d1, "random", piece_d.d,
-                       COMMUTATION_DRAWS)
+        l, L, trials = _search(I, piece_d, piece_d1, seed, COMMUTATION_DRAWS)
     except NoSurjectionFound:
         return None
-    trip = _assemble(I, order, piece_d.d, l, piece_d, piece_d1, L,
+    trip = _assemble(I, order, piece_d.d, l, trials, piece_d, piece_d1, L,
                      hf_prefix, True)
-    A = trip.A
+    k = next(iter(l.terms)).index(1)
+    A = trip.A[:k] + trip.A[k + 1:]
     if any(A[i] @ A[j] != A[j] @ A[i]
            for i in range(len(A)) for j in range(i)):
         return None
@@ -239,72 +200,63 @@ def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
 
 
 def build_triplet(I: IdealPresentation, order: MonomialOrder,
-                  options: TripletOptions = TripletOptions()) -> Triplet:
-    """Scan degrees, find a surjective linear form and assemble the matrices."""
+                  options: TripletOptions = TripletOptions(),
+                  scan: HilbertScan | None = None) -> Triplet:
+    """Scan degrees, find a surjective linear form and assemble the matrices.
+
+    `scan`, this command's hilbert_scan(I, order, cap, options.seed) when
+    given, lends its pieces and, at its certificate degree, its commuting
+    triplet (see the module docstring); certified_stable then does not scan
+    again.
+    """
     cap = I.default_cap() if options.max_degree is None else options.max_degree
-    start = 0
-    stable_from = None
-    hf = []
+    if scan is None and options.degree_policy == "certified_stable":
+        scan = hilbert_scan(I, order, cap, options.seed)
+    pieces = GradedIdeal(I, order) if scan is None else scan.pieces
+    known = scan.triplet if scan and options.linear_form is None else None
+    start, stable_from, hf = 0, None, []
     if options.degree_policy == "certified_stable":
-        scan = hilbert_scan(I, order, cap)
         if scan.artinian:
             raise ArtinianQuotient("empty variety; no triplet exists")
-        start = scan.stabilization_degree
-        stable_from = scan.stabilization_degree
+        start = stable_from = scan.stabilization_degree
         hf = scan.hf_values[:start]
     elif options.degree_policy != "first_surjective":
         raise ValueError(f"unknown degree policy {options.degree_policy!r}")
 
-    piece_d = ideal_piece(I, start, order)
+    piece_d = pieces.piece(start)
     hf.append(piece_d.hf)
     saw_candidate = False
     last_error = None
     for d in range(start, cap + 1):
-        piece_d1 = ideal_piece(I, d + 1, order)
+        piece_d1 = pieces.piece(d + 1)
         hf.append(piece_d1.hf)
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
             saw_candidate = True
+            if (known is not None and known.d == d
+                    and known.trials <= options.max_trials):
+                return known
+            stable = stable_from is not None and d >= stable_from
             l = options.linear_form
             if l is not None:
                 L = _surjective(l, piece_d, piece_d1)
                 if L is not None:
-                    return _assemble(I, order, d, l, piece_d, piece_d1, L,
-                                     hf[:d + 2],
-                                     stable_from is not None and d >= stable_from)
+                    return _assemble(I, order, d, l, 1, piece_d, piece_d1, L,
+                                     hf[:d + 2], stable)
                 last_error = NoSurjectionFound(1, degree=d)
             else:
                 try:
-                    l, L = _search(I, piece_d, piece_d1, options.strategy,
-                                   options.seed, options.max_trials)
-                    return _assemble(I, order, d, l, piece_d, piece_d1, L,
-                                     hf[:d + 2],
-                                     stable_from is not None and d >= stable_from)
+                    l, L, trials = _search(I, piece_d, piece_d1, options.seed,
+                                           options.max_trials)
+                    return _assemble(I, order, d, l, trials, piece_d,
+                                     piece_d1, L, hf[:d + 2], stable)
                 except NoSurjectionFound as exc:
                     last_error = exc  # K2 failed: compute one more degree
         piece_d = piece_d1
     if saw_candidate:
         raise last_error or NoSurjectionFound(0, degree=cap)
     raise CapExceeded(hf, cap)
-
-
-def rebuild_at_next_degree(triplet: Triplet, I: IdealPresentation,
-                           order: MonomialOrder):
-    """Recompute the matrices one degree up, with bases {l e_i} and {l^2 e_i}.
-
-    For a triplet built at a degree where the Hilbert function has stabilized
-    this returns entry-identical matrices.
-    """
-    E_up = list(triplet.F)
-    F_up = [triplet.l * g for g in E_up]
-    piece = ideal_piece(I, triplet.d + 2, order)
-    out = []
-    for j in range(I.nvars):
-        xj = Form.variable(I.field, I.nvars, j)
-        out.append(multiplication_matrix(xj, E_up, F_up, I, order,
-                                         piece_target=piece))
-    return out
 
 
 @dataclass

@@ -23,7 +23,8 @@ from projzero import (Form, Matrix, MonomialOrder, binomial_expansion,
 from projzero.cli import main
 from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
-from projzero.triplet import TripletOptions, normalized_linear_forms
+from projzero.triplet import TripletOptions
+from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
 XYZ = ("x", "y", "z")

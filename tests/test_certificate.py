@@ -14,24 +14,26 @@ from projzero import (Form, IdealPresentation, MonomialOrder, build_triplet,
                       find_surjective_linear, hilbert_scan, ideal_piece,
                       initial_ideal_min_generators, normalize,
                       vanishing_ideal)
-from projzero import quotient, triplet
+from projzero import cli, quotient, solver, triplet
 from projzero.cli import main, parse_ideal_file
-from projzero.errors import CapExceeded, NoSurjectionFound
+from projzero.errors import CapExceeded, NoSurjectionFound, ProjzeroError
 from projzero.fields import PrimeField, RationalField
+from projzero.solver import SolveOptions, solve
 from projzero.triplet import TripletOptions, commuting_triplet
 from tests import scan_oracle
 from tests.conftest import ideal_from
+from tests.triplet_oracle import exhaustive_surjective_linear
 
 GF32003 = PrimeField(32003)
 Q = RationalField()
 GF2 = PrimeField(2)
-CERTIFICATE_FIELDS = {"certificate", "certificate_degree", "triplet"}
+RECORD_FIELDS = {"certificate", "certificate_degree", "triplet", "pieces"}
 
 
 def core(scan):
-    """The scan's fields other than the certificate record."""
+    """The scan's fields other than the certificate record and the pieces."""
     return {f.name: getattr(scan, f.name) for f in dataclasses.fields(scan)
-            if f.name not in CERTIFICATE_FIELDS}
+            if f.name not in RECORD_FIELDS}
 
 
 def commute(A):
@@ -183,9 +185,9 @@ def test_no_certificate_below_generator_degree(data_dir, monkeypatch):
     tested = []
     real = triplet.commuting_triplet
 
-    def recording(I, order, piece_d, piece_d1, hf_prefix):
+    def recording(I, order, piece_d, piece_d1, hf_prefix, seed):
         tested.append(piece_d.d)
-        return real(I, order, piece_d, piece_d1, hf_prefix)
+        return real(I, order, piece_d, piece_d1, hf_prefix, seed)
     monkeypatch.setattr(triplet, "commuting_triplet", recording)
     scan = check_against_oracle(I, order)
     assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3] and scan.m == 3
@@ -206,8 +208,7 @@ def test_gotzmann_fallback_without_bijective_l():
         piece_d, piece_d1 = ideal_piece(I, d, order), ideal_piece(I, d + 1, order)
         if piece_d.hf == piece_d1.hf:
             with pytest.raises(NoSurjectionFound):
-                find_surjective_linear(I, piece_d, piece_d1,
-                                       strategy="exhaustive")
+                exhaustive_surjective_linear(I, piece_d, piece_d1)
 
 
 @pytest.fixture
@@ -219,23 +220,26 @@ def piece_degrees(monkeypatch):
     def counting(I, d, order):
         built.append(d)
         return real(I, d, order)
-    for module in (quotient, triplet):
-        monkeypatch.setattr(module, "ideal_piece", counting)
+    for module in (quotient, triplet, solver, cli):
+        monkeypatch.setattr(module, "ideal_piece", counting, raising=False)
     return built
 
 
 @pytest.mark.parametrize("argv", [
-    ["hilbert"], ["solve"], ["bound"]])
+    ["hilbert"], ["solve"], ["bound"],
+    ["solve", "--degree-policy", "certified_stable"]])
 def test_no_piece_above_certificate_degree(data_dir, piece_degrees, capsys,
                                            argv):
     """On the (3,4) complete intersection hf is constant from degree 5 and
-    Gotzmann's d* is 12; no piece above degree 6 is built."""
-    code = main([argv[0], str(data_dir / "ci_3_4_p32003.ideal"), "--json"])
+    Gotzmann's d* is 12. Every command builds each piece up to degree 6
+    exactly once: solve's triplet and bound's initial ideal rebuild none of
+    the scan's. certified_stable adds only d* and d* + 1."""
+    code = main([argv[0], str(data_dir / "ci_3_4_p32003.ideal"), "--json",
+                 *argv[1:]])
     capsys.readouterr()
     assert code == 0
-    assert max(piece_degrees) == 6
-    if argv[0] == "hilbert":
-        assert sorted(piece_degrees) == list(range(7))
+    extra = [12, 13] if "certified_stable" in argv else []
+    assert sorted(piece_degrees) == list(range(7)) + extra
 
 
 def test_certified_stable_takes_hf_prefix_from_the_scan(data_dir,
@@ -248,3 +252,90 @@ def test_certified_stable_takes_hf_prefix_from_the_scan(data_dir,
     assert trip.d == 12
     assert trip.hf_prefix == [1, 3, 6, 9, 11] + [12] * 9
     assert sorted(piece_degrees) == [0, 1, 2, 3, 4, 5, 6, 12, 13]
+
+
+def triplet_fields(trip):
+    return trip.d, trip.l, trip.E_monomials, trip.A, trip.hf_prefix
+
+
+def outcome(run):
+    """The triplet's defining fields, or the error that ended the run."""
+    try:
+        return triplet_fields(run())
+    except ProjzeroError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reuse_cases(data_dir):
+    """Fixtures over GF(32003), GF(2^31 - 1) and Q, and the three quadrics
+    over GF(3) and GF(7), where draws of l vanish at a point more often."""
+    names = ["ci_3_4_p32003", "three_quadrics_p31", "three_quadrics",
+             "line_and_double_point", "monomial_false_point",
+             "single_point_embedded", "single_linear"]
+    cases = [fixture(data_dir, name) for name in names]
+    text = (data_dir / "three_quadrics.ideal").read_text()
+    for p in (3, 7):
+        cases.append(parse_ideal_file(text.replace("field Q", f"field GF({p})")))
+    return cases
+
+
+def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
+    """The triplet solve builds, taken from its scan where the search would
+    find the same l, equals build_triplet without a scan for every seed,
+    trial budget, explicit l and degree policy."""
+    built = []
+    real = solver.build_triplet
+
+    def recording(I, order, options, scan):
+        trip = real(I, order, options, scan)
+        built.append((trip, scan))
+        return trip
+    monkeypatch.setattr(solver, "build_triplet", recording)
+    reused = rebuilt = 0
+    for I, order in reuse_cases(data_dir):
+        l = Form(I.field, I.nvars, 1, {
+            tuple(int(k == j) for k in range(I.nvars)): I.field.one
+            for j in range(I.nvars)})
+        grid = [dict(seed=seed, max_trials=trials)
+                for seed in range(6) for trials in (1, 2, 3, 4)]
+        grid += [dict(seed=seed, degree_policy="certified_stable")
+                 for seed in range(2)]
+        grid += [dict(seed=seed, linear_form=l) for seed in range(2)]
+        # a search that fails at every degree stops at d* instead of the
+        # default cap, which costs a minute over Q
+        cap = hilbert_scan(I, order).stabilization_degree
+        for kw in grid:
+            kw["max_degree"] = cap
+            built.clear()
+            # a later stage may fail over a tiny field; the triplet stands
+            got = outcome(lambda: solve(I, order, SolveOptions(**kw)).triplet)
+            if built:
+                trip, scan = built[0]
+                got = triplet_fields(trip)
+                if scan.triplet is not None:
+                    reused += trip is scan.triplet
+                    rebuilt += trip is not scan.triplet
+            want = outcome(lambda: build_triplet(I, order,
+                                                 TripletOptions(**kw)))
+            assert got == want, (I.field, kw)
+    # both branches ran: the scan's triplet returned, and a search that
+    # went its own way (too few trials, an explicit l, certified_stable)
+    assert reused and rebuilt
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("artinian", []), ("ci_3_4_p32003", []), ("line_and_double_point", []),
+    ("proj_dim_one", ["--max-degree", "6"]), ("three_quadrics", []),
+    ("three_quadrics_p31", [])])
+@pytest.mark.parametrize("command", ["hilbert", "bound"])
+def test_output_does_not_depend_on_the_seed(data_dir, capsys, name, flags,
+                                            command):
+    """The certificate's l comes from --seed; hf, d*, m, the postulation
+    and the initial ideal do not."""
+    outputs = set()
+    for seed in range(4):
+        code = main([command, str(data_dir / f"{name}.ideal"), "--json",
+                     "--seed", str(seed), *flags])
+        captured = capsys.readouterr()
+        outputs.add((code, captured.out, captured.err))
+    assert len(outputs) == 1

