@@ -20,6 +20,8 @@ RUNS = [
      ["solve", "three_quadrics.ideal", "--linear-form", "y + z"]),
     ("The same three quadrics over GF(2^31 - 1)",
      ["solve", "three_quadrics_p31.ideal"]),
+    ("The same three quadrics over GF(3): multiplicities in a tiny field",
+     ["solve", "three_quadrics_gf3.ideal"]),
     ("False-point filtering",
      ["solve", "monomial_false_point.ideal", "--linear-form", "x + z"]),
     ("Single point with an embedded component",

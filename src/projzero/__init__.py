@@ -7,8 +7,8 @@ no floating point anywhere.
 """
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
-                     DuplicatePoint, FieldTooSmall, FormSyntax,
-                     GenericityFailure, InputError, InvariantViolation,
+                     DuplicatePoint, FieldTooSmall, FormSyntax, InputError,
+                     InvariantViolation,
                      NoSurjectionFound, NotHomogeneous, ProjzeroError,
                      RankDeficientBasis, UnknownVariable, ZeroPoint)
 from .fields import PrimeField, RationalField, parse_field_spec
@@ -24,10 +24,9 @@ from .points import (CMatrix, PointTriplet, ProjPointSet, bm_triplet,
                      c_matrix, eval_normal_form, normalize, nzd_sweep,
                      project_variables, refine_partitions, separators,
                      vanishing_ideal)
-from .solver import (EigenPoint, SolutionReport, SolveOptions,
-                     candidate_points, common_eigenvectors,
-                     eigenpoints_from_matrices, filter_points, multiplicity,
-                     solve)
+from .solver import (EigenPoint, SolutionReport, candidate_points,
+                     common_eigenvectors, eigenpoints_from_matrices,
+                     filter_points, solve)
 from .triplet import (FastNormalForm, Triplet, TripletOptions, build_triplet,
                       fast_normal_form, find_surjective_linear,
                       l_combination, l_map_matrix)

@@ -35,7 +35,7 @@ from .polyring import (MonomialOrder, format_form, format_monomial,
 from .quotient import (IdealPresentation, gb_degree_bound, hilbert_scan,
                        ideal_piece, initial_ideal_min_generators,
                        normal_form_by_degree)
-from .solver import SolveOptions, solve
+from .solver import solve
 from .triplet import TripletOptions, build_triplet, fast_normal_form
 
 SCHEMA = "projzero.v1"
@@ -194,16 +194,15 @@ def _solve_options(args, I):
         l = parse_form(args.linear_form, I.vars, I.field)
         if l.degree != 1:
             raise InputError("--linear-form must have degree 1")
-    return SolveOptions(seed=args.seed, max_degree=args.max_degree,
-                        degree_policy=args.degree_policy,
-                        linear_form=l, max_trials=args.max_trials)
+    return TripletOptions(seed=args.seed, max_degree=args.max_degree,
+                          degree_policy=args.degree_policy,
+                          linear_form=l, max_trials=args.max_trials)
 
 
 def cmd_solve(args):
     I, order = parse_ideal_file(_read(args.file))
     order = _apply_order_flags(order, args, I.vars)
-    opts = _solve_options(args, I)
-    report = solve(I, order, opts)
+    report = solve(I, order, _solve_options(args, I))
     field = I.field
     doc = {
         "schema": SCHEMA, "command": "solve",
@@ -255,12 +254,7 @@ def cmd_nf(args):
                "reduced": format_form(reduced, I.vars, order)}
         _emit(doc, args, [f"reduced: {doc['reduced']}"])
         return 0
-    opts = _solve_options(args, I)
-    topt = TripletOptions(degree_policy=opts.degree_policy, seed=opts.seed,
-                          max_degree=opts.max_degree,
-                          max_trials=opts.max_trials,
-                          linear_form=opts.linear_form)
-    triplet = build_triplet(I, order, topt)
+    triplet = build_triplet(I, order, _solve_options(args, I))
     res = fast_normal_form(f, triplet)
     l_str = format_form(triplet.l, I.vars, order)
     basis = [format_monomial(m, I.vars) for m in triplet.E_monomials]

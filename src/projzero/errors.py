@@ -57,10 +57,14 @@ class CapExceeded(ProjzeroError):
 class NoSurjectionFound(ProjzeroError):
     """No linear form with a surjective multiplication map was found."""
 
-    def __init__(self, trials, degree=None):
+    def __init__(self, trials, degree=None, certificate_degree=None):
         msg = f"no surjective linear form after {trials} trials"
         if degree is not None:
             msg += f" (last degree tried: {degree})"
+        if certificate_degree is not None:
+            msg += (f"; the maps agree at every degree from the commutation "
+                    f"certificate degree {certificate_degree} on, so no "
+                    f"higher degree can succeed")
         super().__init__(msg)
         self.trials = trials
         self.degree = degree
@@ -76,10 +80,6 @@ class RankDeficientBasis(ProjzeroError):
 
 class DegreeTooLow(ProjzeroError):
     pass
-
-
-class GenericityFailure(ProjzeroError):
-    """Three multiplicity draws disagreed; the field is too small for genericity."""
 
 
 class ArtinianQuotient(ProjzeroError):

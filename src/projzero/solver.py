@@ -3,9 +3,7 @@
 Candidate points come from one-dimensional joint eigenspaces of the
 matrices A_0..A_n: a joint eigenvector with eigenvalue tuple (l_0,...,l_n)
 yields the projective point (l_0 : ... : l_n). Candidates that fail to kill
-every generator are reported as rejected ("false" points). Multiplicity of
-a kept point is the algebraic multiplicity of its eigenvalue under a random
-linear combination of the matrices, double-checked with a second draw.
+every generator are reported as rejected ("false" points).
 
 The joint eigenvectors are read off one seeded generic combination
 M = sum c_j A_j: one char poly, one root search, one kernel per in-field
@@ -17,17 +15,32 @@ kernel holds a joint eigenvector only if its spanning vector is one, which is
 checked exactly on every A_j. A larger kernel is descended as before: it is
 intersected with a full eigenspace of each A_j in turn. An unlucky draw only
 sends more roots down that descent.
+
+A point's multiplicity is the dimension of its joint generalized eigenspace
+V_l = {v : (A_j - l_j)^m v = 0 for all j} (m x m matrices), read off the
+same combination. Take commuting A_j. Every V_l (l over the algebraic
+closure) holds a joint eigenvector, which lies in ker(M - mu(l)) for
+mu(l) = sum c_j l_j; eigenvectors for distinct l are independent, and the
+dimension of a kernel does not depend on the field. So dim_K ker(M - mu) = 1
+means that exactly one l has mu(l) = mu, the generalized eigenspace of M for
+mu is V_l, and mu's multiplicity in the char poly of M, which the root
+search returns, is dim V_l. A point found by the descent gets the dimension
+of the intersection of the ker(A_j - l_j)^{e_j}, with e_j the multiplicity
+of l_j in the char poly of A_j: that is V_l, exactly and without a draw.
+The V_l are independent, so on commuting matrices the multiplicities sum to
+at most m. On matrices that do not commute (a first_surjective triplet
+below stability) the same numbers are algebraic multiplicities on the
+combination, or dimensions of those intersections.
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import GenericityFailure
 from .linalg import (Matrix, _as_columns, _row_times_cols, char_poly,
-                     deflate, eigenspace, kernel, linear_combination,
-                     normalize_vector, roots_in_field, rref, vec_matmul)
+                     eigenspace, kernel, linear_combination, normalize_vector,
+                     roots_in_field, rref, vec_matmul)
 from .quotient import IdealPresentation, hilbert_scan
-from .polyring import MonomialOrder, Form
+from .polyring import MonomialOrder
 from .triplet import Triplet, TripletOptions, build_triplet
 
 
@@ -36,6 +49,7 @@ class EigenPoint:
     v: list        # joint eigenvector, first nonzero entry 1
     lambdas: list  # eigenvalue per matrix A_0..A_n
     point: list    # (lambda_0 : ... : lambda_n), first nonzero entry 1
+    multiplicity: int  # dimension of the joint generalized eigenspace
 
 
 @dataclass
@@ -48,7 +62,8 @@ class JointBlock:
 
 @dataclass
 class EigenSearch:
-    vectors: list         # (v, lambdas) for 1-dimensional joint eigenspaces
+    vectors: list         # (v, lambdas, multiplicity) per 1-dimensional
+                          # joint eigenspace
     blocks: list          # JointBlock entries
     residual: bool        # the joint eigenspaces found span less than m
     residual_degree: int  # degree of the combination's non-split char poly part
@@ -96,8 +111,9 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     for each in-field root mu of its char poly. A one-dimensional kernel is
     kept when its vector is a joint eigenvector; a larger one is descended
     through the eigenspaces of A_0, A_1, ..., which are computed only then.
-    One-dimensional joint eigenspaces are reported as vectors, larger ones
-    as blocks, both sorted by their eigenvalue tuples. The residual flag is
+    One-dimensional joint eigenspaces are reported as vectors with their
+    multiplicities (see the module docstring), larger ones as blocks, both
+    sorted by their eigenvalue tuples. The residual flag is
     set when they span less than m; none of these depends on the draw (see
     the module docstring). The residual degree is that of the part of M's
     char poly without roots in the field.
@@ -110,14 +126,14 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     search = EigenSearch(vectors=[], blocks=[], residual=False,
                          residual_degree=report.residual_degree)
     eigs = {}
-    for mu, _ in report.pairs:
+    for mu, mult in report.pairs:
         W = eigenspace(M, mu)
         if len(W) == 1:
             found = _joint_eigenvector(normalize_vector(W[0], field), A, field)
             if found is not None:
-                search.vectors.append(found)
+                search.vectors.append((*found, mult))
         else:
-            _descend(W, 0, [], A, eigs, field, search)
+            _descend(W, 0, [], [], A, eigs, field, search)
 
     def by_lambdas(lambdas):
         return [field.sort_key(x) for x in lambdas]
@@ -129,31 +145,44 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     return search
 
 
-def _descend(space, j, lambdas, A, eigs, field, search):
+def _descend(space, j, lambdas, exponents, A, eigs, field, search):
     if j == len(A):
         if len(space) == 1:
             v = normalize_vector(space[0], field)
-            search.vectors.append((v, list(lambdas)))
+            search.vectors.append(
+                (v, lambdas, _joint_multiplicity(A, lambdas, exponents, field)))
         else:
-            search.blocks.append(JointBlock(basis=space, lambdas=list(lambdas)))
+            search.blocks.append(JointBlock(basis=space, lambdas=lambdas))
         return
-    if j not in eigs:  # (eigenvalue, eigenspace) per in-field root of A_j
+    if j not in eigs:  # (eigenvalue, its multiplicity, eigenspace) per root
         report = roots_in_field(char_poly(A[j]), field)
-        eigs[j] = [(lam, eigenspace(A[j], lam)) for lam, _ in report.pairs]
-    for lam, spc in eigs[j]:
+        eigs[j] = [(lam, e, eigenspace(A[j], lam)) for lam, e in report.pairs]
+    for lam, e, spc in eigs[j]:
         sub = _intersect(space, spc, field)
         if sub:
-            _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
+            _descend(sub, j + 1, lambdas + [lam], exponents + [e], A, eigs,
+                     field, search)
+
+
+def _joint_multiplicity(A, lambdas, exponents, field):
+    """dim of the intersection of ker(A_j - lambda_j)^{e_j}: the kernel of
+    the powers stacked."""
+    m = A[0].nrows
+    rows = []
+    for Aj, lam, e in zip(A, lambdas, exponents):
+        rows += (Aj - Matrix.identity(field, m).scale(lam)).mat_pow(e).rows
+    return m - Matrix(field, rows).rank()
 
 
 def _eigenpoints(found: EigenSearch, field) -> list:
     """EigenPoints of the found vectors; an all-zero eigenvalue tuple has no
     projective point behind it and is skipped."""
     points = []
-    for v, lambdas in found.vectors:
+    for v, lambdas, mult in found.vectors:
         pt = normalize_vector(lambdas, field)
         if pt is not None:
-            points.append(EigenPoint(v=v, lambdas=lambdas, point=pt))
+            points.append(EigenPoint(v=v, lambdas=lambdas, point=pt,
+                                     multiplicity=mult))
     return points
 
 
@@ -183,65 +212,6 @@ def _draw_coefficients(field, n, rng):
     return [field.from_int(rng.randint(1, field.size - 1)) for _ in range(n)]
 
 
-class CombinationDraws:
-    """The seeded generic combinations sum c_j A_j that `multiplicity` draws.
-
-    The draws depend only on the seed, so one instance serves every point
-    of a triplet: each draw's coefficients and char poly are computed once,
-    on first use, in the order of the seeded generator.
-    """
-
-    def __init__(self, triplet: Triplet, seed=0):
-        self.field = triplet.l.field
-        self._A = triplet.A
-        self._rng = random.Random(f"mult:{seed}")
-        self._draws = []
-
-    def __getitem__(self, k):
-        while len(self._draws) <= k:
-            coeffs = _draw_coefficients(self.field, len(self._A), self._rng)
-            A = linear_combination(coeffs, self._A)
-            self._draws.append((coeffs, char_poly(A)))
-        return self._draws[k]
-
-
-def multiplicity(p: EigenPoint, triplet: Triplet, seed=0, draws=None) -> int:
-    """Algebraic multiplicity of p's eigenvalue on a generic combination.
-
-    The combination sum c_j A_j has p's eigenvalue sum c_j lambda_j, whose
-    multiplicity is the number of times (t - that value) divides its char
-    poly, so no root search is needed. Two draws must agree; a third breaks
-    a single mismatch and three pairwise-distinct answers raise
-    GenericityFailure. Pass the triplet's CombinationDraws as `draws` to
-    share the draws between points; otherwise they are drawn from `seed`.
-    """
-    if draws is None:
-        draws = CombinationDraws(triplet, seed)
-    field = draws.field
-    seen = []
-    for k in range(3):
-        coeffs, cp = draws[k]
-        target = field.zero
-        for c, lam in zip(coeffs, p.lambdas):
-            target = field.add(target, field.mul(c, lam))
-        mult, _ = deflate(cp, target, field)
-        if mult == 0:
-            raise GenericityFailure("eigenvalue missing from the combination")
-        if mult in seen:
-            return mult
-        seen.append(mult)
-    raise GenericityFailure(f"three disagreeing draws: {seen}")
-
-
-@dataclass
-class SolveOptions:
-    seed: int = 0
-    max_degree: int | None = None
-    degree_policy: str = "first_surjective"
-    max_trials: int = 200
-    linear_form: Form | None = None
-
-
 @dataclass
 class SolutionReport:
     points: list                  # (EigenPoint, multiplicity), kept ones
@@ -259,28 +229,23 @@ class SolutionReport:
 
 
 def solve(I: IdealPresentation, order: MonomialOrder | None = None,
-          options: SolveOptions = SolveOptions()) -> SolutionReport:
-    """Full pipeline: Hilbert scan, triplet, eigenvectors, filter, multiplicity."""
+          options: TripletOptions = TripletOptions()) -> SolutionReport:
+    """Full pipeline: Hilbert scan, triplet, eigenvectors and their
+    multiplicities, filter."""
     if order is None:
         order = MonomialOrder.default(I.nvars)
-    # built first, so that invalid options fail before any elimination
-    topt = TripletOptions(degree_policy=options.degree_policy,
-                          seed=options.seed, max_degree=options.max_degree,
-                          max_trials=options.max_trials,
-                          linear_form=options.linear_form)
     scan = hilbert_scan(I, order, options.max_degree, options.seed)
     if scan.artinian:
         return SolutionReport(points=[], rejected=[], hf_prefix=scan.hf_values,
                               scan=scan, triplet=None, residual_degree=0,
                               blocks=0, warnings=["artinian quotient; variety is empty"])
-    triplet = build_triplet(I, order, topt, scan)
+    triplet = build_triplet(I, order, options, scan)
     found = common_eigenvectors(triplet.A, seed=options.seed)
     field = I.field
     kept, rejected = filter_points(_eigenpoints(found, field), I)
     kept.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
     rejected.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
-    draws = CombinationDraws(triplet, options.seed)
-    points = [(ep, multiplicity(ep, triplet, draws=draws)) for ep in kept]
+    points = [(ep, ep.multiplicity) for ep in kept]
     resid = found.residual_degree
     warnings = []
     total = sum(mult for _, mult in points)

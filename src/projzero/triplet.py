@@ -63,8 +63,6 @@ class Triplet:
     stable_certified: bool      # hf is certified constant from d on
     piece_d: DegreePiece
     piece_d1: DegreePiece
-    l_matrix: Matrix   # rows: nf(l*s_i) over standard monomials of R_{d+1}
-    basis_rows: list   # indices into standard monomials of R_d picked for E
     order: MonomialOrder
 
     @property
@@ -145,8 +143,7 @@ def _assemble(I, order, d, l, trials, piece_d, piece_d1, L, hf_prefix,
                    hf_prefix=hf_prefix,
                    surjective_certified=(len(piece_d.standard_monomials) == target),
                    stable_certified=stable,
-                   piece_d=piece_d, piece_d1=piece_d1, l_matrix=L,
-                   basis_rows=basis_rows, order=order)
+                   piece_d=piece_d, piece_d1=piece_d1, order=order)
     if l_combination(trip) != Matrix.identity(field, target):
         raise InvariantViolation(
             "the l-combination sum_j coeff_j(l) A_j is not the identity")
@@ -208,12 +205,22 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
     given, lends its pieces and, at its certificate degree, its commuting
     triplet (see the module docstring); certified_stable then does not scan
     again.
+
+    When the scan closed by commutation at d_c, a failed search at any
+    d >= d_c is final. With l the certificate's form, R_e = l^{e-d_c} R_{d_c}
+    for e >= d_c, and under that identification ·l' : R_e -> R_{e+1} is
+    sum_j c'_j M_j on R_{d_c} for l' = sum_j c'_j x_j, where M_j are the
+    commuting maps of the certificate. So whether l' is bijective does not
+    depend on e, and the seeded stream, which restarts at every degree,
+    repeats the same draws.
     """
     cap = I.default_cap() if options.max_degree is None else options.max_degree
     if scan is None and options.degree_policy == "certified_stable":
         scan = hilbert_scan(I, order, cap, options.seed)
     pieces = GradedIdeal(I, order) if scan is None else scan.pieces
     known = scan.triplet if scan and options.linear_form is None else None
+    final_from = (scan.certificate_degree
+                  if scan and scan.certificate == "commutation" else None)
     start, stable_from, hf = 0, None, []
     if options.degree_policy == "certified_stable":
         if scan.artinian:
@@ -225,7 +232,6 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
 
     piece_d = pieces.piece(start)
     hf.append(piece_d.hf)
-    saw_candidate = False
     last_error = None
     for d in range(start, cap + 1):
         piece_d1 = pieces.piece(d + 1)
@@ -233,30 +239,28 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
-            saw_candidate = True
             if (known is not None and known.d == d
                     and known.trials <= options.max_trials):
                 return known
             stable = stable_from is not None and d >= stable_from
-            l = options.linear_form
+            l, trials = options.linear_form, 1
             if l is not None:
                 L = _surjective(l, piece_d, piece_d1)
-                if L is not None:
-                    return _assemble(I, order, d, l, 1, piece_d, piece_d1, L,
-                                     hf[:d + 2], stable)
-                last_error = NoSurjectionFound(1, degree=d)
             else:
                 try:
                     l, L, trials = _search(I, piece_d, piece_d1, options.seed,
                                            options.max_trials)
-                    return _assemble(I, order, d, l, trials, piece_d,
-                                     piece_d1, L, hf[:d + 2], stable)
-                except NoSurjectionFound as exc:
-                    last_error = exc  # K2 failed: compute one more degree
+                except NoSurjectionFound:
+                    L, trials = None, options.max_trials
+            if L is not None:
+                return _assemble(I, order, d, l, trials, piece_d, piece_d1, L,
+                                 hf[:d + 2], stable)
+            # K2 failed: compute one more degree, unless d repeats d_c
+            if final_from is not None and d >= final_from:
+                raise NoSurjectionFound(trials, d, certificate_degree=final_from)
+            last_error = NoSurjectionFound(trials, degree=d)
         piece_d = piece_d1
-    if saw_candidate:
-        raise last_error or NoSurjectionFound(0, degree=cap)
-    raise CapExceeded(hf, cap)
+    raise last_error or CapExceeded(hf, cap)
 
 
 @dataclass

@@ -79,3 +79,19 @@ def _descend(space, j, lambdas, A, eigs, field, search):
         _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
     if covered < len(space):
         search.residual = True
+
+
+def joint_multiplicity(A: list, lambdas: list) -> int:
+    """dim of the joint generalized eigenspace: the intersection of
+    ker(A_j - lambda_j)^m over j, for m x m matrices."""
+    field = A[0].field
+    m = A[0].nrows
+    one = Matrix.identity(field, m)
+    rows = []
+    for Aj, lam in zip(A, lambdas):
+        shifted = Aj - one.scale(lam)
+        power = one
+        for _ in range(m):
+            power = power @ shifted
+        rows += power.rows
+    return m - rref(Matrix(field, rows, ncols=m))[1]

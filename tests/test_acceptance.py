@@ -13,13 +13,13 @@ from math import comb
 import pytest
 
 from projzero import (Form, Matrix, MonomialOrder, binomial_expansion,
-                      bm_triplet, build_triplet, c_matrix, candidate_points,
+                      bm_triplet, build_triplet, c_matrix,
                       char_poly, eigenpoints_from_matrices, eval_normal_form,
                       fast_normal_form, filter_points, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
                       l_combination, l_map_matrix, macaulay_growth,
-                      multiplicity, normal_form_by_degree, normalize,
-                      nzd_sweep, parse_form, roots_in_field, separators)
+                      normal_form_by_degree, normalize, nzd_sweep,
+                      parse_form, roots_in_field, separators, solve)
 from projzero.cli import main
 from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
@@ -126,15 +126,13 @@ def test_criterion_5_embedded_component(capsys, data_dir):
         assert doc["hf_prefix"] == [1, 3, 3, 1, 1]
 
 
-def test_criterion_6_multiplicities(mixed_2var_triplet):
+def test_criterion_6_multiplicities(mixed_2var_ideal, order2):
     with criterion(6, "multiplicities (1:1) -> 1 and (1:0) -> 2, two seeds"):
-        by_point = {tuple(ep.point): ep
-                    for ep in candidate_points(mixed_2var_triplet)}
         for seed in (0, 1):
-            assert multiplicity(by_point[(1, 1)], mixed_2var_triplet,
-                                seed=seed) == 1
-            assert multiplicity(by_point[(1, 0)], mixed_2var_triplet,
-                                seed=seed) == 2
+            rep = solve(mixed_2var_ideal, order2, TripletOptions(
+                degree_policy="certified_stable", seed=seed))
+            assert {tuple(ep.point): m for ep, m in rep.points} \
+                == {(1, 1): 1, (1, 0): 2}
 
 
 def test_criterion_7_six_point_triplet(six_points):

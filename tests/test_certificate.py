@@ -18,7 +18,7 @@ from projzero import cli, quotient, solver, triplet
 from projzero.cli import main, parse_ideal_file
 from projzero.errors import CapExceeded, NoSurjectionFound, ProjzeroError
 from projzero.fields import PrimeField, RationalField
-from projzero.solver import SolveOptions, solve
+from projzero.solver import solve
 from projzero.triplet import TripletOptions, commuting_triplet
 from tests import scan_oracle
 from tests.conftest import ideal_from
@@ -282,16 +282,19 @@ def reuse_cases(data_dir):
 def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
     """The triplet solve builds, taken from its scan where the search would
     find the same l, equals build_triplet without a scan for every seed,
-    trial budget, explicit l and degree policy."""
-    built = []
+    trial budget, explicit l and degree policy. Where both fail, solve
+    stops at the commutation certificate degree d_c and names it, and the
+    build without a scan climbs to its cap."""
+    built, scans = [], []
     real = solver.build_triplet
 
     def recording(I, order, options, scan):
+        scans.append(scan)
         trip = real(I, order, options, scan)
         built.append((trip, scan))
         return trip
     monkeypatch.setattr(solver, "build_triplet", recording)
-    reused = rebuilt = 0
+    reused = rebuilt = stopped = 0
     for I, order in reuse_cases(data_dir):
         l = Form(I.field, I.nvars, 1, {
             tuple(int(k == j) for k in range(I.nvars)): I.field.one
@@ -307,8 +310,9 @@ def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
         for kw in grid:
             kw["max_degree"] = cap
             built.clear()
+            scans.clear()
             # a later stage may fail over a tiny field; the triplet stands
-            got = outcome(lambda: solve(I, order, SolveOptions(**kw)).triplet)
+            got = outcome(lambda: solve(I, order, TripletOptions(**kw)).triplet)
             if built:
                 trip, scan = built[0]
                 got = triplet_fields(trip)
@@ -317,10 +321,17 @@ def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
                     rebuilt += trip is not scan.triplet
             want = outcome(lambda: build_triplet(I, order,
                                                  TripletOptions(**kw)))
-            assert got == want, (I.field, kw)
-    # both branches ran: the scan's triplet returned, and a search that
-    # went its own way (too few trials, an explicit l, certified_stable)
-    assert reused and rebuilt
+            if isinstance(got[0], str) and scans[0].certificate == "commutation":
+                assert got[0] == want[0] == "NoSurjectionFound", (got, want)
+                assert (f"certificate degree {scans[0].certificate_degree} "
+                        in got[1]), got
+                stopped += 1
+            else:
+                assert got == want, (I.field, kw)
+    # every branch ran: the scan's triplet returned, a search that went its
+    # own way (too few trials, an explicit l, certified_stable), and one
+    # that failed
+    assert reused and rebuilt and stopped
 
 
 @pytest.mark.parametrize("name,flags", [

@@ -153,6 +153,20 @@ def test_solve_no_surjection_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [["--linear-form", "x"],
+                                   ["--max-trials", "1", "--seed", "2"]])
+def test_solve_stops_at_the_commutation_degree(capsys, data_dir, flags):
+    """x, and the first draw of seed 2, vanish at a point of the three
+    quadrics, so no degree has them bijective; hf is constant from the
+    certificate degree 2, and the search stops there instead of climbing
+    to the default cap."""
+    code, out, err = run(capsys, "solve",
+                         str(data_dir / "three_quadrics.ideal"), *flags)
+    assert code == 3
+    assert "(last degree tried: 2)" in err
+    assert "commutation certificate degree 2" in err
+
+
 def test_solve_deterministic_output(capsys, data_dir):
     _, out1, _ = run(capsys, "solve", str(data_dir / "three_quadrics.ideal"),
                      "--seed", "3")

@@ -15,8 +15,14 @@ to Gotzmann's d* + 1; the `cap` entries exit 2 with a cap between the
 degree where hf becomes constant and d*. golden/vanish.json and
 golden/separators.json were recorded from the code whose interpolation run
 re-echelonised the accepted rows for every candidate monomial and every
-matrix row; `gf2_three_points` exits 4 under `vanish`. To re-record after an intended
-change of output:
+matrix row; `gf2_three_points` exits 4 under `vanish`. The three
+`three_quadrics_gf3` entries of golden/solve.json were recorded from the
+code that reads each multiplicity off the eigenvector search's own
+combination, not from the code before it, which printed multiplicities
+2, 2, 1 there (and exited 1 under --linear-form) for three reduced points;
+their values were checked by hand: the points (0:1:1), (1:0:1) and (1:1:0),
+each of multiplicity 1, residual degree 0 and no warning. To re-record
+after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -64,6 +70,11 @@ SOLVE_CASES = {
         name, ["--degree-policy", "certified_stable", *CAPS.get(name, [])])
        for name in IDEALS},
     "three_quadrics cap 2": CAP_CASES["three_quadrics cap 2"],
+    "three_quadrics_gf3": ("three_quadrics_gf3", []),
+    "three_quadrics_gf3 certified_stable": (
+        "three_quadrics_gf3", ["--degree-policy", "certified_stable"]),
+    "three_quadrics_gf3 l=x+y+z": (
+        "three_quadrics_gf3", ["--linear-form", "x+y+z"]),
 }
 
 # case name -> (fixture, hilbert or bound arguments)

@@ -1,7 +1,6 @@
-"""The root finder and deflation-based multiplicities against the
-enumerating oracle in tests/root_oracle.py."""
+"""The root finder against the enumerating oracle in tests/root_oracle.py,
+and solve's multiplicities against the joint generalized eigenspaces."""
 
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +10,9 @@ from hypothesis import given, strategies as st
 from projzero import MonomialOrder, roots_in_field, solve, vanishing_ideal
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.fields import PrimeField, RationalField
-from projzero.linalg import char_poly, deflate, linear_combination, poly_mul
-from projzero.solver import (SolveOptions, _draw_coefficients,
-                             multiplicity)
+from projzero.linalg import deflate, poly_mul
+from projzero.triplet import TripletOptions
+from tests.eigen_oracle import joint_multiplicity
 from tests.root_oracle import enumerate_roots
 
 Q = RationalField()
@@ -114,24 +113,6 @@ def test_deflate():
     assert deflate(p, Q.zero, Q) == (0, p)
 
 
-def enumerated_multiplicity(ep, triplet, seed):
-    """multiplicity() as it was: the full root set of every draw."""
-    field = triplet.l.field
-    rng = random.Random(f"mult:{seed}")
-    seen = []
-    for _ in range(3):
-        coeffs = _draw_coefficients(field, len(triplet.A), rng)
-        target = field.zero
-        for c, lam in zip(coeffs, ep.lambdas):
-            target = field.add(target, field.mul(c, lam))
-        A = linear_combination(coeffs, triplet.A)
-        mult = dict(enumerate_roots(char_poly(A), field).pairs).get(target, 0)
-        if mult in seen:
-            return mult
-        seen.append(mult)
-    raise AssertionError(f"three disagreeing draws: {seen}")
-
-
 def load_fixture(name):
     path = DATA / name
     if path.suffix == ".ideal":
@@ -140,28 +121,31 @@ def load_fixture(name):
     return vanishing_ideal(P), MonomialOrder.default(P.n + 1)
 
 
-# Every .ideal fixture with points, and a points fixture over GF(3).
-# gf2_three_points is all of P^1(GF(2)), so no linear form is surjective;
-# the rational points fixtures give char polys whose large coefficients take
-# the trial-division oracle tens of seconds.
+# Small .ideal fixtures with points, and two fixtures over GF(3) whose
+# three reduced points have multiplicity 1 although most combinations of
+# the matrices do not separate them. gf2_three_points is all of
+# P^1(GF(2)), so no linear form is surjective.
 @pytest.mark.parametrize("name", [
     "line_and_double_point.ideal", "monomial_false_point.ideal",
     "single_linear.ideal", "single_point_embedded.ideal",
-    "three_quadrics.ideal", "gf3_three_points.pts"])
+    "three_quadrics.ideal", "gf3_three_points.pts",
+    "three_quadrics_gf3.ideal"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_multiplicity_matches_enumeration(name, seed):
     I, order = load_fixture(name)
-    rep = solve(I, order, SolveOptions(seed=seed))
+    rep = solve(I, order, TripletOptions(seed=seed))
     assert rep.points
     for ep, mult in rep.points:
-        assert mult == multiplicity(ep, rep.triplet, seed=seed)
-        assert mult == enumerated_multiplicity(ep, rep.triplet, seed)
+        assert mult == joint_multiplicity(rep.triplet.A, ep.lambdas)
+    if I.field.size == 3:
+        assert [m for _, m in rep.points] == [1, 1, 1]
+        assert rep.residual_degree == 0 and not rep.warnings
 
 
 def test_double_point_multiplicity():
     I, order = load_fixture("line_and_double_point.ideal")
-    rep = solve(I, order, SolveOptions(degree_policy="certified_stable"))
+    rep = solve(I, order, TripletOptions(degree_policy="certified_stable"))
     got = {tuple(ep.point): m for ep, m in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
     for ep, mult in rep.points:
-        assert mult == enumerated_multiplicity(ep, rep.triplet, 0)
+        assert mult == joint_multiplicity(rep.triplet.A, ep.lambdas)

@@ -1,20 +1,18 @@
-import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from projzero import (Matrix, MonomialOrder, bm_triplet, build_triplet,
-                      candidate_points, common_eigenvectors,
-                      eigenpoints_from_matrices, filter_points, multiplicity,
+                      candidate_points, common_eigenvectors, filter_points,
                       normalize, parse_form, solve, vanishing_ideal)
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.errors import ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero import solver
 from projzero.linalg import char_poly, eigenspace
-from projzero.solver import CombinationDraws, SolveOptions
 from projzero.triplet import TripletOptions
 from tests import eigen_oracle
 from tests.conftest import ideal_from
@@ -30,11 +28,11 @@ def as_tuples(eigenpoints):
 def test_common_eigenvectors_main(main_triplet):
     found = common_eigenvectors(main_triplet.A)
     assert not found.blocks and not found.residual
-    got = sorted((tuple(v), tuple(l)) for v, l in found.vectors)
+    got = sorted((tuple(v), tuple(l), k) for v, l, k in found.vectors)
     assert got == sorted([
-        ((1, 1, 0), (1, 1, 0)),
-        ((1, 0, 1), (1, 0, 1)),
-        ((0, 1, 1), (0, Fraction(1, 2), Fraction(1, 2))),
+        ((1, 1, 0), (1, 1, 0), 1),
+        ((1, 0, 1), (1, 0, 1), 1),
+        ((0, 1, 1), (0, Fraction(1, 2), Fraction(1, 2)), 1),
     ])
 
 
@@ -42,7 +40,7 @@ def test_common_eigenvectors_false_point(false_point_ideal, order3):
     l = parse_form("x + z", XYZ, Q)
     t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
     found = common_eigenvectors(t.A)
-    got = sorted((tuple(v), tuple(l_)) for v, l_ in found.vectors)
+    got = sorted((tuple(v), tuple(l_)) for v, l_, _ in found.vectors)
     assert got == sorted([
         ((1, 0), (1, 0, 0)),
         ((0, 1), (0, 0, 1)),
@@ -88,28 +86,26 @@ def test_filter_points_empty():
     assert filter_points([], None) == ([], [])
 
 
-def test_multiplicity_mixed_2var(mixed_2var_triplet):
-    pts = candidate_points(mixed_2var_triplet)
-    by_point = {tuple(ep.point): ep for ep in pts}
-    simple = by_point[(1, 1)]
-    double = by_point[(1, 0)]
+def test_multiplicity_mixed_2var(mixed_2var_ideal, order2):
     for seed in (0, 1):
-        assert multiplicity(simple, mixed_2var_triplet, seed=seed) == 1
-        assert multiplicity(double, mixed_2var_triplet, seed=seed) == 2
+        rep = solve(mixed_2var_ideal, order2,
+                    TripletOptions(degree_policy="certified_stable", seed=seed))
+        assert {tuple(ep.point): m for ep, m in rep.points} \
+            == {(1, 1): 1, (1, 0): 2}
 
 
-def test_multiplicity_main_all_one(main_triplet):
-    for ep in candidate_points(main_triplet):
-        assert multiplicity(ep, main_triplet, seed=0) == 1
+def test_multiplicity_main_all_one(main_ideal, order3):
+    for seed in (0, 1):
+        rep = solve(main_ideal, order3, TripletOptions(seed=seed))
+        assert len(rep.points) == 3
+        assert all(m == 1 for _, m in rep.points)
 
 
 def test_multiplicity_single_point(embedded_ideal, order3):
-    t = build_triplet(embedded_ideal, order3,
-                      TripletOptions(degree_policy="certified_stable"))
-    assert t.size == 1
-    pts = candidate_points(t)
-    assert len(pts) == 1
-    assert multiplicity(pts[0], t, seed=0) == 1
+    rep = solve(embedded_ideal, order3,
+                TripletOptions(degree_policy="certified_stable"))
+    assert rep.triplet.size == 1
+    assert [(tuple(ep.point), m) for ep, m in rep.points] == [((1, 1, 1), 1)]
 
 
 def test_eigen_identities_exact(main_triplet):
@@ -123,7 +119,7 @@ def test_eigen_identities_exact(main_triplet):
 
 def test_solve_main(main_ideal, order3):
     l = parse_form("y + z", XYZ, Q)
-    rep = solve(main_ideal, order3, SolveOptions(linear_form=l))
+    rep = solve(main_ideal, order3, TripletOptions(linear_form=l))
     assert sorted(tuple(ep.point) for ep, _ in rep.points) \
         == sorted([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
     assert all(m == 1 for _, m in rep.points)
@@ -132,14 +128,14 @@ def test_solve_main(main_ideal, order3):
 
 
 def test_solve_embedded(embedded_ideal, order3):
-    rep = solve(embedded_ideal, order3, SolveOptions(seed=0))
+    rep = solve(embedded_ideal, order3, TripletOptions(seed=0))
     assert [tuple(ep.point) for ep, _ in rep.points] == [(1, 1, 1)]
     assert rep.hf_prefix == [1, 3, 3, 1, 1]
 
 
 def test_solve_mixed_2var(mixed_2var_ideal, order2):
     rep = solve(mixed_2var_ideal, order2,
-                SolveOptions(degree_policy="certified_stable"))
+                TripletOptions(degree_policy="certified_stable"))
     got = {tuple(ep.point): m for ep, m in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
     assert sum(got.values()) == rep.triplet.size == 3
@@ -152,8 +148,8 @@ def test_solve_artinian():
 
 
 def test_solve_deterministic(main_ideal, order3):
-    a = solve(main_ideal, order3, SolveOptions(seed=5))
-    b = solve(main_ideal, order3, SolveOptions(seed=5))
+    a = solve(main_ideal, order3, TripletOptions(seed=5))
+    b = solve(main_ideal, order3, TripletOptions(seed=5))
     assert [(tuple(ep.point), m) for ep, m in a.points] \
         == [(tuple(ep.point), m) for ep, m in b.points]
     assert a.residual_degree == b.residual_degree
@@ -163,7 +159,7 @@ def test_solve_deterministic(main_ideal, order3):
 
 def test_solve_six_point_vanishing_ideal(six_points):
     I = vanishing_ideal(six_points)
-    rep = solve(I, MonomialOrder.default(3), SolveOptions(seed=2))
+    rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=2))
     got = sorted(tuple(ep.point) for ep, _ in rep.points)
     want = sorted(tuple(r) for r in six_points.reps)
     assert got == want
@@ -175,7 +171,7 @@ def test_solve_prime_field_end_to_end():
     GF7 = PrimeField(7)
     P = normalize([[1, 2, 3], [1, 0, 6], [0, 1, 5]], GF7)
     I = vanishing_ideal(P)
-    rep = solve(I, MonomialOrder.default(3), SolveOptions(seed=0))
+    rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=0))
     got = sorted((tuple(ep.point), m) for ep, m in rep.points)
     assert got == [((0, 1, 5), 1), ((1, 0, 6), 1), ((1, 2, 3), 1)]
     assert rep.residual_degree == 0 and rep.rejected == []
@@ -184,15 +180,16 @@ def test_solve_prime_field_end_to_end():
 def test_solve_conjugate_points_report_residual():
     # x^2 + y^2 cuts out two conjugate points of P^1 over Q
     I = ideal_from(["x0^2 + x1^2"], ("x0", "x1"))
-    rep = solve(I, MonomialOrder.default(2), SolveOptions(seed=0))
+    rep = solve(I, MonomialOrder.default(2), TripletOptions(seed=0))
     assert rep.points == []
     assert rep.residual_degree == 2
     assert any("incomplete splitting" in w for w in rep.warnings)
 
 
-def test_shared_draws_give_per_point_multiplicities(mixed_2var_triplet,
+def test_shared_draws_give_per_point_multiplicities(mixed_2var_ideal, order2,
                                                     monkeypatch):
-    pts = candidate_points(mixed_2var_triplet)
+    """Every point's multiplicity comes from the one combination that the
+    eigenvector search draws: one char poly per solve, not per point."""
     calls = []
 
     def counted(M):
@@ -201,25 +198,22 @@ def test_shared_draws_give_per_point_multiplicities(mixed_2var_triplet,
 
     monkeypatch.setattr(solver, "char_poly", counted)
     for seed in (0, 1):
-        separate = [multiplicity(ep, mixed_2var_triplet, seed=seed)
-                    for ep in pts]
         calls.clear()
-        draws = CombinationDraws(mixed_2var_triplet, seed)
-        shared = [multiplicity(ep, mixed_2var_triplet, draws=draws)
-                  for ep in pts]
-        assert shared == separate
-        assert len(pts) == 2 and len(calls) <= 3  # per draw, not per point
+        rep = solve(mixed_2var_ideal, order2,
+                    TripletOptions(degree_policy="certified_stable", seed=seed))
+        assert sorted(m for _, m in rep.points) == [1, 2]
+        assert len(calls) == 1
 
 
 def test_multiplicity_overcount_warns(mixed_2var_ideal, order2):
     # data/line_and_double_point.ideal: first_surjective builds the triplet
     # at d = 3, below d* = 5, and counts (1 : 0) three times against m = 3
     I, order = mixed_2var_ideal, order2
-    rep = solve(I, order, SolveOptions())
+    rep = solve(I, order, TripletOptions())
     assert sorted(m for _, m in rep.points) == [1, 3]
     assert any("sum to 4" in w and "m = 3" in w
                and "certified_stable" in w for w in rep.warnings)
-    stable = solve(I, order, SolveOptions(degree_policy="certified_stable"))
+    stable = solve(I, order, TripletOptions(degree_policy="certified_stable"))
     assert sorted(m for _, m in stable.points) == [1, 2]
     assert not any("sum to" in w for w in stable.warnings)
 
@@ -289,18 +283,98 @@ def eigen_tuples(draw):
 
 
 def assert_same_search(A, seed):
+    """The search against the oracle, and on commuting matrices each
+    multiplicity against the joint generalized eigenspace."""
     got = common_eigenvectors(A, seed=seed)
     want = eigen_oracle.common_eigenvectors(A)
-    assert got.vectors == want.vectors
+    assert [(v, l) for v, l, _ in got.vectors] == want.vectors
     assert [(b.basis, b.lambdas) for b in got.blocks] \
         == [(b.basis, b.lambdas) for b in want.blocks]
     assert got.residual == want.residual
+    if all(B @ C == C @ B for B in A for C in A):
+        for _, lambdas, mult in got.vectors:
+            assert mult == eigen_oracle.joint_multiplicity(A, lambdas)
+    return got
 
 
 @settings(max_examples=200)
 @given(eigen_tuples())
 def test_common_eigenvectors_match_oracle(case):
     assert_same_search(*case)
+
+
+def local_algebra(field, size, kind):
+    """Commuting nilpotent generators of a local algebra of dimension
+    `size`, as matrices of multiplication: powers of one Jordan block
+    (curvilinear, K[x]/(x^size)), or x and y on K[x, y]/(x, y)^2 with basis
+    1, x, y, which no single matrix generates."""
+    z, o = field.zero, field.one
+    if kind == "curvilinear":
+        J = Matrix(field, [[o if j == i + 1 else z for j in range(size)]
+                           for i in range(size)])
+        return [J, J @ J]
+    Nx = Matrix(field, [[z, o, z], [z, z, z], [z, z, z]])
+    Ny = Matrix(field, [[z, z, o], [z, z, z], [z, z, z]])
+    return [Nx, Ny]
+
+
+def block_diagonal(field, blocks):
+    m = sum(B.nrows for B in blocks)
+    rows, at = [], 0
+    for B in blocks:
+        for r in B.rows:
+            rows.append([field.zero] * at + r
+                        + [field.zero] * (m - at - B.nrows))
+        at += B.nrows
+    return Matrix(field, rows)
+
+
+@st.composite
+def fat_point_families(draw):
+    """Commuting A_0..A_{k-1}: a direct sum of local blocks, one per point,
+    each lambda_j + a nilpotent element of the block's local algebra, then
+    conjugated. Points may repeat; the multiplicity of a tuple is the
+    total size of its blocks."""
+    field = draw(st.sampled_from(EIGEN_FIELDS))
+    k = draw(st.integers(1, 3))
+    small = st.integers(-2, 2).map(field.from_int)
+    blocks = draw(st.lists(st.tuples(
+        st.sampled_from(["curvilinear", "local"]), st.integers(1, 3),
+        st.lists(small, min_size=k, max_size=k)), min_size=1, max_size=3))
+    per_matrix = [[] for _ in range(k)]
+    sizes = {}
+    for kind, size, lambdas in blocks:
+        size = 3 if kind == "local" else size
+        gens = local_algebra(field, size, kind)
+        sizes[tuple(lambdas)] = sizes.get(tuple(lambdas), 0) + size
+        for j, lam in enumerate(lambdas):
+            B = Matrix.identity(field, size).scale(lam)
+            for N in gens:
+                B = B + N.scale(draw(small))
+            per_matrix[j].append(B)
+    S, S_inv = draw(conjugator(field, sum(sizes.values())))
+    A = [S @ block_diagonal(field, bl) @ S_inv for bl in per_matrix]
+    return A, sizes
+
+
+@settings(max_examples=200)
+@given(fat_point_families(), st.sampled_from([0, 1]),
+       st.one_of(st.none(), st.lists(st.integers(-1, 1), min_size=3,
+                                     max_size=3)))
+def test_multiplicities_match_joint_generalized_eigenspaces(family, seed,
+                                                            forced):
+    """Each multiplicity is the dimension of the joint generalized
+    eigenspace, for the seeded draw and for forced draws, zeros included,
+    that need not separate the points (M = 0 descends the whole space)."""
+    A, sizes = family
+    draw = solver._draw_coefficients
+    if forced is not None:
+        def draw(field, n, rng):
+            return [field.from_int(c) for c in forced[:n]]
+    with mock.patch.object(solver, "_draw_coefficients", draw):
+        found = assert_same_search(A, seed)
+    for _, lambdas, mult in found.vectors:
+        assert mult == sizes[tuple(lambdas)]
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data"
@@ -332,12 +406,10 @@ def test_common_eigenvectors_match_oracle_on_point_fixtures(path):
 
 @pytest.mark.parametrize("name", ["ci_3_4_p32003", "three_quadrics"])
 def test_solve_searches_one_combination(name, monkeypatch):
-    """One root search, one char poly besides the multiplicity draws, and
-    no eigenspace of any A_j."""
+    """One root search, one char poly, and no eigenspace of any A_j."""
     I, order = parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())
     calls = {"roots_in_field": 0, "char_poly": 0}
     shifted = []
-    draws_used = [0]
 
     def counting(name, fn):
         def counted(*args):
@@ -349,18 +421,11 @@ def test_solve_searches_one_combination(name, monkeypatch):
         shifted.append(M)
         return eigenspace(M, lam)
 
-    getitem = CombinationDraws.__getitem__
-
-    def draw(self, k):
-        draws_used[0] = max(draws_used[0], k + 1)
-        return getitem(self, k)
-
     for name_ in calls:
         monkeypatch.setattr(solver, name_, counting(name_, getattr(solver, name_)))
     monkeypatch.setattr(solver, "eigenspace", recorded)
-    monkeypatch.setattr(CombinationDraws, "__getitem__", draw)
     rep = solve(I, order)
     assert rep.points and rep.residual_degree == 0
     assert calls["roots_in_field"] == 1
-    assert calls["char_poly"] <= 1 + draws_used[0]
+    assert calls["char_poly"] == 1
     assert shifted and not any(M == Aj for M in shifted for Aj in rep.triplet.A)
