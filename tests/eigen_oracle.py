@@ -5,7 +5,9 @@ Every matrix A_j gets its own char poly, root search and one eigenspace per
 in-field eigenvalue; the search descends A_0, A_1, ... intersecting the
 current subspace with each eigenspace, and sets `residual` when some level
 covers less than its subspace. `common_eigenvectors` here is the old
-`solver.common_eigenvectors` unchanged.
+`solver.common_eigenvectors` unchanged. `joint_multiplicity` is the
+definition of a point's multiplicity that solve's multiplicities are
+tested against: the dimension of the joint generalized eigenspace.
 """
 
 from projzero.linalg import (Matrix, char_poly, eigenspace, kernel,
