@@ -7,11 +7,12 @@ compose by multiplying row vectors on the left.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm
 from operator import mul
 
 from .errors import ProjzeroError
+from .fields import is_prime
 
 
 class Matrix:
@@ -206,24 +207,31 @@ def _rref_rows(rows, field):
     """RREF of a list of row lists: (reduced rows, rank, pivot columns).
 
     Leftmost pivot column, topmost pivot row. The input is not modified: the
-    rows are copied once on entry (over GF(p) reduced to canonical residues,
-    so that truth tests are zero tests) and then updated in place. Each
-    pivot row is scaled once. Every other row with a nonzero f in the pivot
-    column gets that entry cleared and is updated only on the pivot row's
-    nonzeros b right of the pivot column, since a pivot row has no nonzero
-    left of its pivot. The arithmetic is inline: (a + f*(p - b)) % p over
-    GF(p), a + f*(-b) on Fractions over Q.
+    rows are copied once on entry and then updated in place.
+
+    Over GF(p) the copies are canonical residues, so that truth tests are
+    zero tests. Each pivot row is scaled once. Every other row with a
+    nonzero f in the pivot column gets that entry cleared and is updated
+    only on the pivot row's nonzeros b right of the pivot column, since a
+    pivot row has no nonzero left of its pivot, by (a + f*(p - b)) % p.
+
+    Over Q the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+    each row's denominators are cleared once and the rows stay integer. With
+    pivot pv and g = gcd(pv, f), a row becomes (pv/g)*row - (f/g)*pivot_row
+    and is divided by its content. Every row stays a nonzero multiple of the
+    row Gauss-Jordan on Fractions would hold, so the pivots are the same,
+    and the RREF, which is unique, comes out as each pivot row divided by
+    its pivot: one Fraction per entry, built at the end.
     """
     p = field.size
     if p is None:
-        rows = [list(row) for row in rows]
+        rows = [_zprimitive(_cleared(row)[0]) for row in rows]
     else:
         rows = [[v % p for v in row] for row in rows]
     if not rows:
         return rows, 0, []
     nrows = len(rows)
     ncols = len(rows[0])
-    zero, one = field.zero, field.one
     pivot_cols = []
     r = 0
     for c in range(ncols):
@@ -236,33 +244,41 @@ def _rref_rows(rows, field):
         rows[i] = rows[r]
         rows[r] = prow
         pv = prow[c]
-        if pv != one:
-            if p is None:
-                inv = one / pv
-                prow[c:] = [inv * v for v in prow[c:]]
-            else:
+        if p is None:
+            nz = [(j, b) for j in range(c + 1, ncols) if (b := prow[j])]
+        else:
+            if pv != 1:
                 inv = pow(pv, p - 2, p)
                 prow[c:] = [inv * v % p for v in prow[c:]]
-        if p is None:
-            neg = [(j, -b) for j in range(c + 1, ncols) if (b := prow[j])]
-        else:
-            neg = [(j, p - b) for j in range(c + 1, ncols) if (b := prow[j])]
+            nz = [(j, p - b) for j in range(c + 1, ncols) if (b := prow[j])]
         for i in range(nrows):
             row = rows[i]
             f = row[c]
             if not f or i == r:
                 continue
-            row[c] = zero
             if p is None:
-                for j, b in neg:
-                    row[j] += f * b
+                g = gcd(pv, f)
+                a, f = pv // g, f // g
+                if a != 1:
+                    row = [a * v for v in row]
+                row[c] = 0
+                for j, b in nz:
+                    row[j] -= f * b
+                rows[i] = _zprimitive(row)
             else:
-                for j, b in neg:
+                row[c] = 0
+                for j, b in nz:
                     row[j] = (row[j] + f * b) % p
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
+    if p is None:
+        zero = field.zero
+        for k, c in enumerate(pivot_cols):
+            pv = rows[k][c]
+            rows[k] = [Fraction(v, pv) if v else zero for v in rows[k]]
+        rows[r:] = [[zero] * ncols for _ in range(r, nrows)]
     return rows, r, pivot_cols
 
 
@@ -520,14 +536,23 @@ def _gfp_mulmod(a, b, f, p):
     return _gfp_rem(out, f, p)
 
 
-def _gfp_powmod(base, e, f, p):
-    """base^e mod the monic f, by repeated squaring."""
-    base = _gfp_rem(base, f, p)
-    acc = _gfp_rem([1], f, p)
+def _gfp_powmod(a, e, f, p):
+    """(t + a)^e mod the monic f of degree n >= 1, by repeated squaring. A
+    step by the linear base is a shift plus one reduction by f, O(n) in
+    place of a product."""
+    n = len(f) - 1
+    acc = [1]
     for bit in bin(e)[2:]:
         acc = _gfp_mulmod(acc, acc, f, p)
         if bit == "1":
-            acc = _gfp_mulmod(acc, base, f, p)
+            out = [0] + acc
+            for i, x in enumerate(acc):
+                out[i] += a * x
+            if len(out) > n:
+                c = out.pop()
+                for j in range(n):
+                    out[j] -= c * f[j]
+            acc = _trim([x % p for x in out])
     return acc
 
 
@@ -552,7 +577,7 @@ def _gfp_roots(f, p):
     import random
 
     f = _gfp_monic(_trim(list(f)), p)
-    tp = _gfp_powmod([0, 1], p, f, p)
+    tp = _gfp_powmod(0, p, f, p)
     tp += [0] * (2 - len(tp))
     tp[1] -= 1
     g = _gfp_gcd(f, _trim([c % p for c in tp]), p)
@@ -565,7 +590,7 @@ def _gfp_roots(f, p):
             roots.append(-h[0] % p)
             continue
         while d > 1:  # draw shifts until one splits h
-            w = _gfp_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p)
+            w = _gfp_powmod(rng.randrange(p), (p - 1) // 2, h, p)
             w += [0] * (1 - len(w))
             w[0] -= 1
             s = _gfp_gcd(h, _trim([c % p for c in w]), p)
@@ -575,28 +600,19 @@ def _gfp_roots(f, p):
     return roots
 
 
-# Primes for Hensel lifting, largest first; the search goes on below the
-# list only if every listed prime divides the discriminant or the leading
-# coefficient, and a square-free input has few such primes.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-           2147483549, 2147483543, 2147483497)
-
-
-def _hensel_primes():
-    from .fields import is_prime
-
-    yield from _PRIMES
-    yield from filter(is_prime, range(_PRIMES[-1] - 2, 2**30, -2))
+# The Hensel prime is the least good prime from here up: roots modulo a
+# small prime are cheap to find, and quadratic lifting reaches any modulus in
+# a few more steps. A square-free input has finitely many bad primes.
+_HENSEL_START = 101
 
 
 def _zprimitive(a):
-    """a divided by its content, leading coefficient positive."""
-    from math import gcd
-
-    g = gcd(*a) if a else 1
+    """An integer vector divided by its content, its last entry (a
+    polynomial's leading coefficient) made nonnegative."""
+    g = gcd(*a)
     if a and a[-1] < 0:
         g = -g
-    return [c // g for c in a]
+    return a if g in (0, 1) else [c // g for c in a]
 
 
 def _zprem(a, b):
@@ -672,13 +688,10 @@ def _rational_roots(p):
     if n == 0:
         return []
     dh = [i * c for i, c in enumerate(h)][1:]
-    for q in _hensel_primes():
+    for q in filter(is_prime, count(_HENSEL_START, 2)):
         hq = [c % q for c in h]
         if hq[-1] and len(_gfp_gcd(hq, _trim([c % q for c in dh]), q)) == 1:
             break
-    else:
-        raise ProjzeroError("no prime below 2^31 keeps the polynomial "
-                            "square-free")
     a0, an = abs(h[0]), abs(h[-1])
     roots = []
     for r in _gfp_roots(hq, q):

@@ -8,11 +8,13 @@ class are consistent.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .errors import (FormSyntax, InvariantViolation, NotHomogeneous,
                      UnknownVariable)
+from .linalg import _cleared
 
 
 def mono_degree(m):
@@ -220,23 +222,29 @@ class Form:
         return Form(f, self.nvars, self.degree * e, terms)
 
     def evaluate(self, rep):
-        """Evaluate at a fixed affine representative (list of scalars)."""
+        """Evaluate at a fixed affine representative (list of scalars).
+
+        Over GF(p) each term is c times pow(x, e, p) per variable, reduced
+        once. Over Q the point is x / D and the coefficients are c / C on
+        integer numerators x and c; the form is homogeneous, so the value is
+        sum c x^e / (C D^degree), one Fraction built at the end.
+        """
         if len(rep) != self.nvars:
             raise ValueError("representative has wrong length")
-        f = self.field
-        total = f.zero
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(rep, m):
-                if e == 0:
-                    continue
-                if f.is_zero(x):
-                    v = f.zero
-                    break
-                for _ in range(e):
-                    v = f.mul(v, x)
-            total = f.add(total, v)
-        return total
+        p = self.field.size
+        if p is not None:
+            total = 0
+            for m, c in self.terms.items():
+                for x, e in zip(rep, m):
+                    if e:
+                        c *= pow(x, e, p)
+                total += c % p
+            return total % p
+        xs, d = _cleared(rep)
+        cs, cd = _cleared(list(self.terms.values()))
+        return Fraction(sum(c * prod(x**e for x, e in zip(xs, m) if e)
+                            for c, m in zip(cs, self.terms)),
+                        cd * d**self.degree)
 
     def coeff_vector(self, monos):
         """Coefficients on an ordered monomial list (zeros where absent)."""

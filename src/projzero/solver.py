@@ -87,15 +87,15 @@ def _intersect(basis_a, basis_b, field):
     return [list(r) for r in R.rows[:rank]]
 
 
-def _joint_eigenvector(w, A, field):
+def _joint_eigenvector(w, A, cols, field):
     """(w, lambdas) if the normalized w is an eigenvector of every A_j, else
-    None. lambda_j is (A_j w)_i at the first nonzero w_i = 1."""
+    None. lambda_j is (A_j w)_i at the first nonzero w_i = 1; cols[j] holds
+    the rows of A_j, the columns of the product A_j w, from _as_columns."""
     p = field.size
     i = next(k for k, x in enumerate(w) if x)
     lambdas = []
-    for Aj in A:
-        # A_j w: the rows of A_j are the columns
-        Aw = _row_times_cols(w, _as_columns(Aj.rows, field), Aj)
+    for Aj, cj in zip(A, cols):
+        Aw = _row_times_cols(w, cj, Aj)
         lam = Aw[i]
         if Aw != ([lam * x for x in w] if p is None
                   else [lam * x % p for x in w]):
@@ -126,10 +126,12 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     search = EigenSearch(vectors=[], blocks=[], residual=False,
                          residual_degree=report.residual_degree)
     eigs = {}
+    cols = [_as_columns(Aj.rows, field) for Aj in A]
     for mu, mult in report.pairs:
         W = eigenspace(M, mu)
         if len(W) == 1:
-            found = _joint_eigenvector(normalize_vector(W[0], field), A, field)
+            found = _joint_eigenvector(normalize_vector(W[0], field), A, cols,
+                                       field)
             if found is not None:
                 search.vectors.append((*found, mult))
         else:

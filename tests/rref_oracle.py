@@ -1,8 +1,9 @@
 """The per-scalar kernels that projzero used before its elimination, char
-poly and matrix products did field arithmetic inline, and before its Q
-products worked on integer numerators; kept as the oracle of the
-differential tests in test_kernels.py. Every scalar operation is a call of a
-field method (over Q one Fraction operation), over the full row width.
+poly, matrix products and form evaluation did field arithmetic inline, and
+before its Q products and Q elimination worked on integer numerators; kept
+as the oracle of the differential tests in test_kernels.py. Every scalar
+operation is a call of a field method (over Q one Fraction operation), over
+the full row width.
 """
 
 from projzero.linalg import Matrix
@@ -149,3 +150,21 @@ def linear_combination(coeffs, mats):
     for c, M in zip(coeffs, mats):
         acc = acc + M.scale(c)
     return acc
+
+
+def evaluate(form, rep):
+    """Form.evaluate one field call per scalar, x^e as e products."""
+    f = form.field
+    total = f.zero
+    for m, c in form.terms.items():
+        v = c
+        for x, e in zip(rep, m):
+            if e == 0:
+                continue
+            if f.is_zero(x):
+                v = f.zero
+                break
+            for _ in range(e):
+                v = f.mul(v, x)
+        total = f.add(total, v)
+    return total

@@ -1,9 +1,10 @@
 """The field-specialised kernels of linalg and quotient against the
 per-scalar oracle in tests/rref_oracle.py: elimination, kernel, inverse,
 row-space solves, char polys, matrix products, linear combinations of
-matrices and Macaulay reduction."""
+matrices, Macaulay reduction and evaluation of forms."""
 
 import copy
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from projzero.cli import parse_ideal_file
 from projzero.fields import PrimeField, RationalField
 from projzero import linalg
 from projzero.linalg import _rref_rows, linear_combination, vec_matmul
-from projzero.polyring import monomials_of_degree
-from projzero.quotient import standard_coords
+from projzero.polyring import MonomialOrder, monomials_of_degree
+from projzero.quotient import IdealPresentation, macaulay_rows, standard_coords
 from tests import rref_oracle as oracle
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003),
@@ -263,3 +264,69 @@ def test_q_mat_pow_does_no_fraction_arithmetic(monkeypatch):
             patch.setattr(Fraction, name, refuse)
         got = M.mat_pow(600)
     assert got == want
+
+
+# Over Q the elimination is fraction-free on integer rows; these entries
+# make the cleared rows long and their contents nontrivial.
+def tall_rationals():
+    return st.one_of(st.just(Q.zero),
+                     st.builds(Fraction, st.integers(-10**12, 10**12),
+                               st.integers(1, 10**6)))
+
+
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_q_rref_of_tall_entries_matches_oracle(nrows, ncols, data):
+    entry = tall_rationals()
+    block = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and ncols and data.draw(st.booleans()):
+        # rank-deficient: rows are combinations of the first two
+        coeffs = st.lists(entry, min_size=2, max_size=2)
+        block = block[:2] + [
+            [a * x + b * y for x, y in zip(*block[:2])]
+            for a, b in (data.draw(coeffs) for _ in block[2:])]
+    before = copy.deepcopy(block)
+    rows, rank, pivots = _rref_rows(block, Q)
+    want = oracle.rref_rows(copy.deepcopy(block), Q)
+    assert block == before
+    assert (rank, pivots) == want[1:]
+    assert len(rows) == nrows
+    for got, expect in zip(rows, want[0]):
+        assert got == expect
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_q_rref_of_a_complete_intersection_piece():
+    """The degree-5 piece of a (2,2,2) complete intersection in P^3 over Q
+    with coefficients in [-3, 3]: 60 x 56, rank 48."""
+    rng = random.Random(1)
+    order = MonomialOrder.default(4)
+    quadrics = monomials_of_degree(4, 2, order)
+    gens = [Form(Q, 4, 2, {m: Fraction(rng.randint(-3, 3)) for m in quadrics})
+            for _ in range(3)]
+    I = IdealPresentation(field=Q, vars=("x", "y", "z", "w"), generators=gens)
+    monos = monomials_of_degree(4, 5, order)
+    rows = macaulay_rows(I, 5, monos, order)
+    got = _rref_rows(rows, Q)
+    want = oracle.rref_rows(copy.deepcopy(rows), Q)
+    assert got == want
+    assert (len(rows), len(monos), got[1]) == (60, 56, 48)
+
+
+@given(field_index, st.integers(1, 4), st.integers(0, 5), st.data())
+def test_evaluate_matches_oracle(fi, nvars, degree, data):
+    """Form.evaluate against the per-scalar evaluation, value and type,
+    with zero coordinates and, over GF(p), residues outside range(p)."""
+    field = FIELDS[fi]
+    monos = monomials_of_degree(nvars, degree, MonomialOrder.default(nvars))
+    if field.size is None:
+        entry = rationals()
+    else:
+        entry = st.one_of(scalars(field), st.integers(-3 * field.size,
+                                                      3 * field.size))
+    coeffs = data.draw(st.lists(entry, min_size=len(monos),
+                                max_size=len(monos)))
+    g = Form(field, nvars, degree, dict(zip(monos, coeffs)))
+    rep = data.draw(st.lists(entry, min_size=nvars, max_size=nvars))
+    got = g.evaluate(rep)
+    want = oracle.evaluate(g, rep)
+    assert got == want and type(got) is type(want)

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from projzero import MonomialOrder, roots_in_field, solve, vanishing_ideal
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.fields import PrimeField, RationalField
-from projzero.linalg import deflate, poly_mul
+from projzero import linalg
+from projzero.linalg import RootReport, deflate, poly_mul
 from projzero.triplet import TripletOptions
 from tests.eigen_oracle import joint_multiplicity
 from tests.root_oracle import enumerate_roots
@@ -149,3 +150,110 @@ def test_double_point_multiplicity():
     assert got == {(1, 1): 1, (1, 0): 2}
     for ep, mult in rep.points:
         assert mult == joint_multiplicity(rep.triplet.A, ep.lambdas)
+
+
+def root_searches(monkeypatch):
+    """Records (prime, sorted roots) of every root search over GF(q) during
+    the test."""
+    seen = []
+    gfp_roots = linalg._gfp_roots
+
+    def recording(f, q):
+        roots = gfp_roots(f, q)
+        seen.append((q, sorted(roots)))
+        return roots
+
+    monkeypatch.setattr(linalg, "_gfp_roots", recording)
+    return seen
+
+
+def test_roots_skip_primes_that_merge_roots(monkeypatch):
+    # 102 = 1 mod 101 and 207 = 1 mod 103: h is not square-free mod 101 or
+    # mod 103, so the lifting starts from 107
+    seen = root_searches(monkeypatch)
+    p = from_linear_factors(Q, [(Q.one, 1), (Fraction(102), 2),
+                                (Fraction(207), 1)], Fraction(-4, 9),
+                            [Fraction(3), Q.zero, Q.one])
+    rep = roots_in_field(p, Q)
+    assert [q for q, _ in seen] == [107]
+    assert rep.pairs == [(1, 1), (102, 2), (207, 1)]
+    assert_agrees(p, Q)
+
+
+def test_roots_skip_primes_dividing_the_leading_coefficient(monkeypatch):
+    seen = root_searches(monkeypatch)
+    lead = 101 * 103
+    p = from_linear_factors(Q, [(Fraction(1, lead), 1), (Fraction(-2), 1),
+                                (Fraction(5, 103), 1)], Fraction(lead),
+                            [Q.one])
+    rep = roots_in_field(p, Q)
+    assert [q for q, _ in seen] == [107]
+    assert [r for r, _ in rep.pairs] == [-2, Fraction(1, lead),
+                                         Fraction(5, 103)]
+    assert_agrees(p, Q)
+
+
+def test_roots_mod_q_that_do_not_lift(monkeypatch):
+    # t^2 + 1 has the roots 10 and 91 modulo 101 and none in Q: they lift
+    # 101-adically, and exact evaluation drops what they reconstruct to
+    seen = root_searches(monkeypatch)
+    p = from_linear_factors(Q, [(Q.one, 2), (Fraction(-3, 2), 1)], Q.one,
+                            [Q.one, Q.zero, Q.one])
+    rep = roots_in_field(p, Q)
+    assert seen == [(101, [1, 10, 49, 91])]
+    assert rep.pairs == [(Fraction(-3, 2), 1), (1, 2)]
+    assert rep.residual == [Q.one, Q.zero, Q.one]
+    assert_agrees(p, Q)
+
+
+@st.composite
+def tall_polynomials(draw):
+    """Polynomials over Q with coefficients up to 10^12 and beyond, with the
+    expected report: either (i) rational roots of height up to 10^12 times
+    a small cofactor, whose roots the enumerating oracle finds, or (ii)
+    middle coefficients up to 10^12 between small end coefficients, which
+    the oracle enumerates directly."""
+    tall = st.integers(-10**12, 10**12)
+    if draw(st.booleans()):
+        ends = st.sampled_from([1, -1, 2, -3, 6])
+        coeffs = ([draw(ends)] + draw(st.lists(tall, max_size=3))
+                  + [draw(ends)])
+        p = [Fraction(c) for c in coeffs]
+        return p, enumerate_roots(p, Q)
+    root = st.builds(Fraction, tall, st.integers(1, 10**6))
+    roots = draw(st.lists(st.tuples(root, st.integers(1, 2)), min_size=1,
+                          max_size=3, unique_by=lambda rk: rk[0]))
+    small = st.integers(-6, 6).map(Fraction)
+    extra = draw(st.lists(small, min_size=1, max_size=4))
+    if not any(extra):
+        extra = [Q.one]
+    scale = Fraction(draw(tall.filter(bool)), draw(st.integers(1, 10**6)))
+    want = enumerate_roots(extra, Q)
+    pairs = dict(want.pairs)
+    for r, k in roots:
+        pairs[r] = pairs.get(r, 0) + k
+    residual = [scale * c for c in want.residual]
+    return (from_linear_factors(Q, roots, scale, extra),
+            RootReport(pairs=sorted(pairs.items()), residual=residual))
+
+
+@given(tall_polynomials())
+def test_roots_of_tall_polynomials(case):
+    p, want = case
+    got = roots_in_field(p, Q)
+    assert got.pairs == want.pairs
+    assert got.residual == want.residual
+
+
+@given(st.sampled_from([2, 3, 7, 101, 32003, 2**31 - 1]), st.data())
+def test_powmod_of_a_linear_base(p, data):
+    """(t + a)^e mod f against e products by t + a."""
+    n = data.draw(st.integers(1, 6))
+    residue = st.integers(0, p - 1)
+    f = data.draw(st.lists(residue, min_size=n, max_size=n)) + [1]
+    a = data.draw(residue)
+    e = data.draw(st.integers(0, 200))
+    want = [1] if n else []
+    for _ in range(e):
+        want = linalg._gfp_mulmod(want, [a, 1], f, p)
+    assert linalg._gfp_powmod(a, e, f, p) == want
