@@ -24,9 +24,8 @@ from .points import (CMatrix, PointTriplet, ProjPointSet, bm_triplet,
                      c_matrix, eval_normal_form, normalize, nzd_sweep,
                      project_variables, refine_partitions, separators,
                      vanishing_ideal)
-from .solver import (EigenPoint, SolutionReport, candidate_points,
-                     common_eigenvectors, eigenpoints_from_matrices,
-                     filter_points, solve)
+from .solver import (EigenPoint, SolutionReport, common_eigenvectors,
+                     eigenpoints_from_matrices, filter_points, solve)
 from .triplet import (FastNormalForm, Triplet, TripletOptions, build_triplet,
                       fast_normal_form, find_surjective_linear,
                       l_combination, l_map_matrix)

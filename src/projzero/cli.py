@@ -175,7 +175,7 @@ def cmd_hilbert(args):
         "hf": scan.hf_values, "t": scan.t,
         "stabilization_degree": scan.stabilization_degree,
         "m": scan.m, "postulation": scan.postulation,
-        "gotzmann_certified": scan.gotzmann_certified,
+        "gotzmann_certified": True,  # a scan returns only once certified
         "artinian": scan.artinian,
     }
     lines = [f"hf: {' '.join(str(v) for v in scan.hf_values)}, m={scan.m}"]

@@ -11,8 +11,8 @@ separator construction with its comparison-counted prefix table.
 
 from dataclasses import dataclass
 
-from .errors import (DuplicatePoint, FieldTooSmall, InvariantViolation,
-                     RankDeficientBasis, ZeroPoint)
+from .errors import (DuplicatePoint, FieldTooSmall, InputError,
+                     InvariantViolation, RankDeficientBasis, ZeroPoint)
 from .linalg import (Matrix, kernel, linear_combination, rref,
                      solve_in_rowspace)
 from .polyring import Form, MonomialOrder, mono_one
@@ -38,13 +38,13 @@ def normalize(raw_points, field) -> ProjPointSet:
     """Scale each point so its first nonzero coordinate is 1; reject
     zero vectors and coinciding projective points."""
     if not raw_points:
-        raise ValueError("empty point set")
+        raise InputError("empty point set")
     width = len(raw_points[0])
     reps = []
     first_one = []
     for idx, pt in enumerate(raw_points):
         if len(pt) != width:
-            raise ValueError("points with differing coordinate counts")
+            raise InputError("points with differing coordinate counts")
         lead = None
         for i, x in enumerate(pt):
             if not field.is_zero(x):
@@ -175,7 +175,7 @@ def _restrict_form(form: Form, kept, width):
             if e == 0:
                 continue
             if i not in pos:
-                raise ValueError("form uses a projected-away variable")
+                raise InputError("form uses a projected-away variable")
             nm[pos[i]] = e
         terms[tuple(nm)] = c
     return Form(form.field, len(kept), form.degree, terms)
@@ -236,7 +236,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     else:
         l_core = _restrict_form(l, kept, width)
         if any(f.is_zero(x) for x in core.eval_form(l_core)):
-            raise ValueError("provided linear form vanishes at a point")
+            raise InputError("provided linear form vanishes at a point")
 
     B = [[mono_one(nv)]]
     rows = [[f.one] * m]

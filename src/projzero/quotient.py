@@ -33,13 +33,13 @@ class IdealPresentation:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValueError("need at least one generator")
+            raise InputError("need at least one generator")
         n = len(self.vars)
         for g in self.generators:
             if g.nvars != n or g.field != self.field:
-                raise ValueError("generator over the wrong ring")
+                raise InputError("generator over the wrong ring")
             if g.is_zero():
-                raise ValueError("zero generator")
+                raise InputError("zero generator")
 
     @property
     def nvars(self):
@@ -178,7 +178,6 @@ class HilbertScan:
     t: int                      # max generator degree
     stabilization_degree: int   # d*: least d >= t with hf(d+1) = hf(d)^{<d>}
     m: int                      # stable value hf(d*)
-    gotzmann_certified: bool
     postulation: int            # least degree from which hf is constant
     # The certificate that closed the scan, "gotzmann" or "commutation", the
     # degree at which it holds, and for "commutation" the triplet there,
@@ -261,8 +260,7 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
         if dd >= t and hf[d] == hf[dd]:
             if hf[d] == macaulay_growth(hf[dd], dd):
                 return _closed(hf, t, dd, "gotzmann", dd, pieces)
-            trip = commuting_triplet(I, order, pieces.piece(dd), piece,
-                                     list(hf), seed)
+            trip = commuting_triplet(I, order, pieces.piece(dd), piece, seed)
             if trip is not None:
                 # hf(e) = m for all e >= dd, and Gotzmann failed up to dd
                 m, dstar = hf[dd], d
@@ -281,15 +279,13 @@ def _closed(hf, t, dstar, certificate, degree, pieces, triplet=None):
     while post > 0 and hf[post - 1] == m:
         post -= 1
     return HilbertScan(hf_values=hf, t=t, stabilization_degree=dstar, m=m,
-                       gotzmann_certified=True, postulation=post,
+                       postulation=post,
                        certificate=certificate, certificate_degree=degree,
                        triplet=triplet, pieces=pieces)
 
 
 def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
     """Degree bound max(operational_nz, m) for a reduced Groebner basis."""
-    if not scan.gotzmann_certified:
-        raise ValueError("scan is not certified")
     return max(operational_nz, scan.m)
 
 

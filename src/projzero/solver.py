@@ -193,10 +193,6 @@ def eigenpoints_from_matrices(A: list) -> list:
     return _eigenpoints(common_eigenvectors(A), A[0].field)
 
 
-def candidate_points(triplet: Triplet) -> list:
-    return eigenpoints_from_matrices(triplet.A)
-
-
 def filter_points(candidates: list, I: IdealPresentation):
     """Keep candidates on which every generator vanishes."""
     kept, rejected = [], []

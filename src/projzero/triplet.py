@@ -8,11 +8,12 @@ here checks.
 
 Two degree policies are supported. first_surjective stops at the first
 degree with hf(d) >= hf(d+1) and a surjective l, which is all the variety
-computation needs. certified_stable builds the triplet at Gotzmann's
-stabilization degree d*, where hf is provably constant and the matrices are
-independent of the degree at which they are rebuilt. The Hilbert scan's
-commutation certificate (`commuting_triplet`) builds one at the least
-degree from which hf is constant.
+computation needs. certified_stable builds the triplet at the Hilbert
+scan's certificate degree, from which hf is provably constant and the
+matrices are independent of the degree at which they are rebuilt: the
+least such degree d_c when the commutation certificate
+(`commuting_triplet`) closed the scan, Gotzmann's d* when only persistence
+did, over fields too small to have a bijective l.
 
 `solve` hands its scan to `build_triplet`, which takes the scan's pieces,
 so each degree is eliminated once per command. The certificate draws l from
@@ -52,22 +53,16 @@ class TripletOptions:
 @dataclass
 class Triplet:
     d: int
-    E: list            # basis forms of R_d (standard monomials, possibly a subset)
-    E_monomials: list
+    E_monomials: list  # basis of R_d (standard monomials, possibly a subset)
     l: Form
     trials: int        # draws of l tried at degree d, the last one giving l
-    F: list            # the forms l*e_i, a basis of R_{d+1}
     A: list            # n+1 multiplication matrices, one per variable
-    hf_prefix: list    # hf(0..d+1)
-    surjective_certified: bool  # hf(d) == hf(d+1) and the l-map has full rank
-    stable_certified: bool      # hf is certified constant from d on
     piece_d: DegreePiece
-    piece_d1: DegreePiece
     order: MonomialOrder
 
     @property
     def size(self):
-        return len(self.E)
+        return len(self.E_monomials)
 
 
 def l_map_matrix(l: Form, piece_d: DegreePiece, piece_d1: DegreePiece) -> Matrix:
@@ -101,15 +96,11 @@ def _random_linear(field, nvars, rng):
 
 
 def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
-                           piece_d1: DegreePiece, seed=0,
-                           max_trials=200) -> Form:
-    """Find l with [l] R_d = R_{d+1} by seeded random draws."""
-    return _search(I, piece_d, piece_d1, seed, max_trials)[0]
+                           piece_d1: DegreePiece, seed=0, max_trials=200):
+    """Find l with [l] R_d = R_{d+1} by seeded random draws.
 
-
-def _search(I, piece_d, piece_d1, seed, max_trials):
-    """find_surjective_linear's l with its l-map matrix and the number of
-    draws it took."""
+    Returns (l, its l-map matrix, the number of draws it took).
+    """
     hf_d, hf_d1 = len(piece_d.standard_monomials), len(piece_d1.standard_monomials)
     if not hf_d >= hf_d1 > 0:
         raise ValueError(f"need hf(d) >= hf(d+1) > 0, got {hf_d}, {hf_d1}")
@@ -122,15 +113,13 @@ def _search(I, piece_d, piece_d1, seed, max_trials):
     raise NoSurjectionFound(max_trials, degree=piece_d.d)
 
 
-def _assemble(I, order, d, l, trials, piece_d, piece_d1, L, hf_prefix,
-              stable):
+def _assemble(I, order, d, l, trials, piece_d, piece_d1, L):
     field = I.field
     target = len(piece_d1.standard_monomials)
     # pivot columns of L^T pick the earliest independent row subset of L
     _, _, basis_rows = rref(L.transpose())
     E_mon = [piece_d.standard_monomials[i] for i in basis_rows]
     E = [Form.monomial(field, I.nvars, m) for m in E_mon]
-    F = [l * e for e in E]
     L_E = Matrix(field, [L.rows[i] for i in basis_rows], ncols=target)
     L_E_inv = L_E.inverse()
     A = []
@@ -139,11 +128,8 @@ def _assemble(I, order, d, l, trials, piece_d, piece_d1, L, hf_prefix,
         M_j = Matrix(field, [standard_coords(xj * e, piece_d1) for e in E],
                      ncols=target)
         A.append(M_j @ L_E_inv)
-    trip = Triplet(d=d, E=E, E_monomials=E_mon, l=l, trials=trials, F=F, A=A,
-                   hf_prefix=hf_prefix,
-                   surjective_certified=(len(piece_d.standard_monomials) == target),
-                   stable_certified=stable,
-                   piece_d=piece_d, piece_d1=piece_d1, order=order)
+    trip = Triplet(d=d, E_monomials=E_mon, l=l, trials=trials, A=A,
+                   piece_d=piece_d, order=order)
     if l_combination(trip) != Matrix.identity(field, target):
         raise InvariantViolation(
             "the l-combination sum_j coeff_j(l) A_j is not the identity")
@@ -165,7 +151,7 @@ COMMUTATION_DRAWS = 4
 
 def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
                       piece_d: DegreePiece, piece_d1: DegreePiece,
-                      hf_prefix, seed=0) -> Triplet | None:
+                      seed=0) -> Triplet | None:
     """The triplet at degree d if its matrices commute pairwise, else None.
 
     Needs hf(d) = hf(d+1) > 0 and d at least the generator degree; l is the
@@ -183,11 +169,11 @@ def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
     instead of C(n + 1, 2) for n + 1 variables.
     """
     try:
-        l, L, trials = _search(I, piece_d, piece_d1, seed, COMMUTATION_DRAWS)
+        l, L, trials = find_surjective_linear(I, piece_d, piece_d1, seed,
+                                              COMMUTATION_DRAWS)
     except NoSurjectionFound:
         return None
-    trip = _assemble(I, order, piece_d.d, l, trials, piece_d, piece_d1, L,
-                     hf_prefix, True)
+    trip = _assemble(I, order, piece_d.d, l, trials, piece_d, piece_d1, L)
     k = next(iter(l.terms)).index(1)
     A = trip.A[:k] + trip.A[k + 1:]
     if any(A[i] @ A[j] != A[j] @ A[i]
@@ -201,10 +187,16 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
                   scan: HilbertScan | None = None) -> Triplet:
     """Scan degrees, find a surjective linear form and assemble the matrices.
 
+    first_surjective tries d = 0, 1, ... and stops at the first degree with
+    hf(d) >= hf(d+1) and a surjective l. certified_stable starts at the
+    Hilbert scan's certificate degree: d_c when commuting matrices closed
+    the scan, Gotzmann's d* otherwise. hf is constant from there on, and
+    where the scan closed by commutation its triplet is the one returned.
+
     `scan`, this command's hilbert_scan(I, order, cap, options.seed) when
     given, lends its pieces and, at its certificate degree, its commuting
-    triplet (see the module docstring); certified_stable then does not scan
-    again.
+    triplet (see the module docstring). Without one, certified_stable scans
+    first, and first_surjective scans only once a search has failed.
 
     When the scan closed by commutation at d_c, a failed search at any
     d >= d_c is final. With l the certificate's form, R_e = l^{e-d_c} R_{d_c}
@@ -215,52 +207,51 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
     repeats the same draws.
     """
     cap = I.default_cap() if options.max_degree is None else options.max_degree
-    if scan is None and options.degree_policy == "certified_stable":
-        scan = hilbert_scan(I, order, cap, options.seed)
-    pieces = GradedIdeal(I, order) if scan is None else scan.pieces
-    known = scan.triplet if scan and options.linear_form is None else None
-    final_from = (scan.certificate_degree
-                  if scan and scan.certificate == "commutation" else None)
-    start, stable_from, hf = 0, None, []
+    start = 0
     if options.degree_policy == "certified_stable":
+        if scan is None:
+            scan = hilbert_scan(I, order, cap, options.seed)
         if scan.artinian:
             raise ArtinianQuotient("empty variety; no triplet exists")
-        start = stable_from = scan.stabilization_degree
-        hf = scan.hf_values[:start]
+        start = scan.certificate_degree
     elif options.degree_policy != "first_surjective":
         raise ValueError(f"unknown degree policy {options.degree_policy!r}")
+    pieces = GradedIdeal(I, order) if scan is None else scan.pieces
 
     piece_d = pieces.piece(start)
-    hf.append(piece_d.hf)
     last_error = None
     for d in range(start, cap + 1):
         piece_d1 = pieces.piece(d + 1)
-        hf.append(piece_d1.hf)
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
+            known = scan.triplet if scan and options.linear_form is None else None
             if (known is not None and known.d == d
                     and known.trials <= options.max_trials):
                 return known
-            stable = stable_from is not None and d >= stable_from
             l, trials = options.linear_form, 1
             if l is not None:
                 L = _surjective(l, piece_d, piece_d1)
             else:
                 try:
-                    l, L, trials = _search(I, piece_d, piece_d1, options.seed,
-                                           options.max_trials)
+                    l, L, trials = find_surjective_linear(
+                        I, piece_d, piece_d1, options.seed, options.max_trials)
                 except NoSurjectionFound:
                     L, trials = None, options.max_trials
             if L is not None:
-                return _assemble(I, order, d, l, trials, piece_d, piece_d1, L,
-                                 hf[:d + 2], stable)
-            # K2 failed: compute one more degree, unless d repeats d_c
-            if final_from is not None and d >= final_from:
-                raise NoSurjectionFound(trials, d, certificate_degree=final_from)
+                return _assemble(I, order, d, l, trials, piece_d, piece_d1, L)
+            # K2 failed: compute one more degree, unless d repeats d_c. The
+            # scan waits until here: it costs more than most triplets.
+            if scan is None:
+                scan = hilbert_scan(I, order, cap, options.seed)
+                pieces = scan.pieces
+            if scan.certificate == "commutation" and d >= scan.certificate_degree:
+                raise NoSurjectionFound(
+                    trials, d, certificate_degree=scan.certificate_degree)
             last_error = NoSurjectionFound(trials, degree=d)
         piece_d = piece_d1
-    raise last_error or CapExceeded(hf, cap)
+    raise last_error or CapExceeded(
+        [pieces.piece(e).hf for e in range(cap + 2)], cap)
 
 
 @dataclass
@@ -276,17 +267,17 @@ class FastNormalForm:
     k: int             # power of l
     basis_label: str
     l: Form
-    E: list            # the basis forms e_i of the triplet
+    E_monomials: list  # the basis monomials e_i of the triplet
 
     @cached_property
     def form(self) -> Form:
         """The represented element sum_i c_i l^k e_i, expanded."""
         l = self.l
         lk = l.power(self.k)
-        rep = Form.zero(l.field, l.nvars, self.E[0].degree + self.k)
-        for c, e in zip(self.coords, self.E):
+        rep = Form.zero(l.field, l.nvars, sum(self.E_monomials[0]) + self.k)
+        for c, e in zip(self.coords, self.E_monomials):
             if not l.field.is_zero(c):
-                rep = rep + (lk * e).scale(c)
+                rep = rep + lk * Form.monomial(l.field, l.nvars, e, c)
         return rep
 
 
@@ -348,4 +339,4 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
 
     label = f"l^{k} * e_i" if k else "e_i"
     return FastNormalForm(coords=total, k=k, basis_label=label,
-                          l=triplet.l, E=triplet.E)
+                          l=triplet.l, E_monomials=triplet.E_monomials)

@@ -44,7 +44,7 @@ def expand(coords, k, triplet):
     field = triplet.l.field
     lk = power_by_multiplication(triplet.l, k)
     rep = Form.zero(field, triplet.l.nvars, triplet.d + k)
-    for c, e in zip(coords, triplet.E):
+    for c, e in zip(coords, triplet.E_monomials):
         if not field.is_zero(c):
-            rep = rep + (lk * e).scale(c)
+            rep = rep + (lk * Form.monomial(field, triplet.l.nvars, e)).scale(c)
     return rep

@@ -39,7 +39,7 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
             while post > 0 and hf[post - 1] == m:
                 post -= 1
             return HilbertScan(hf_values=hf, t=t, stabilization_degree=dd,
-                               m=m, gotzmann_certified=True, postulation=post)
+                               m=m, postulation=post)
     raise CapExceeded(hf, cap)
 
 

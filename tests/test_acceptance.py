@@ -52,7 +52,7 @@ def test_criterion_1_hilbert_scan_mixed(mixed_2var_ideal, order2):
         assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3]
         assert scan.m == 3
         assert scan.postulation == 5
-        assert scan.gotzmann_certified
+        assert scan.certificate == "gotzmann"
 
 
 def test_criterion_2_solve_three_quadrics(capsys, data_dir):
@@ -81,7 +81,7 @@ def test_criterion_3_fast_normal_form_x17(main_triplet):
     # c_x + c_z = 1 and c_x + c_y = 1.
     with criterion(3, "fast normal form of x^17 has coordinates (1, 0, 0)"):
         assert main_triplet.d == 1
-        assert main_triplet.E == [parse_form(v, XYZ, Q) for v in XYZ]
+        assert main_triplet.E_monomials == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         a_x = main_triplet.A[0]
         assert a_x @ a_x == a_x
         assert a_x.row(0) == [1, 0, 0]

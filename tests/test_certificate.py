@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from projzero import (Form, IdealPresentation, MonomialOrder, build_triplet,
                       find_surjective_linear, hilbert_scan, ideal_piece,
@@ -20,7 +21,7 @@ from projzero.errors import CapExceeded, NoSurjectionFound, ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero.solver import solve
 from projzero.triplet import TripletOptions, commuting_triplet
-from tests import scan_oracle
+from tests import scan_oracle, triplet_oracle
 from tests.conftest import ideal_from
 from tests.triplet_oracle import exhaustive_surjective_linear
 
@@ -50,7 +51,7 @@ def check_against_oracle(I, order, scan=None):
     if scan.certificate == "commutation":
         trip = scan.triplet
         assert trip.d == scan.certificate_degree and commute(trip.A)
-        assert trip.hf_prefix == scan.hf_values[:trip.d + 2]
+        assert trip.piece_d.hf == trip.size == scan.hf_values[trip.d]
         # hf is constant from the certificate degree on
         assert scan.certificate_degree >= max(scan.t, scan.postulation)
     else:
@@ -163,13 +164,14 @@ def test_commutation_rejects_a_valley():
     pieces = [ideal_piece(I, d, order) for d in range(7)]
     hf = [p.hf for p in pieces]
     assert hf == [1, 3, 6, 7, 7, 6, 6] and I.max_gen_degree == 3
-    assert commuting_triplet(I, order, pieces[3], pieces[4], hf[:5]) is None
+    assert commuting_triplet(I, order, pieces[3], pieces[4]) is None
     rng = random.Random(3)
     for _ in range(10):
-        l = find_surjective_linear(I, pieces[3], pieces[4], seed=rng.random())
+        l, _, _ = find_surjective_linear(I, pieces[3], pieces[4],
+                                         seed=rng.random())
         trip = build_triplet(I, order, TripletOptions(linear_form=l))
         assert trip.d == 3 and not commute(trip.A)
-    assert commute(commuting_triplet(I, order, pieces[5], pieces[6], hf).A)
+    assert commute(commuting_triplet(I, order, pieces[5], pieces[6]).A)
     scan = check_against_oracle(I, order)
     assert (scan.certificate, scan.certificate_degree, scan.m) == (
         "commutation", 5, 6)
@@ -181,13 +183,13 @@ def test_no_certificate_below_generator_degree(data_dir, monkeypatch):
     commute for the seeded l, so the scan must not test there."""
     I, order = fixture(data_dir, "line_and_double_point")
     p3, p4 = ideal_piece(I, 3, order), ideal_piece(I, 4, order)
-    assert commute(commuting_triplet(I, order, p3, p4, [1, 2, 3, 4, 4]).A)
+    assert commute(commuting_triplet(I, order, p3, p4).A)
     tested = []
     real = triplet.commuting_triplet
 
-    def recording(I, order, piece_d, piece_d1, hf_prefix, seed):
+    def recording(I, order, piece_d, piece_d1, seed):
         tested.append(piece_d.d)
-        return real(I, order, piece_d, piece_d1, hf_prefix, seed)
+        return real(I, order, piece_d, piece_d1, seed)
     monkeypatch.setattr(triplet, "commuting_triplet", recording)
     scan = check_against_oracle(I, order)
     assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3] and scan.m == 3
@@ -233,29 +235,105 @@ def test_no_piece_above_certificate_degree(data_dir, piece_degrees, capsys,
     """On the (3,4) complete intersection hf is constant from degree 5 and
     Gotzmann's d* is 12. Every command builds each piece up to degree 6
     exactly once: solve's triplet and bound's initial ideal rebuild none of
-    the scan's. certified_stable adds only d* and d* + 1."""
+    the scan's, under either degree policy."""
     code = main([argv[0], str(data_dir / "ci_3_4_p32003.ideal"), "--json",
                  *argv[1:]])
     capsys.readouterr()
     assert code == 0
-    extra = [12, 13] if "certified_stable" in argv else []
-    assert sorted(piece_degrees) == list(range(7)) + extra
+    assert sorted(piece_degrees) == list(range(7))
 
 
-def test_certified_stable_takes_hf_prefix_from_the_scan(data_dir,
-                                                        piece_degrees):
-    """certified_stable builds the scan's pieces and those at d* and d* + 1,
-    nothing in between."""
+@pytest.fixture
+def scans(monkeypatch):
+    """The scans that build_triplet runs itself."""
+    made = []
+    real = triplet.hilbert_scan
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(triplet, "hilbert_scan", recording)
+    return made
+
+
+def test_certified_stable_returns_the_scans_triplet(data_dir, piece_degrees,
+                                                     scans):
+    """certified_stable returns the triplet of the commutation certificate
+    at degree 5, not one rebuilt at d* = 12, and builds only the scan's
+    pieces."""
     I, order = fixture(data_dir, "ci_3_4_p32003")
     trip = build_triplet(I, order,
                          TripletOptions(degree_policy="certified_stable"))
-    assert trip.d == 12
-    assert trip.hf_prefix == [1, 3, 6, 9, 11] + [12] * 9
-    assert sorted(piece_degrees) == [0, 1, 2, 3, 4, 5, 6, 12, 13]
+    assert len(scans) == 1 and scans[0].certificate == "commutation"
+    assert trip is scans[0].triplet and trip.d == 5
+    assert sorted(piece_degrees) == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_nf_scans_only_after_a_failed_search(data_dir, piece_degrees, scans,
+                                             capsys):
+    """nf runs no scan while its search succeeds. l = x vanishes at the
+    point (0:1:1) of the three quadrics, so it is bijective at no degree:
+    once it fails at degree 1, one scan certifies by commutation that hf
+    is constant from degree 2, and nf stops there with exit 3 instead of
+    climbing to its cap of 36."""
+    path = str(data_dir / "three_quadrics.ideal")
+    assert main(["nf", path, "x^3"]) == 0
+    assert scans == []
+    assert main(["nf", path, "x^3", "--linear-form", "x"]) == 3
+    err = capsys.readouterr().err
+    assert "last degree tried: 2" in err and "certificate degree 2" in err
+    assert len(scans) == 1 and max(piece_degrees) == 3
+
+
+@st.composite
+def point_sets(draw):
+    """Three to five distinct points of P^1 or P^2 over GF(7), GF(101) or
+    Q: fewer points close most scans by Gotzmann, at the same degree."""
+    field = draw(st.sampled_from([PrimeField(7), PrimeField(101), Q]))
+    width = draw(st.integers(2, 3))
+    coord = (st.integers(-3, 3) if field.size is None
+             else st.integers(0, field.size - 1))
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width),
+                         min_size=3, max_size=5))
+    try:
+        return normalize([[field.from_int(c) for c in r] for r in rows], field)
+    except ProjzeroError:  # a zero vector or a repeated point
+        assume(False)
+
+
+def solve_outcome(I, order, options):
+    """What solve reports: points with multiplicities, rejected points,
+    residual degree and warnings, or the error that ended it."""
+    try:
+        rep = solve(I, order, options)
+    except ProjzeroError as exc:
+        return type(exc).__name__, str(exc)
+
+    def fmt(ep):
+        return [I.field.format(x) for x in ep.point]
+    return ([(fmt(ep), mult) for ep, mult in rep.points],
+            [fmt(ep) for ep in rep.rejected], rep.residual_degree,
+            rep.warnings)
+
+
+@given(point_sets(), st.integers(0, 3))
+def test_certified_stable_matches_the_gotzmann_degree_oracle(P, seed):
+    """certified_stable builds at the scan's certificate degree, d_c where
+    commutation closed the scan; solve reports what the triplet at
+    Gotzmann's d* gives."""
+    order = MonomialOrder.default(P.n + 1)
+    I = vanishing_ideal(P, order)
+    options = TripletOptions(degree_policy="certified_stable", seed=seed)
+    got = solve_outcome(I, order, options)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "build_triplet",
+                   triplet_oracle.triplet_at_gotzmann_degree)
+        want = solve_outcome(I, order, options)
+    assert got == want
 
 
 def triplet_fields(trip):
-    return trip.d, trip.l, trip.E_monomials, trip.A, trip.hf_prefix
+    return trip.d, trip.l, trip.E_monomials, trip.A
 
 
 def outcome(run):

@@ -76,7 +76,7 @@ def test_hilbert_scan_mixed(mixed_2var_ideal, order2):
     scan = hilbert_scan(mixed_2var_ideal, order2)
     assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3]
     assert scan.m == 3 and scan.stabilization_degree == 5
-    assert scan.postulation == 5 and scan.gotzmann_certified
+    assert scan.postulation == 5 and scan.certificate == "gotzmann"
 
 
 def test_hilbert_scan_embedded(embedded_ideal, order3):

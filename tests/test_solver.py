@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projzero import (Matrix, MonomialOrder, bm_triplet, build_triplet,
-                      candidate_points, common_eigenvectors, filter_points,
-                      normalize, parse_form, solve, vanishing_ideal)
+                      common_eigenvectors, eigenpoints_from_matrices,
+                      filter_points, normalize, parse_form, solve,
+                      vanishing_ideal)
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.errors import ProjzeroError
 from projzero.fields import PrimeField, RationalField
@@ -56,21 +57,21 @@ def test_common_eigenvectors_identity_block():
 
 
 def test_candidate_points_main(main_triplet):
-    pts = candidate_points(main_triplet)
+    pts = eigenpoints_from_matrices(main_triplet.A)
     assert as_tuples(pts) == sorted([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 
 def test_candidate_points_embedded(embedded_ideal, order3):
     l = parse_form("z", XYZ, Q)
     t = build_triplet(embedded_ideal, order3, TripletOptions(linear_form=l))
-    pts = candidate_points(t)
+    pts = eigenpoints_from_matrices(t.A)
     assert (1, 1, 1) in as_tuples(pts)
 
 
 def test_filter_points_false_point(false_point_ideal, order3):
     l = parse_form("x + z", XYZ, Q)
     t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
-    kept, rejected = filter_points(candidate_points(t), false_point_ideal)
+    kept, rejected = filter_points(eigenpoints_from_matrices(t.A), false_point_ideal)
     assert as_tuples(kept) == [(1, 0, 0)]
     assert as_tuples(rejected) == [(0, 0, 1)]
     z2 = parse_form("z^2", XYZ, Q)
@@ -78,7 +79,7 @@ def test_filter_points_false_point(false_point_ideal, order3):
 
 
 def test_filter_points_main_keeps_all(main_triplet, main_ideal):
-    kept, rejected = filter_points(candidate_points(main_triplet), main_ideal)
+    kept, rejected = filter_points(eigenpoints_from_matrices(main_triplet.A), main_ideal)
     assert len(kept) == 3 and rejected == []
 
 
@@ -110,7 +111,7 @@ def test_multiplicity_single_point(embedded_ideal, order3):
 
 def test_eigen_identities_exact(main_triplet):
     field = Q
-    for ep in candidate_points(main_triplet):
+    for ep in eigenpoints_from_matrices(main_triplet.A):
         for j, A in enumerate(main_triplet.A):
             Av = [sum((r[k] * ep.v[k] for k in range(len(ep.v))), Q.zero)
                   for r in A.rows]

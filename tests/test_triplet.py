@@ -47,8 +47,8 @@ def test_find_surjective_main(main_ideal, order3):
         assert l_map_matrix(l, p1, p2).rank() < 3
     good = parse_form("y + z", XYZ, Q)
     assert l_map_matrix(good, p1, p2).rank() == 3
-    found = find_surjective_linear(main_ideal, p1, p2, seed=4)
-    assert l_map_matrix(found, p1, p2).rank() == 3
+    found, L, trials = find_surjective_linear(main_ideal, p1, p2, seed=4)
+    assert L == l_map_matrix(found, p1, p2) and L.rank() == 3 and trials >= 1
 
 
 def test_find_surjective_embedded(embedded_ideal, order3):
@@ -78,8 +78,7 @@ def test_build_triplet_main_entry_exact(main_triplet):
     assert t.A[0] == A_X
     assert t.A[1] == A_Y
     assert t.A[2] == A_Z
-    assert t.hf_prefix == [1, 3, 3]
-    assert t.surjective_certified
+    assert t.piece_d.hf == t.size == 3
 
 
 def test_build_triplet_false_point_example(false_point_ideal, order3):
@@ -116,7 +115,9 @@ def test_matrices_recomputed_independently(main_ideal, order3, main_triplet):
     t = main_triplet
     for j in range(3):
         xj = Form.variable(Q, 3, j)
-        M = multiplication_matrix(xj, t.E, t.F, main_ideal, order3)
+        E = [Form.monomial(Q, 3, e) for e in t.E_monomials]
+        M = multiplication_matrix(xj, E, [t.l * e for e in E], main_ideal,
+                                  order3)
         assert M == t.A[j]
 
 
@@ -162,8 +163,8 @@ def test_fast_normal_form_basis_elements(main_triplet):
     t = main_triplet
     for k in (0, 2):
         lk = t.l.power(k)
-        for i, e in enumerate(t.E):
-            res = fast_normal_form(lk * e, t)
+        for i, e in enumerate(t.E_monomials):
+            res = fast_normal_form(lk * Form.monomial(Q, 3, e), t)
             want = [Q.one if j == i else Q.zero for j in range(t.size)]
             assert res.coords == want and res.k == k
 
@@ -220,9 +221,8 @@ def test_fast_normal_form_linear_schedule_agrees(main_triplet):
 
 def test_build_triplet_certified_policy(mixed_2var_triplet):
     t = mixed_2var_triplet
-    assert t.d == 5 and t.stable_certified
-    assert t.hf_prefix == [1, 2, 3, 4, 4, 3, 3]
-    assert t.size == 3
+    assert t.d == 5
+    assert t.piece_d.hf == t.size == 3
 
 
 def test_corrupt_inverse_raises_invariant_violation(main_ideal, order3,

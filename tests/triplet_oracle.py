@@ -7,13 +7,18 @@
 - The exhaustive search for a surjective l over a prime field, through all
   normalized linear forms: it settles that no l exists, at a cost that
   grows as p^n, where projzero's seeded draws only give up.
+- The certified_stable triplet as projzero built it before it took the
+  Hilbert scan's: at Gotzmann's d*, from fresh Macaulay pieces and
+  explicit bases, whatever degree the scan's certificate holds at.
 """
 
 from projzero.errors import NoSurjectionFound
 from projzero.linalg import Matrix, solve_in_rowspace
 from projzero.polyring import Form, MonomialOrder
-from projzero.quotient import IdealPresentation, ideal_piece, standard_coords
-from projzero.triplet import l_map_matrix
+from projzero.quotient import (HilbertScan, IdealPresentation, ideal_piece,
+                               standard_coords)
+from projzero.triplet import (Triplet, TripletOptions, find_surjective_linear,
+                              l_map_matrix)
 
 
 def normalized_linear_forms(field, nvars):
@@ -80,7 +85,8 @@ def rebuild_at_next_degree(triplet, I: IdealPresentation,
     For a triplet built at a degree where the Hilbert function has stabilized
     this returns entry-identical matrices.
     """
-    E_up = list(triplet.F)
+    E_up = [triplet.l * Form.monomial(I.field, I.nvars, e)
+            for e in triplet.E_monomials]
     F_up = [triplet.l * g for g in E_up]
     piece = ideal_piece(I, triplet.d + 2, order)
     out = []
@@ -89,3 +95,30 @@ def rebuild_at_next_degree(triplet, I: IdealPresentation,
         out.append(multiplication_matrix(xj, E_up, F_up, I, order,
                                          piece_target=piece))
     return out
+
+
+def triplet_at_gotzmann_degree(I: IdealPresentation, order: MonomialOrder,
+                               options: TripletOptions,
+                               scan: HilbertScan) -> Triplet:
+    """The triplet at d* = scan.stabilization_degree, with options' l or
+    the first of its seeded draws that is bijective there.
+
+    hf(d*) = hf(d* + 1) = m, so a bijective l makes all the standard
+    monomials of R_{d*} a basis E, with F = l E a basis of R_{d* + 1}.
+    Raises NoSurjectionFound when no draw is bijective at d*.
+    """
+    d = scan.stabilization_degree
+    piece_d, piece_d1 = ideal_piece(I, d, order), ideal_piece(I, d + 1, order)
+    l, trials = options.linear_form, 1
+    if l is None:
+        l, _, trials = find_surjective_linear(I, piece_d, piece_d1,
+                                              options.seed, options.max_trials)
+    elif l_map_matrix(l, piece_d, piece_d1).rank() < piece_d1.hf:
+        raise NoSurjectionFound(trials, degree=d)
+    E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
+    F = [l * e for e in E]
+    A = [multiplication_matrix(Form.variable(I.field, I.nvars, j), E, F, I,
+                               order, piece_target=piece_d1)
+         for j in range(I.nvars)]
+    return Triplet(d=d, E_monomials=list(piece_d.standard_monomials), l=l,
+                   trials=trials, A=A, piece_d=piece_d, order=order)
