@@ -21,8 +21,14 @@ code that reads each multiplicity off the eigenvector search's own
 combination, not from the code before it, which printed multiplicities
 2, 2, 1 there (and exited 1 under --linear-form) for three reduced points;
 their values were checked by hand: the points (0:1:1), (1:0:1) and (1:1:0),
-each of multiplicity 1, residual degree 0 and no warning. To re-record
-after an intended change of output:
+each of multiplicity 1, residual degree 0 and no warning. Four
+`certified_stable` entries of golden/solve.json, `ci_3_4_p32003`,
+`three_quadrics`, `three_quadrics_gf3` and `three_quadrics_p31`, were
+re-recorded when that policy began to build at the Hilbert scan's
+certificate degree and to return the scan's commuting triplet there: only
+`triplet.degree` (12 -> 5, 3 -> 2) and `triplet.basis` moved, while l, the
+matrices, the points, their multiplicities and the warnings stayed as they
+were. To re-record after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
