@@ -361,8 +361,8 @@ def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
     """The triplet solve builds, taken from its scan where the search would
     find the same l, equals build_triplet without a scan for every seed,
     trial budget, explicit l and degree policy. Where both fail, solve
-    stops at the commutation certificate degree d_c and names it, and the
-    build without a scan climbs to its cap."""
+    stops at the commutation certificate degree d_c and names it; the
+    build without a scan runs its own scan once its search fails."""
     built, scans = [], []
     real = solver.build_triplet
 

@@ -71,7 +71,8 @@ def test_candidate_points_embedded(embedded_ideal, order3):
 def test_filter_points_false_point(false_point_ideal, order3):
     l = parse_form("x + z", XYZ, Q)
     t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
-    kept, rejected = filter_points(eigenpoints_from_matrices(t.A), false_point_ideal)
+    kept, rejected = filter_points(eigenpoints_from_matrices(t.A),
+                                   false_point_ideal)
     assert as_tuples(kept) == [(1, 0, 0)]
     assert as_tuples(rejected) == [(0, 0, 1)]
     z2 = parse_form("z^2", XYZ, Q)
@@ -79,7 +80,8 @@ def test_filter_points_false_point(false_point_ideal, order3):
 
 
 def test_filter_points_main_keeps_all(main_triplet, main_ideal):
-    kept, rejected = filter_points(eigenpoints_from_matrices(main_triplet.A), main_ideal)
+    kept, rejected = filter_points(eigenpoints_from_matrices(main_triplet.A),
+                                   main_ideal)
     assert len(kept) == 3 and rejected == []
 
 
