@@ -15,8 +15,9 @@ names, then one point per line with ':' or whitespace separators:
     coords 3
     1 : 2 : 2
 
-Exit codes: 0 success, 1 input error (or a failed internal invariant check),
-2 degree cap exceeded, 3 no surjective linear form found, 4 field too small.
+Exit codes: 0 success, 1 input or usage error (or a failed internal
+invariant check), 2 degree cap exceeded, 3 no surjective linear form found,
+4 field too small.
 With --json, exit 2 still prints a JSON document, carrying the error, the
 partial Hilbert function and the cap.
 """
@@ -370,11 +371,15 @@ def cmd_bound(args):
     return 0
 
 
-def _add_common(p):
+def _add_order_flags(p):
     p.add_argument("--order", choices=["degrevlex", "lex"], default=None)
     p.add_argument("--vars-ranking", default=None,
                    help="comma-separated variable names, most significant first")
     p.add_argument("--json", action="store_true")
+
+
+def _add_common(p):
+    _add_order_flags(p)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -420,7 +425,7 @@ def build_parser():
 
     p = sub.add_parser("vanish", help="triplet of the vanishing ideal of points")
     p.add_argument("file")
-    _add_common(p)
+    _add_order_flags(p)
     p.add_argument("--linear-form", default=None)
     p.set_defaults(func=cmd_vanish)
 
@@ -441,7 +446,11 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a capped scan
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InputError as exc:

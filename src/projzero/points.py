@@ -293,7 +293,6 @@ def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
 class CMatrix:
     c: list             # c[i][j]: first coordinate where points i and j differ
     comparisons: int    # scalar equality tests spent building the table
-    partitions: list    # partition after each processed coordinate
 
 
 def refine_partitions(vectors, field):
@@ -338,8 +337,8 @@ def refine_partitions(vectors, field):
 
 
 def c_matrix(P: ProjPointSet) -> CMatrix:
-    c, comparisons, partitions = refine_partitions(P.reps, P.field)
-    return CMatrix(c=c, comparisons=comparisons, partitions=partitions)
+    c, comparisons, _ = refine_partitions(P.reps, P.field)
+    return CMatrix(c=c, comparisons=comparisons)
 
 
 def separators(P: ProjPointSet, scaled=False):

@@ -30,10 +30,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_one(nvars):
     return (0,) * nvars
 

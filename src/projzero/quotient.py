@@ -67,9 +67,6 @@ class DegreePiece:
     standard_monomials: list  # descending; k-basis of R_d
     hf: int
 
-    def mono_index(self):
-        return {m: i for i, m in enumerate(self.monomials)}
-
 
 def macaulay_rows(I: IdealPresentation, d: int, monomials, order: MonomialOrder):
     """Coefficient rows of all degree-d monomial multiples of the generators."""
@@ -332,25 +329,26 @@ def _interpolate(field, start, step, order: MonomialOrder, ascending,
     `start` maps a monomial basis of R_{d0} to psi-vectors, and step(v, j)
     is the psi-vector of x_j s when v is that of s. In each degree e > d0
     the candidates x_j s (s in B_{e-1}) that no initial found so far or in
-    `known` divides are tested in `order`, ascending or descending, against
-    one incremental echelon of the accepted candidates of degree e. An
-    independent psi-vector puts t into B_e. A dependent one makes t a new
-    minimal initial, with reduction t + sum_k r_k B_e[k] in the kernel of
-    psi; each echelon row carries the combination of B_e it is psi of,
-    which gives r. When the kernel is an ideal J these are the minimal
-    generators of in(J) and the reduced Groebner basis of J for the order
-    by degree, then `order` (reversed when descending): the monomials
-    outside the initials form an order ideal, so each is a candidate.
+    `known` divides are tested in `order`, ascending or descending: one
+    `rref` of the m x c matrix whose columns are their psi-vectors, in
+    tested order. Its pivot columns are the first maximal independent set
+    in that order, so they form B_e. Every other column c is a new minimal
+    initial t, and with R the RREF, r_k = -R[k][c] gives its reduction
+    t + sum_k r_k B_e[k] in the kernel of psi: the pivot columns are unit
+    vectors and row k is zero left of its pivot, so r is the unique
+    combination of the B_e tested before t. When the kernel is an ideal J
+    these are the minimal generators of in(J) and the reduced Groebner
+    basis of J for the order by degree, then `order` (reversed when
+    descending): the monomials outside the initials form an order ideal,
+    so each is a candidate.
 
-    Yields (B_e, psi-vectors of B_e, initials, reductions r) for
-    e = d0 + 1, d0 + 2, ...; the caller decides where to stop.
+    Yields (B_e, psi-vectors of B_e, initials, reductions r), each r with
+    |B_e| entries, for e = d0 + 1, d0 + 2, ...; the caller decides where
+    to stop.
     """
-    p = field.size
-    zero, one = field.zero, field.one
     known = list(known)
     basis = dict(start)
     nv = len(next(iter(basis)))
-    m = len(next(iter(basis.values())))
     while True:
         cands = {}
         for s, v in basis.items():
@@ -360,26 +358,12 @@ def _interpolate(field, start, step, order: MonomialOrder, ascending,
                   if not any(mono_divides(g, t) for g in known)]
         if ascending:
             tested.reverse()
-        echelon, basis, initials, reductions = [], {}, [], []
-        for t in tested:
-            v, j = cands[t]
-            w = step(v, j)
-            r = w + [zero] * m
-            for pc, row in echelon:
-                c = r[pc] if p is None else r[pc] % p
-                if c:
-                    r = [a - c * b for a, b in zip(r, row)]
-            if p is not None:
-                r = [a % p for a in r]
-            pc = next((k for k in range(m) if r[k]), None)
-            if pc is None:
-                initials.append(t)
-                reductions.append(r[m:])
-                continue
-            r[m + len(basis)] = one
-            inv = field.inv(r[pc])
-            row = [a * inv for a in r]
-            echelon.append((pc, row if p is None else [a % p for a in row]))
-            basis[t] = w
+        vecs = [step(*cands[t]) for t in tested]
+        R, rank, pivot_cols = rref(Matrix(field, zip(*vecs), ncols=len(vecs)))
+        basis = {tested[c]: vecs[c] for c in pivot_cols}
+        free = sorted(set(range(len(tested))) - set(pivot_cols))
+        initials = [tested[c] for c in free]
+        reductions = [[field.neg(R.rows[k][c]) for k in range(rank)]
+                      for c in free]
         known += initials
         yield list(basis), list(basis.values()), initials, reductions

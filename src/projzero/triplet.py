@@ -265,7 +265,6 @@ class FastNormalForm:
 
     coords: list       # coordinates in the basis {l^k e_i}
     k: int             # power of l
-    basis_label: str
     l: Form
     E_monomials: list  # the basis monomials e_i of the triplet
 
@@ -337,6 +336,5 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
             row = vec_matmul(row, powers_cache[key])
         total = [field.add(t, field.mul(coeff, r)) for t, r in zip(total, row)]
 
-    label = f"l^{k} * e_i" if k else "e_i"
-    return FastNormalForm(coords=total, k=k, basis_label=label,
-                          l=triplet.l, E_monomials=triplet.E_monomials)
+    return FastNormalForm(coords=total, k=k, l=triplet.l,
+                          E_monomials=triplet.E_monomials)

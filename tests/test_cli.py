@@ -405,6 +405,33 @@ def test_input_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "hilbert", str(tmp_path / "missing.ideal"))[0] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "three_quadrics.ideal", "--linear-form", "-x"],
+     "argument --linear-form: expected one argument"),
+    (["nf", "three_quadrics.ideal", "-x^3"],
+     "the following arguments are required: poly"),
+    (["vanish", "six_points.pts", "--max-degree", "1"],
+     "unrecognized arguments: --max-degree 1"),
+    (["vanish", "six_points.pts", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+], ids=["solve_minus_linear_form", "nf_minus_poly", "vanish_max_degree",
+        "vanish_seed"])
+def test_usage_errors_exit_1(capsys, data_dir, argv, message):
+    """A usage error is not a capped scan: argparse's exit 2 becomes 1."""
+    command, name, *flags = argv
+    code, out, err = run(capsys, command, str(data_dir / name), *flags)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["vanish", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: projzero") and err == ""
+
+
 def test_field_too_small_exit_4(capsys, tmp_path):
     f = tmp_path / "gf2.pts"
     f.write_text("field GF(2)\ncoords 2\n1 : 0\n1 : 1\n0 : 1\n")

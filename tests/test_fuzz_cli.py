@@ -67,14 +67,18 @@ def run(argv):
     return code
 
 
-def common_flags(draw):
-    flags = ["--max-degree", str(draw(st.integers(3, 7))),
-             "--seed", str(draw(st.integers(0, 3)))]
+def order_flags(draw):
+    flags = []
     if draw(st.booleans()):
         flags.append("--json")
     if draw(st.booleans()):
         flags += ["--order", "lex"]
     return flags
+
+
+def common_flags(draw):
+    return ["--max-degree", str(draw(st.integers(3, 7))),
+            "--seed", str(draw(st.integers(0, 3))), *order_flags(draw)]
 
 
 @settings(max_examples=200)
@@ -115,7 +119,7 @@ def test_points_commands_exit_cleanly(tmp_path_factory, data, points):
     command = draw(st.sampled_from(["vanish", "separators"]))
     argv = [command, str(path)]
     if command == "vanish":
-        argv += common_flags(draw)
+        argv += order_flags(draw)
         if draw(st.booleans()):
             argv.append(f"--linear-form={draw(forms(nvars, 1))}")
     elif draw(st.booleans()):

@@ -1,8 +1,10 @@
-"""The interpolation engine on the points side against the per-candidate
-run and the degree-loop vanishing ideal it replaced (tests/points_oracle.py),
+"""The interpolation engine against the per-candidate loop it replaced
+(tests/interp_oracle.py), on the points side against the per-candidate run
+and the degree-loop vanishing ideal it replaced (tests/points_oracle.py),
 the round trip points -> vanishing ideal -> solve, and the eliminations the
 engine no longer needs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,14 @@ from hypothesis import assume, given, settings, strategies as st
 import projzero.linalg
 import projzero.points
 import projzero.quotient
-from projzero import (MonomialOrder, bm_triplet, ideal_piece, normalize,
-                      solve, vanishing_ideal)
+from projzero import (Form, MonomialOrder, bm_triplet, build_triplet,
+                      hilbert_scan, ideal_piece, initial_ideal_min_generators,
+                      normalize, solve, vanishing_ideal)
 from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
-from projzero.polyring import mono_divides
-from tests import points_oracle as oracle
+from projzero.triplet import TripletOptions
+from projzero.polyring import mono_divides, mono_one
+from tests import interp_oracle, points_oracle as oracle
 
 Q = RationalField()
 GF32003 = PrimeField(32003)
@@ -65,6 +69,78 @@ def _outcome(run, *args):
         return run(*args)
     except FieldTooSmall as exc:
         return type(exc)
+
+
+ENGINE_FIELDS = [PrimeField(2), PrimeField(3), GF32003, Q]
+
+
+def _assert_runs_agree(field, start, step, order, ascending, known=()):
+    """The first three degrees of `_interpolate` equal those of the loop it
+    replaced, whose reductions carry zeros past |B_e|."""
+    new = projzero.quotient._interpolate(field, start, step, order,
+                                         ascending, known)
+    old = interp_oracle.interpolate(field, start, step, order, ascending,
+                                    known)
+    for _ in range(3):
+        B, vecs, initials, reductions = next(new)
+        oB, ovecs, oinitials, oreductions = next(old)
+        assert (B, vecs, initials) == (oB, ovecs, oinitials)
+        assert len(reductions) == len(oreductions)
+        for r, o in zip(reductions, oreductions):
+            assert r == o[:len(B)]
+            assert not any(o[len(B):])
+
+
+@given(st.data())
+def test_engine_matches_loop_on_evaluation(data):
+    """psi is evaluation at points drawn from few coordinate values, zero
+    among them, so coordinates and whole points repeat and a point may be
+    zero."""
+    draw = data.draw
+    field = draw(st.sampled_from(ENGINE_FIELDS))
+    values = [field.from_int(c) for c in (0, 1, -1, 2)]
+    width = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.lists(st.sampled_from(values), min_size=width,
+                                 max_size=width), min_size=1, max_size=6))
+    cols = list(zip(*pts))
+
+    def step(v, j):
+        return [field.mul(a, b) for a, b in zip(v, cols[j])]
+
+    _assert_runs_agree(field, {mono_one(width): [field.one] * len(pts)},
+                       step, draw(orders(width)), draw(st.booleans()))
+
+
+@given(st.data())
+def test_engine_matches_loop_on_triplet(data):
+    """psi(x_j s) = psi(s) A_j on a commuting triplet, from its basis with
+    the initials up to its degree known, as `bound` runs it: the scan's
+    own triplet where commutation closed the scan, else the triplet of
+    l = x0 on points where x0 does not vanish."""
+    draw = data.draw
+    field = draw(st.sampled_from(ENGINE_FIELDS))
+    width = draw(st.integers(2, 3))
+    affine = draw(st.lists(st.tuples(*[coordinates(field)] * (width - 1)),
+                           min_size=1, max_size=5, unique=True))
+    P = normalize([[field.one, *pt] for pt in affine], field)
+    order = draw(orders(width))
+    I = vanishing_ideal(P, order)
+    scan = hilbert_scan(I, order)
+    if scan.triplet is None:
+        x0 = Form.monomial(field, width, (1,) + (0,) * (width - 1))
+        scan = dataclasses.replace(scan, triplet=build_triplet(
+            I, order, TripletOptions(linear_form=x0), scan))
+    runs, engine = [], projzero.quotient._interpolate
+
+    def spy(*args):
+        runs.append(args)
+        return engine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projzero.quotient, "_interpolate", spy)
+        initial_ideal_min_generators(I, order, scan.triplet.d + 1, scan)
+    (field, start, step, order, _, known), = runs
+    _assert_runs_agree(field, start, step, order, draw(st.booleans()), known)
 
 
 @given(differential_cases())

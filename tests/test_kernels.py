@@ -169,7 +169,7 @@ def test_normal_form_matches_oracle(name, degree, data):
                                      I.field)
     assert normal_form_by_degree(f, piece).coeff_vector(piece.monomials) \
         == want
-    index = piece.mono_index()
+    index = {m: i for i, m in enumerate(piece.monomials)}
     assert standard_coords(f, piece) \
         == [want[index[s]] for s in piece.standard_monomials]
 
