@@ -18,8 +18,8 @@ from projzero import (Form, MonomialOrder, bm_triplet, build_triplet,
                       normalize, solve, vanishing_ideal)
 from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
-from projzero.triplet import TripletOptions
 from projzero.polyring import mono_divides, mono_one
+from projzero.triplet import TripletOptions
 from tests import interp_oracle, points_oracle as oracle
 
 Q = RationalField()
