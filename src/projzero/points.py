@@ -166,21 +166,6 @@ def _embed_form(form: Form, kept, width):
                 {_embed_mono(m, kept, width): c for m, c in form.terms.items()})
 
 
-def _restrict_form(form: Form, kept, width):
-    pos = {i: k for k, i in enumerate(kept)}
-    terms = {}
-    for m, c in form.terms.items():
-        nm = [0] * len(kept)
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if i not in pos:
-                raise InputError("form uses a projected-away variable")
-            nm[pos[i]] = e
-        terms[tuple(nm)] = c
-    return Form(form.field, len(kept), form.degree, terms)
-
-
 def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
     """`_interpolate` over evaluation at the points, from B_0 = {1}, with
     candidates in descending order."""
@@ -231,12 +216,13 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
         induced = tuple(pos[i] for i in order.ranking if i in pos)
         order = MonomialOrder(kind=order.kind, ranking=induced)
 
+    # the A_j depend on l only through its values at the points, so a
+    # given l may use the coordinates the projection drops
     if l is None:
-        l_core = nzd_sweep(core)
-    else:
-        l_core = _restrict_form(l, kept, width)
-        if any(f.is_zero(x) for x in core.eval_form(l_core)):
-            raise InputError("provided linear form vanishes at a point")
+        l = _embed_form(nzd_sweep(core), kept, width)
+    l_values = P.eval_form(l)
+    if any(f.is_zero(x) for x in l_values):
+        raise InputError("provided linear form vanishes at a point")
 
     B = [[mono_one(nv)]]
     rows = [[f.one] * m]
@@ -254,7 +240,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
         return Matrix(f, [[f.mul(x, e) for x, e in zip(vals, row)]
                           for row in rows], ncols=m)
 
-    G_inv = scaled_rows(core.eval_form(l_core)).inverse()
+    G_inv = scaled_rows(l_values).inverse()
     A_core = [scaled_rows([rep[j] for rep in core.reps]) @ G_inv
               for j in range(nv)]
     A_full = [None] * width
@@ -265,7 +251,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
 
     return PointTriplet(B=[[_embed_mono(t, kept, width) for t in bd] for bd in B],
                         initials=[_embed_mono(t, kept, width) for t in initials],
-                        l=_embed_form(l_core, kept, width),
+                        l=l,
                         A=A_full, hf=hf, d=len(B) - 1, field=f, kept=kept,
                         substitutions=subs)
 

@@ -12,13 +12,16 @@ hold below degree m and is the fallback for fields too small to have a
 bijective linear form. Pieces are therefore built only up to the degree
 where hf becomes constant, plus one, whenever the first applies; the
 initial ideal above that degree comes from rank tests on the matrices.
+Normal forms are read off each piece's reduced echelon, monomial by
+monomial, with no reduction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .errors import CapExceeded, InputError, InvariantViolation
-from .linalg import Matrix, rref, vec_matmul
+from .linalg import Matrix, _as_columns, _row_times_cols, rref, vec_matmul
 from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
 
@@ -61,11 +64,26 @@ class DegreePiece:
     d: int
     monomials: list        # all degree-d monomials, descending in the order
     echelon: Matrix        # rref of the Macaulay matrix, rows span I_d
-    rank: int
     pivot_cols: list
     lead_monomials: set
     standard_monomials: list  # descending; k-basis of R_d
     hf: int
+
+    @cached_property
+    def normal_forms(self):
+        """nf(t) on the standard monomials for every degree-d monomial t,
+        built on first read, as the Hilbert scan never reads most pieces'. A
+        standard t maps to a unit vector. A lead t maps to minus its row of
+        the reduced echelon, which is t plus standard monomials, on the
+        standard columns (Lazard, EUROCAL 1983)."""
+        field = self.echelon.field
+        pivots = set(self.pivot_cols)
+        std_cols = [c for c in range(len(self.monomials)) if c not in pivots]
+        table = dict(zip(self.standard_monomials,
+                         Matrix.identity(field, self.hf).rows))
+        for c, row in zip(self.pivot_cols, self.echelon.rows):
+            table[self.monomials[c]] = [field.neg(row[i]) for i in std_cols]
+        return table
 
 
 def macaulay_rows(I: IdealPresentation, d: int, monomials, order: MonomialOrder):
@@ -94,7 +112,7 @@ def ideal_piece(I: IdealPresentation, d: int, order: MonomialOrder) -> DegreePie
     pivot_set = set(pivot_cols)
     leads = {monomials[c] for c in pivot_cols}
     standards = [m for i, m in enumerate(monomials) if i not in pivot_set]
-    return DegreePiece(d=d, monomials=monomials, echelon=echelon, rank=rank,
+    return DegreePiece(d=d, monomials=monomials, echelon=echelon,
                        pivot_cols=list(pivot_cols), lead_monomials=leads,
                        standard_monomials=standards,
                        hf=len(monomials) - rank)
@@ -114,32 +132,19 @@ class GradedIdeal:
         return self._pieces[d]
 
 
-def _reduce(f: Form, piece: DegreePiece):
-    """Coefficients of nf(f) on piece.monomials; zero on the pivot columns."""
+def standard_coords(f: Form, piece: DegreePiece):
+    """Coordinates of nf(f) on the standard-monomial basis of R_d: f's
+    coefficients times the normal forms of its monomials."""
     if f.degree != piece.d:
         raise ValueError(f"form has degree {f.degree}, piece is degree {piece.d}")
-    p = f.field.size
-    v = f.coeff_vector(piece.monomials)
-    # The echelon is reduced: row r is zero on every other pivot column, so
-    # v[pc] is the same before and after the other rows are subtracted.
-    # Over GF(p) v is reduced once at the end.
-    for pc, row in zip(piece.pivot_cols, piece.echelon.rows):
-        c = v[pc] if p is None else v[pc] % p
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v if p is None else [a % p for a in v]
+    return vec_matmul(list(f.terms.values()), Matrix(
+        f.field, [piece.normal_forms[m] for m in f.terms], ncols=piece.hf))
 
 
 def normal_form_by_degree(f: Form, piece: DegreePiece) -> Form:
     """The representative of [f] supported on the standard monomials."""
-    return form_from_coeffs(f.field, f.nvars, piece.d, piece.monomials,
-                            _reduce(f, piece))
-
-
-def standard_coords(f: Form, piece: DegreePiece):
-    """Coordinates of nf(f) on the standard-monomial basis of R_d."""
-    pivots = set(piece.pivot_cols)
-    return [c for k, c in enumerate(_reduce(f, piece)) if k not in pivots]
+    return form_from_coeffs(f.field, f.nvars, piece.d,
+                            piece.standard_monomials, standard_coords(f, piece))
 
 
 def binomial_expansion(h: int, i: int):
@@ -315,7 +320,10 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     m = trip.size
     start = {s: [field.one if k == i else field.zero for k in range(m)]
              for i, s in enumerate(trip.E_monomials)}
-    runs = _interpolate(field, start, lambda v, j: vec_matmul(v, trip.A[j]),
+    # the columns of each A_j, prepared once for all the steps of the search
+    cols = [_as_columns(zip(*A.rows), field) for A in trip.A]
+    runs = _interpolate(field, start,
+                        lambda v, j: _row_times_cols(v, cols[j], trip.A[j]),
                         order, True, [g for g, _ in mins])
     for e, (_, _, initials, _) in zip(range(top + 1, up_to + 1), runs):
         mins += [(t, e) for t in order.sort_desc(initials)]

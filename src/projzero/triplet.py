@@ -32,7 +32,7 @@ from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
 from .linalg import Matrix, linear_combination, rref, vec_matmul
 from .polyring import Form, MonomialOrder
 from .quotient import (DegreePiece, GradedIdeal, HilbertScan,
-                       IdealPresentation, hilbert_scan, standard_coords)
+                       IdealPresentation, hilbert_scan)
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class TripletOptions:
         if self.linear_form is None and self.max_trials < 1:
             raise InputError(f"max_trials must be at least 1 for the random "
                              f"search of l, got {self.max_trials}")
+        if self.linear_form is not None and self.linear_form.is_zero():
+            raise InputError("the linear form l is zero")
 
 
 @dataclass
@@ -65,18 +67,25 @@ class Triplet:
         return len(self.E_monomials)
 
 
+def _times_variable(j, monos, piece_d1: DegreePiece) -> Matrix:
+    """X_j on degree-d `monos`: row s is nf(x_j s), read off piece_d1."""
+    return Matrix(piece_d1.echelon.field,
+                  [piece_d1.normal_forms[s[:j] + (s[j] + 1,) + s[j + 1:]]
+                   for s in monos], ncols=piece_d1.hf)
+
+
 def l_map_matrix(l: Form, piece_d: DegreePiece, piece_d1: DegreePiece) -> Matrix:
-    """Matrix of multiplication by l from R_d to R_{d+1}.
+    """Matrix of multiplication by a nonzero l from R_d to R_{d+1}.
 
     Rows are indexed by the standard monomials of R_d, columns by those of
-    R_{d+1}; entries are normal-form coordinates.
+    R_{d+1}; entries are normal-form coordinates. It is sum_j c_j X_j for
+    l = sum_j c_j x_j, X_j on the standard monomials of R_d.
     """
-    field = l.field
-    rows = []
-    for s in piece_d.standard_monomials:
-        prod = l * Form.monomial(field, l.nvars, s)
-        rows.append(standard_coords(prod, piece_d1))
-    return Matrix(field, rows, ncols=len(piece_d1.standard_monomials))
+    terms = l.terms.items()
+    return linear_combination(
+        [c for _, c in terms],
+        [_times_variable(mono.index(1), piece_d.standard_monomials, piece_d1)
+         for mono, _ in terms])
 
 
 def _surjective(l, piece_d, piece_d1):
@@ -114,20 +123,17 @@ def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
 
 
 def _assemble(I, order, d, l, trials, piece_d, piece_d1, L):
+    """The triplet at d from the l-map L: E is the earliest set of standard
+    monomials whose rows L_E are a basis of R_{d+1}; A_j = X_j[E] L_E^{-1}."""
     field = I.field
     target = len(piece_d1.standard_monomials)
     # pivot columns of L^T pick the earliest independent row subset of L
     _, _, basis_rows = rref(L.transpose())
     E_mon = [piece_d.standard_monomials[i] for i in basis_rows]
-    E = [Form.monomial(field, I.nvars, m) for m in E_mon]
-    L_E = Matrix(field, [L.rows[i] for i in basis_rows], ncols=target)
-    L_E_inv = L_E.inverse()
-    A = []
-    for j in range(I.nvars):
-        xj = Form.variable(field, I.nvars, j)
-        M_j = Matrix(field, [standard_coords(xj * e, piece_d1) for e in E],
-                     ncols=target)
-        A.append(M_j @ L_E_inv)
+    L_E_inv = Matrix(field, [L.rows[i] for i in basis_rows],
+                     ncols=target).inverse()
+    A = [_times_variable(j, E_mon, piece_d1) @ L_E_inv
+         for j in range(I.nvars)]
     trip = Triplet(d=d, E_monomials=E_mon, l=l, trials=trials, A=A,
                    piece_d=piece_d, order=order)
     if l_combination(trip) != Matrix.identity(field, target):
@@ -298,8 +304,8 @@ def _split_monomial(mono, d, order: MonomialOrder):
 def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
     """Normal form of a high-degree form as coordinates in {l^k e_i}.
 
-    Each monomial is split as a*b with deg b = triplet.d; nf(b) is computed
-    by Macaulay reduction at degree d and the coordinate row is then pushed
+    Each monomial is split as a*b with deg b = triplet.d; nf(b) is read
+    off the reduced echelon at degree d and the coordinate row is then pushed
     up by the matrices, one variable at a time, with binary matrix powers
     A_j^e shared by all monomials. Nothing is expanded: the result's `form`
     builds sum_i c_i l^k e_i on first use.
@@ -317,9 +323,8 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
     powers_cache = {}
     for mono, coeff in f.terms.items():
         a, b = _split_monomial(mono, triplet.d, order)
-        nf_b = standard_coords(Form.monomial(field, f.nvars, b), triplet.piece_d)
         row = [field.zero] * m
-        for s, c in zip(std, nf_b):
+        for s, c in zip(std, triplet.piece_d.normal_forms[b]):
             if field.is_zero(c):
                 continue
             if s not in pos_of_basis:

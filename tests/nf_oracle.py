@@ -7,8 +7,8 @@ tests in test_nf.py and test_triplet.py.
 
 from projzero.linalg import vec_matmul
 from projzero.polyring import Form, mono_one
-from projzero.quotient import standard_coords
 from projzero.triplet import _split_monomial
+from tests.rref_oracle import standard_coords
 
 
 def power_by_multiplication(form, e):

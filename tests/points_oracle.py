@@ -6,16 +6,33 @@ accepted so far in its degree and solves for every matrix row separately;
 `vanishing_ideal` compares the kernel of each degree's evaluation matrix
 against the Macaulay piece of the generators found so far, in every degree
 up to |P|. `eval_monomial` is the per-point monomial evaluation both used,
-and `project_variables` the per-coordinate projection `bm_triplet` used.
+`project_variables` the per-coordinate projection and `_restrict_form` the
+restriction of l to the kept coordinates that `bm_triplet` used.
 """
 
-from projzero.errors import InvariantViolation
+from projzero.errors import InputError, InvariantViolation
 from projzero.linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
 from projzero.points import (PointTriplet, ProjPointSet, _embed_form,
-                             _embed_mono, _restrict_form, nzd_sweep)
+                             _embed_mono, nzd_sweep)
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
+
+
+def _restrict_form(form: Form, kept, width):
+    """form on the kept coordinates; it may not use a dropped one."""
+    pos = {i: k for k, i in enumerate(kept)}
+    terms = {}
+    for m, c in form.terms.items():
+        nm = [0] * len(kept)
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            if i not in pos:
+                raise InputError("form uses a projected-away variable")
+            nm[pos[i]] = e
+        terms[tuple(nm)] = c
+    return Form(form.field, len(kept), form.degree, terms)
 
 
 def eval_monomial(P: ProjPointSet, mono):

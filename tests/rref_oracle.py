@@ -3,7 +3,9 @@ poly, matrix products and form evaluation did field arithmetic inline, and
 before its Q products and Q elimination worked on integer numerators; kept
 as the oracle of the differential tests in test_kernels.py. Every scalar
 operation is a call of a field method (over Q one Fraction operation), over
-the full row width.
+the full row width. `standard_coords` reduces by `normal_form_coeffs`, the
+loop projzero ran before it read normal forms off the reduced echelon, for
+the oracles in nf_oracle.py and triplet_oracle.py and for the l-map tests.
 """
 
 from projzero.linalg import Matrix
@@ -142,6 +144,13 @@ def normal_form_coeffs(v, piece, field):
         row = piece.echelon.rows[r]
         v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
     return v
+
+
+def standard_coords(f, piece):
+    """Coordinates of nf(f) on the standard monomials, by normal_form_coeffs."""
+    v = normal_form_coeffs(f.coeff_vector(piece.monomials), piece, f.field)
+    pivots = set(piece.pivot_cols)
+    return [c for k, c in enumerate(v) if k not in pivots]
 
 
 def linear_combination(coeffs, mats):
