@@ -72,10 +72,10 @@ class DegreePiece:
     @cached_property
     def normal_forms(self):
         """nf(t) on the standard monomials for every degree-d monomial t,
-        built on first read, as the Hilbert scan never reads most pieces'. A
-        standard t maps to a unit vector. A lead t maps to minus its row of
-        the reduced echelon, which is t plus standard monomials, on the
-        standard columns (Lazard, EUROCAL 1983)."""
+        built on first read: the Hilbert scan builds pieces whose normal
+        forms it never reads. A standard t maps to a unit vector; a lead t
+        to minus its row of the reduced echelon, which is t plus standard
+        monomials, on the standard columns (Lazard, EUROCAL 1983)."""
         field = self.echelon.field
         pivots = set(self.pivot_cols)
         std_cols = [c for c in range(len(self.monomials)) if c not in pivots]
