@@ -16,9 +16,9 @@ from .linalg import (Matrix, char_poly, eigenspace, kernel, roots_in_field,
                      rref, solve_in_rowspace)
 from .polyring import (Form, MonomialOrder, format_form, format_monomial,
                        monomials_of_degree, parse_form)
-from .quotient import (DegreePiece, GradedIdeal, HilbertScan,
-                       IdealPresentation, binomial_expansion, gb_degree_bound,
-                       hilbert_scan, ideal_piece, initial_ideal_min_generators,
+from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
+                       binomial_expansion, gb_degree_bound, hilbert_scan,
+                       ideal_piece, initial_ideal_min_generators,
                        macaulay_growth, normal_form_by_degree)
 from .points import (CMatrix, PointTriplet, ProjPointSet, bm_triplet,
                      c_matrix, eval_normal_form, normalize, nzd_sweep,

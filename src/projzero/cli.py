@@ -34,8 +34,7 @@ from .points import bm_triplet, c_matrix, normalize, separators
 from .polyring import (MonomialOrder, format_form, format_monomial,
                        parse_form)
 from .quotient import (IdealPresentation, gb_degree_bound, hilbert_scan,
-                       ideal_piece, initial_ideal_min_generators,
-                       normal_form_by_degree)
+                       initial_ideal_min_generators, normal_form_by_degree)
 from .solver import solve
 from .triplet import TripletOptions, build_triplet, fast_normal_form
 
@@ -167,9 +166,22 @@ def _apply_order_flags(order, args, var_names):
     return _make_order(kind, names, var_names)
 
 
-def cmd_hilbert(args):
+def _ideal_and_order(args):
     I, order = parse_ideal_file(_read(args.file))
-    order = _apply_order_flags(order, args, I.vars)
+    return I, _apply_order_flags(order, args, I.vars)
+
+
+def _linear_form(args, var_names, field):
+    if not args.linear_form:
+        return None
+    l = parse_form(args.linear_form, var_names, field)
+    if l.degree != 1:
+        raise InputError("--linear-form must have degree 1")
+    return l
+
+
+def cmd_hilbert(args):
+    I, order = _ideal_and_order(args)
     scan = hilbert_scan(I, order, args.max_degree, args.seed)
     doc = {
         "schema": SCHEMA, "command": "hilbert",
@@ -190,19 +202,14 @@ def cmd_hilbert(args):
 
 
 def _solve_options(args, I):
-    l = None
-    if args.linear_form:
-        l = parse_form(args.linear_form, I.vars, I.field)
-        if l.degree != 1:
-            raise InputError("--linear-form must have degree 1")
     return TripletOptions(seed=args.seed, max_degree=args.max_degree,
                           degree_policy=args.degree_policy,
-                          linear_form=l, max_trials=args.max_trials)
+                          linear_form=_linear_form(args, I.vars, I.field),
+                          max_trials=args.max_trials)
 
 
 def cmd_solve(args):
-    I, order = parse_ideal_file(_read(args.file))
-    order = _apply_order_flags(order, args, I.vars)
+    I, order = _ideal_and_order(args)
     report = solve(I, order, _solve_options(args, I))
     field = I.field
     doc = {
@@ -243,13 +250,11 @@ def cmd_solve(args):
 
 
 def cmd_nf(args):
-    I, order = parse_ideal_file(_read(args.file))
-    order = _apply_order_flags(order, args, I.vars)
+    I, order = _ideal_and_order(args)
     f = parse_form(args.poly, I.vars, I.field)
     field = I.field
     if args.oracle:
-        piece = ideal_piece(I, f.degree, order)
-        reduced = normal_form_by_degree(f, piece)
+        reduced = normal_form_by_degree(f, I.piece(f.degree, order))
         doc = {"schema": SCHEMA, "command": "nf", "mode": "oracle",
                "degree": f.degree,
                "reduced": format_form(reduced, I.vars, order)}
@@ -279,7 +284,7 @@ def cmd_nf(args):
              f"in basis {{e_i * l^{res.k}}}",
              f"nf = {rendered}"]
     if args.check_oracle:
-        piece = ideal_piece(I, f.degree, order)
+        piece = I.piece(f.degree, order)
         direct = normal_form_by_degree(f, piece)
         via_triplet = normal_form_by_degree(res.form, piece)
         ok = direct == via_triplet
@@ -297,12 +302,7 @@ def cmd_nf(args):
 def cmd_vanish(args):
     P, var_names = parse_points_file(_read(args.file))
     order = _apply_order_flags(MonomialOrder.default(P.n + 1), args, var_names)
-    l = None
-    if args.linear_form:
-        l = parse_form(args.linear_form, var_names, P.field)
-        if l.degree != 1:
-            raise InputError("--linear-form must have degree 1")
-    trip = bm_triplet(P, order, l=l)
+    trip = bm_triplet(P, order, l=_linear_form(args, var_names, P.field))
     field = P.field
     doc = {
         "schema": SCHEMA, "command": "vanish",
@@ -346,8 +346,7 @@ def cmd_separators(args):
 
 
 def cmd_bound(args):
-    I, order = parse_ideal_file(_read(args.file))
-    order = _apply_order_flags(order, args, I.vars)
+    I, order = _ideal_and_order(args)
     scan = hilbert_scan(I, order, args.max_degree, args.seed)
     if scan.artinian:
         raise InputError("artinian quotient; no projective variety to bound")
@@ -453,9 +452,6 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         doc = {"schema": SCHEMA, "command": args.command, "error": str(exc),

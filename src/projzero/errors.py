@@ -57,12 +57,14 @@ class CapExceeded(ProjzeroError):
 class NoSurjectionFound(ProjzeroError):
     """No linear form with a surjective multiplication map was found."""
 
-    def __init__(self, trials, degree=None, certificate_degree=None):
+    def __init__(self, trials, degree=None, certificate=None,
+                 certificate_degree=None):
         msg = f"no surjective linear form after {trials} trials"
         if degree is not None:
             msg += f" (last degree tried: {degree})"
         if certificate_degree is not None:
-            msg += (f"; the maps agree at every degree from the commutation "
+            name = "Gotzmann" if certificate == "gotzmann" else certificate
+            msg += (f"; the maps agree at every degree from the {name} "
                     f"certificate degree {certificate_degree} on, so no "
                     f"higher degree can succeed")
         super().__init__(msg)

@@ -661,8 +661,6 @@ def _rational_reconstruction(r, m, bound):
     """a/b = r mod m with |a| <= bound, by the half-extended Euclid of
     (m, r); it is the unique such fraction with 0 < b <= B whenever
     m > 2 * bound * B."""
-    from fractions import Fraction
-
     r0, r1, s0, s1 = m, r, 0, 1
     while r1 > bound:
         k = r0 // r1
@@ -679,11 +677,7 @@ def _rational_roots(p):
     chapters 5 and 15). A lifted root that is the image of no rational root
     reconstructs to a value that fails the exact evaluation and is dropped.
     """
-    from math import lcm
-
-    den = lcm(*(c.denominator for c in p))
-    h = _zsquarefree(_zprimitive([c.numerator * (den // c.denominator)
-                                  for c in p]))
+    h = _zsquarefree(_zprimitive(_cleared(p)[0]))
     n = len(h) - 1
     if n == 0:
         return []

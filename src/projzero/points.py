@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
                      InvariantViolation, RankDeficientBasis, ZeroPoint)
-from .linalg import (Matrix, kernel, linear_combination, rref,
-                     solve_in_rowspace)
+from .linalg import (Matrix, kernel, linear_combination, normalize_vector,
+                     rref, solve_in_rowspace)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
 
@@ -45,16 +45,12 @@ def normalize(raw_points, field) -> ProjPointSet:
     for idx, pt in enumerate(raw_points):
         if len(pt) != width:
             raise InputError("points with differing coordinate counts")
-        lead = None
-        for i, x in enumerate(pt):
-            if not field.is_zero(x):
-                lead = i
-                break
-        if lead is None:
+        rep = normalize_vector(pt, field)
+        if rep is None:
             raise ZeroPoint(f"point {idx} is the zero vector")
-        inv = field.inv(pt[lead])
-        reps.append([field.mul(inv, x) for x in pt])
-        first_one.append(lead)
+        reps.append(rep)
+        # the entries before the first one are zero
+        first_one.append(rep.index(field.one))
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if reps[i] == reps[j]:
@@ -93,11 +89,6 @@ def nzd_sweep(P: ProjPointSet) -> Form:
         raise FieldTooSmall(
             f"{f.name} has {f.size} elements but the sweep needs at least {m}")
 
-    def as_form(coeffs):
-        return Form(f, nv, 1,
-                    {tuple(1 if k == i else 0 for k in range(nv)): c
-                     for i, c in enumerate(coeffs) if not f.is_zero(c)})
-
     def values(coeffs, rep):
         acc = f.zero
         for c, x in zip(coeffs, rep):
@@ -130,7 +121,7 @@ def nzd_sweep(P: ProjPointSet) -> Form:
         if fixed is None:
             raise FieldTooSmall(f"sweep exhausted the elements of {f.name}")
         v = fixed
-    return as_form(v)
+    return Form.linear(f, v)
 
 
 @dataclass
@@ -144,10 +135,6 @@ class PointTriplet:
     field: object
     kept: list       # variable indices the computation ran on
     substitutions: dict  # dropped index -> coefficients over kept
-
-    @property
-    def E_monomials(self):
-        return self.B[self.d]
 
     @property
     def size(self):

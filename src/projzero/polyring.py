@@ -66,9 +66,6 @@ class MonomialOrder:
     def sort_desc(self, monos):
         return sorted(monos, key=self.key, reverse=True)
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
 
 def monomials_of_degree(nvars, d, order: MonomialOrder):
     """All monomials of total degree d, sorted descending by the order."""
@@ -124,6 +121,13 @@ class Form:
         e = [0] * nvars
         e[i] = 1
         return cls.monomial(field, nvars, tuple(e))
+
+    @classmethod
+    def linear(cls, field, coeffs):
+        """sum_i coeffs[i] x_i."""
+        n = len(coeffs)
+        return cls(field, n, 1, {tuple(int(k == i) for k in range(n)): c
+                                 for i, c in enumerate(coeffs)})
 
     def is_zero(self):
         return not self.terms
@@ -257,8 +261,7 @@ class Form:
 
 
 def form_from_coeffs(field, nvars, degree, monos, coeffs):
-    return Form(field, nvars, degree,
-                {m: c for m, c in zip(monos, coeffs) if not field.is_zero(c)})
+    return Form(field, nvars, degree, dict(zip(monos, coeffs)))
 
 
 def _tokenize(text):
@@ -357,7 +360,7 @@ def parse_form(text, var_names, field):
                     raise UnknownVariable(f"unknown variable {tok!r}")
                 e = 1
                 if i + 1 < len(toks) and toks[i + 1] == "^":
-                    if i + 2 >= len(toks) or not toks[i + 2].isdigit():
+                    if i + 2 >= len(toks) or not toks[i + 2].isdecimal():
                         raise FormSyntax("bad exponent")
                     e = int(toks[i + 2])
                     i += 2

@@ -16,7 +16,7 @@ Normal forms are read off each piece's reduced echelon, monomial by
 monomial, with no reduction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import comb
 
@@ -33,6 +33,8 @@ class IdealPresentation:
     field: object
     vars: tuple
     generators: list
+    _pieces: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -55,6 +57,17 @@ class IdealPresentation:
     def default_cap(self):
         return max(self.max_gen_degree,
                    4 * (self.nvars + sum(g.degree for g in self.generators)))
+
+    def piece(self, d, order: MonomialOrder) -> "DegreePiece":
+        """The degree-d piece under `order`, built on first use and kept, so
+        that one command's scan, triplet, initial ideal and normal forms
+        eliminate each degree once. Nothing changes the generators after
+        construction, so a kept piece never goes stale."""
+        key = (order, d)
+        if key not in self._pieces:
+            # the module global, so that a wrapped ideal_piece sees each build
+            self._pieces[key] = ideal_piece(self, d, order)
+        return self._pieces[key]
 
 
 @dataclass
@@ -118,20 +131,6 @@ def ideal_piece(I: IdealPresentation, d: int, order: MonomialOrder) -> DegreePie
                        hf=len(monomials) - rank)
 
 
-class GradedIdeal:
-    """The degree pieces of I under one order, each built on first use; one
-    command's scan, triplet and initial ideal share one."""
-
-    def __init__(self, I: IdealPresentation, order: MonomialOrder):
-        self.I, self.order, self._pieces = I, order, {}
-
-    def piece(self, d) -> DegreePiece:
-        if d not in self._pieces:
-            # the module global, so that a wrapped ideal_piece sees each build
-            self._pieces[d] = ideal_piece(self.I, d, self.order)
-        return self._pieces[d]
-
-
 def standard_coords(f: Form, piece: DegreePiece):
     """Coordinates of nf(f) on the standard-monomial basis of R_d: f's
     coefficients times the normal forms of its monomials."""
@@ -183,11 +182,10 @@ class HilbertScan:
     postulation: int            # least degree from which hf is constant
     # The certificate that closed the scan, "gotzmann" or "commutation", the
     # degree at which it holds, and for "commutation" the triplet there,
-    # whose matrices commute; then the pieces the scan built.
+    # whose matrices commute.
     certificate: str = "gotzmann"
     certificate_degree: int | None = None
     triplet: object = None
-    pieces: GradedIdeal | None = None
 
     @property
     def artinian(self) -> bool:
@@ -236,10 +234,10 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     fields too small to have a bijective l.
 
     `seed` picks the certificate's l, on which hf, d*, m and the
-    postulation do not depend. The scan returns its GradedIdeal and the
-    commuting triplet for the rest of the command: `build_triplet` and
-    `initial_ideal_min_generators` take their pieces from it, and
-    `build_triplet` returns the triplet where its own search would build it.
+    postulation do not depend. The pieces stay with I (`I.piece`), for
+    `build_triplet` and `initial_ideal_min_generators` to reuse, and the
+    scan returns the commuting triplet, which `build_triplet` returns where
+    its own search would build it.
 
     Raises CapExceeded when Gotzmann's d* exceeds the cap, with hf up to
     cap + 1, which signals either projective dimension > 0 or a cap that is
@@ -250,10 +248,9 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     cap = I.default_cap() if max_degree is None else max_degree
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
-    pieces = GradedIdeal(I, order)
     hf = []
     for d in range(cap + 2):
-        piece = pieces.piece(d)
+        piece = I.piece(d, order)
         hf.append(piece.hf)
         dd = d - 1
         # persistence alone is not enough: an ideal of projective dimension
@@ -261,8 +258,8 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
         # two consecutive values must also agree
         if dd >= t and hf[d] == hf[dd]:
             if hf[d] == macaulay_growth(hf[dd], dd):
-                return _closed(hf, t, dd, "gotzmann", dd, pieces)
-            trip = commuting_triplet(I, order, pieces.piece(dd), piece, seed)
+                return _closed(hf, t, dd, "gotzmann", dd)
+            trip = commuting_triplet(I, order, I.piece(dd, order), piece, seed)
             if trip is not None:
                 # hf(e) = m for all e >= dd, and Gotzmann failed up to dd
                 m, dstar = hf[dd], d
@@ -271,11 +268,11 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
                 hf += [m] * (min(dstar, cap) + 2 - len(hf))
                 if dstar > cap:
                     raise CapExceeded(hf, cap)
-                return _closed(hf, t, dstar, "commutation", dd, pieces, trip)
+                return _closed(hf, t, dstar, "commutation", dd, trip)
     raise CapExceeded(hf, cap)
 
 
-def _closed(hf, t, dstar, certificate, degree, pieces, triplet=None):
+def _closed(hf, t, dstar, certificate, degree, triplet=None):
     m = hf[dstar]
     post = dstar
     while post > 0 and hf[post - 1] == m:
@@ -283,7 +280,7 @@ def _closed(hf, t, dstar, certificate, degree, pieces, triplet=None):
     return HilbertScan(hf_values=hf, t=t, stabilization_degree=dstar, m=m,
                        postulation=post,
                        certificate=certificate, certificate_degree=degree,
-                       triplet=triplet, pieces=pieces)
+                       triplet=triplet)
 
 
 def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
@@ -301,25 +298,22 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     psi(x_j s) = psi(s) A_j in coordinates on the standard monomials of
     R_d, and `_interpolate` over psi in ascending order finds the rest: a
     monomial of degree e is a lead iff its psi-vector depends on those of
-    smaller monomials. The pieces come from the scan's cache when a scan is
-    given.
+    smaller monomials.
     """
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
     trip = scan.triplet if scan is not None else None
-    pieces = (scan and scan.pieces) or GradedIdeal(I, order)
     top = up_to if trip is None else min(up_to, trip.d)
     mins = []
     for d in range(1, top + 1):
-        for mono in order.sort_desc(pieces.piece(d).lead_monomials):
+        for mono in order.sort_desc(I.piece(d, order).lead_monomials):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
     if top == up_to:
         return mins
     field = I.field
-    m = trip.size
-    start = {s: [field.one if k == i else field.zero for k in range(m)]
-             for i, s in enumerate(trip.E_monomials)}
+    start = dict(zip(trip.E_monomials,
+                     Matrix.identity(field, trip.size).rows))
     # the columns of each A_j, prepared once for all the steps of the search
     cols = [_as_columns(zip(*A.rows), field) for A in trip.A]
     runs = _interpolate(field, start,

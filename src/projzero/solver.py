@@ -25,8 +25,8 @@ dimension of a kernel does not depend on the field. So dim_K ker(M - mu) = 1
 means that exactly one l has mu(l) = mu, the generalized eigenspace of M for
 mu is V_l, and mu's multiplicity in the char poly of M, which the root
 search returns, is dim V_l. A point found by the descent gets the dimension
-of the intersection of the ker(A_j - l_j)^{e_j}, with e_j the multiplicity
-of l_j in the char poly of A_j: that is V_l, exactly and without a draw.
+of the intersection of the ker(A_j - l_j)^m: that is V_l, exactly and
+without a draw.
 The V_l are independent, so on commuting matrices the multiplicities sum to
 at most m. On matrices that do not commute (a first_surjective triplet
 below stability) the same numbers are algebraic multiplicities on the
@@ -135,7 +135,7 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
             if found is not None:
                 search.vectors.append((*found, mult))
         else:
-            _descend(W, 0, [], [], A, eigs, field, search)
+            _descend(W, 0, [], A, eigs, field, search)
 
     def by_lambdas(lambdas):
         return [field.sort_key(x) for x in lambdas]
@@ -147,32 +147,31 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     return search
 
 
-def _descend(space, j, lambdas, exponents, A, eigs, field, search):
+def _descend(space, j, lambdas, A, eigs, field, search):
     if j == len(A):
         if len(space) == 1:
             v = normalize_vector(space[0], field)
             search.vectors.append(
-                (v, lambdas, _joint_multiplicity(A, lambdas, exponents, field)))
+                (v, lambdas, _joint_multiplicity(A, lambdas, field)))
         else:
             search.blocks.append(JointBlock(basis=space, lambdas=lambdas))
         return
-    if j not in eigs:  # (eigenvalue, its multiplicity, eigenspace) per root
+    if j not in eigs:  # (eigenvalue, eigenspace) per root
         report = roots_in_field(char_poly(A[j]), field)
-        eigs[j] = [(lam, e, eigenspace(A[j], lam)) for lam, e in report.pairs]
-    for lam, e, spc in eigs[j]:
+        eigs[j] = [(lam, eigenspace(A[j], lam)) for lam, _ in report.pairs]
+    for lam, spc in eigs[j]:
         sub = _intersect(space, spc, field)
         if sub:
-            _descend(sub, j + 1, lambdas + [lam], exponents + [e], A, eigs,
-                     field, search)
+            _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
 
 
-def _joint_multiplicity(A, lambdas, exponents, field):
-    """dim of the intersection of ker(A_j - lambda_j)^{e_j}: the kernel of
-    the powers stacked."""
+def _joint_multiplicity(A, lambdas, field):
+    """dim of the intersection of ker(A_j - lambda_j)^m for m x m matrices:
+    the kernel of the powers stacked."""
     m = A[0].nrows
     rows = []
-    for Aj, lam, e in zip(A, lambdas, exponents):
-        rows += (Aj - Matrix.identity(field, m).scale(lam)).mat_pow(e).rows
+    for Aj, lam in zip(A, lambdas):
+        rows += (Aj - Matrix.identity(field, m).scale(lam)).mat_pow(m).rows
     return m - Matrix(field, rows).rank()
 
 

@@ -15,9 +15,10 @@ least such degree d_c when the commutation certificate
 (`commuting_triplet`) closed the scan, Gotzmann's d* when only persistence
 did, over fields too small to have a bijective l.
 
-`solve` hands its scan to `build_triplet`, which takes the scan's pieces,
-so each degree is eliminated once per command. The certificate draws l from
-the caller's seed, and the search's stream restarts at every degree; where
+The ideal keeps its degree pieces (`IdealPresentation.piece`), so the
+scan, the search for l and a fallback scan eliminate each degree once per
+command, and `solve` hands its scan to `build_triplet`. The certificate
+draws l from the caller's seed, and the search's stream restarts at every degree; where
 hf(d) = hf(d+1) surjective means bijective, so at the certificate degree the
 search would find the certificate's l, and `build_triplet` returns the
 scan's triplet unless an explicit l or too few trials change the search.
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
-                     InvariantViolation, NoSurjectionFound)
+                     InvariantViolation, NoSurjectionFound, ProjzeroError)
 from .linalg import Matrix, linear_combination, rref, vec_matmul
 from .polyring import Form, MonomialOrder
-from .quotient import (DegreePiece, GradedIdeal, HilbertScan,
-                       IdealPresentation, hilbert_scan)
+from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
+                       hilbert_scan)
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,10 @@ def _surjective(l, piece_d, piece_d1):
 def _random_linear(field, nvars, rng):
     pool = field.sample_pool()
     while True:
-        coeffs = [pool[rng.randrange(len(pool))] for _ in range(nvars)]
-        if any(not field.is_zero(c) for c in coeffs):
-            return Form(field, nvars, 1,
-                        {tuple(1 if k == i else 0 for k in range(nvars)): c
-                         for i, c in enumerate(coeffs) if not field.is_zero(c)})
+        l = Form.linear(field, [pool[rng.randrange(len(pool))]
+                                for _ in range(nvars)])
+        if not l.is_zero():
+            return l
 
 
 def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
@@ -200,17 +200,22 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
     where the scan closed by commutation its triplet is the one returned.
 
     `scan`, this command's hilbert_scan(I, order, cap, options.seed) when
-    given, lends its pieces and, at its certificate degree, its commuting
-    triplet (see the module docstring). Without one, certified_stable scans
-    first, and first_surjective scans only once a search has failed.
+    given, lends its commuting triplet at its certificate degree (see the
+    module docstring). Without one, certified_stable scans first, and
+    first_surjective scans only once a search has failed.
 
-    When the scan closed by commutation at d_c, a failed search at any
-    d >= d_c is final. With l the certificate's form, R_e = l^{e-d_c} R_{d_c}
-    for e >= d_c, and under that identification ·l' : R_e -> R_{e+1} is
-    sum_j c'_j M_j on R_{d_c} for l' = sum_j c'_j x_j, where M_j are the
-    commuting maps of the certificate. So whether l' is bijective does not
-    depend on e, and the seeded stream, which restarts at every degree,
-    repeats the same draws.
+    A failed search at any d >= d_c, the scan's certificate degree, is
+    final: whether l' is bijective from R_e to R_{e+1} does not depend on
+    e >= d_c, and the seeded stream, which restarts at every degree,
+    repeats the same draws. By commutation: with l the certificate's form,
+    R_e = l^{e-d_c} R_{d_c} for e >= d_c, and under that identification
+    ·l' is sum_j c'_j M_j on R_{d_c} for l' = sum_j c'_j x_j, where M_j are
+    the commuting maps of the certificate. By Gotzmann at d* with constant
+    value m, which needs d* >= m: the saturation J of I defines a scheme X
+    of degree m, hf of S/J is m from degree m - 1 on, and so I_e within J_e,
+    both of codimension m, is J_e for e >= d*. For e >= m - 1, (S/J)_e is the m-dimensional algebra of X
+    (O_X(1) is trivial on a finite scheme), and ·l' is multiplication by
+    one fixed element of that algebra, whatever e is.
     """
     cap = I.default_cap() if options.max_degree is None else options.max_degree
     start = 0
@@ -222,12 +227,10 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
         start = scan.certificate_degree
     elif options.degree_policy != "first_surjective":
         raise ValueError(f"unknown degree policy {options.degree_policy!r}")
-    pieces = GradedIdeal(I, order) if scan is None else scan.pieces
-
-    piece_d = pieces.piece(start)
+    piece_d = I.piece(start, order)
     last_error = None
     for d in range(start, cap + 1):
-        piece_d1 = pieces.piece(d + 1)
+        piece_d1 = I.piece(d + 1, order)
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
@@ -246,18 +249,17 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
                     L, trials = None, options.max_trials
             if L is not None:
                 return _assemble(I, order, d, l, trials, piece_d, piece_d1, L)
-            # K2 failed: compute one more degree, unless d repeats d_c. The
+            # K2 failed: compute one more degree, unless d is at least d_c. The
             # scan waits until here: it costs more than most triplets.
             if scan is None:
                 scan = hilbert_scan(I, order, cap, options.seed)
-                pieces = scan.pieces
-            if scan.certificate == "commutation" and d >= scan.certificate_degree:
-                raise NoSurjectionFound(
-                    trials, d, certificate_degree=scan.certificate_degree)
+            if d >= scan.certificate_degree:
+                raise NoSurjectionFound(trials, d, scan.certificate,
+                                        scan.certificate_degree)
             last_error = NoSurjectionFound(trials, degree=d)
         piece_d = piece_d1
     raise last_error or CapExceeded(
-        [pieces.piece(e).hf for e in range(cap + 2)], cap)
+        [I.piece(e, order).hf for e in range(cap + 2)], cap)
 
 
 @dataclass
@@ -328,9 +330,11 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
             if field.is_zero(c):
                 continue
             if s not in pos_of_basis:
-                raise ValueError(
-                    "nf of the split tail leaves the span of E; "
-                    "rebuild the triplet at a degree with hf(d) = hf(d+1)")
+                raise ProjzeroError(
+                    f"the normal form of the split tail with exponents {b} "
+                    f"leaves the span of E at triplet degree {triplet.d}, "
+                    f"where hf is not yet stable; --degree-policy "
+                    f"certified_stable builds the triplet where it is")
             row[pos_of_basis[s]] = c
         for j, e in enumerate(a):
             if e == 0:

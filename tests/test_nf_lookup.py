@@ -6,7 +6,7 @@ arithmetic."""
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from projzero import (Form, GradedIdeal, Matrix, MonomialOrder, l_map_matrix,
+from projzero import (Form, Matrix, MonomialOrder, l_map_matrix,
                       monomials_of_degree, normalize, vanishing_ideal)
 from projzero.cli import main
 from projzero.fields import PrimeField, RationalField
@@ -40,9 +40,9 @@ def test_l_map_matrix_matches_reduction(data):
     n = P.n + 1
     order = MonomialOrder(kind=draw(st.sampled_from(["degrevlex", "lex"])),
                           ranking=tuple(draw(st.permutations(range(n)))))
-    pieces = GradedIdeal(vanishing_ideal(P, order), order)
+    I = vanishing_ideal(P, order)
     d = draw(st.integers(0, 3))
-    piece_d, piece_d1 = pieces.piece(d), pieces.piece(d + 1)
+    piece_d, piece_d1 = I.piece(d, order), I.piece(d + 1, order)
     pool = field.sample_pool()
     coeffs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     assume(any(not field.is_zero(c) for c in coeffs))
