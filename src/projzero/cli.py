@@ -69,7 +69,7 @@ def parse_ideal_file(text):
         if head == "field" and field is None:
             field = parse_field_spec(rest)
         elif head == "vars" and var_names is None:
-            var_names = tuple(rest.split())
+            var_names = _var_names(rest)
         elif head == "order" and not gens_src:
             order_kind = rest.strip()
         elif head == "ranking" and not gens_src:
@@ -99,7 +99,7 @@ def parse_points_file(text):
             field = parse_field_spec(rest)
             continue
         if head == "vars" and var_names is None:
-            var_names = tuple(rest.split())
+            var_names = _var_names(rest)
             width = len(var_names)
             continue
         if head == "coords" and width is None:
@@ -107,6 +107,8 @@ def parse_points_file(text):
                 width = int(rest)
             except ValueError as exc:
                 raise InputError("bad coords count") from exc
+            if width < 1:
+                raise InputError(f"coords count must be at least 1, got {width}")
             continue
         if field is None:
             raise InputError("points file needs a 'field' header first")
@@ -122,6 +124,13 @@ def parse_points_file(text):
     if var_names is None:
         var_names = tuple(f"x{i}" for i in range(width))
     return normalize(rows, field), var_names
+
+
+def _var_names(text):
+    names = tuple(text.split())
+    if len(set(names)) != len(names):
+        raise InputError(f"vars repeats a name: {' '.join(names)}")
+    return names
 
 
 def _make_order(kind, ranking_names, var_names):

@@ -170,7 +170,7 @@ class PrimeField:
             try:
                 return self.div(_integer(num) % self.p,
                                 _integer(den) % self.p)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad field literal {text!r}") from exc
         try:
             return _integer(text) % self.p

@@ -7,8 +7,8 @@ compose by multiplying row vectors on the left.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
-from math import gcd, lcm
+from itertools import chain, count, repeat
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import ProjzeroError
@@ -16,14 +16,17 @@ from .fields import is_prime
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over a single field."""
+    """Immutable-by-convention dense matrix over a single field. Its product
+    columns are built on its first use as a right factor and kept, so rows
+    must not change after a product."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_cols")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
+        self._cols = None
         if self.nrows:
             self.ncols = len(self.rows[0])
             if any(len(r) != self.ncols for r in self.rows):
@@ -62,25 +65,21 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def __add__(self, other):
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return linear_combination([1, 1], [self, other])
 
     def __sub__(self, other):
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return linear_combination([1, -1], [self, other])
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [[f.mul(c, v) for v in r] for r in self.rows], ncols=self.ncols)
+        return Matrix(f, [entrywise(repeat(c), r, f) for r in self.rows],
+                      ncols=self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = _as_columns(zip(*other.rows), self.field)
-        return Matrix(self.field, [_row_times_cols(r, cols, other)
-                                   for r in self.rows], ncols=other.ncols)
+        return Matrix(self.field, [vec_matmul(r, other) for r in self.rows],
+                      ncols=other.ncols)
 
     def mat_pow(self, e):
         """self^e by repeated squaring. Over Q the powers are carried as
@@ -124,15 +123,30 @@ class Matrix:
         return Matrix(f, [r[n:] for r in red], ncols=n)
 
 
+# The kernels below hold the field-specialised arithmetic on vectors and
+# matrices. Over GF(p) they sum in C and reduce once; they take any int
+# residues and return canonical ones. Over Q the products clear denominators
+# once per vector, take the dot products on Python ints, and build one
+# Fraction per output entry, instead of one Fraction multiply-add (and gcd)
+# per term (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+
 def vec_matmul(row, M):
-    """Row vector times matrix; returns a list."""
-    return _row_times_cols(row, _as_columns(zip(*M.rows), M.field), M)
+    """Row vector times matrix, one dot product per column of M; returns a
+    list. M keeps its columns from its first product, over Q cleared."""
+    p = M.field.size
+    if not M.nrows:
+        return [M.field.zero] * M.ncols
+    if M._cols is None:
+        cols = zip(*M.rows)
+        M._cols = list(cols) if p is not None else list(map(_cleared, cols))
+    if p is not None:
+        return [sum(map(mul, row, col)) % p for col in M._cols]
+    rn, rd = _cleared(row)
+    return [Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in M._cols]
 
 
 def linear_combination(coeffs, mats):
-    """sum_j c_j M_j over matrices of one shape, one dot product per entry,
-    summed in C: reduced once mod p over GF(p), and over Q taken on the
-    integer numerators of the coefficients and of the entries' vector."""
+    """sum_j c_j M_j over matrices of one shape, one dot product per entry."""
     field = mats[0].field
     p = field.size
     if p is None:
@@ -147,34 +161,40 @@ def linear_combination(coeffs, mats):
     return Matrix(field, rows, ncols=mats[0].ncols)
 
 
-# Over Q the product kernels clear denominators once per vector, take the
-# dot products on Python ints, and build one Fraction per output entry,
-# instead of one Fraction multiply-add (and gcd) per term (von zur Gathen &
-# Gerhard, Modern Computer Algebra, ch. 5).
+def entrywise(u, v, field):
+    """The entrywise product of two vectors; repeat(c) as u scales v by c."""
+    p = field.size
+    if p is None:
+        return [a * b for a, b in zip(u, v)]
+    return [a * b % p for a, b in zip(u, v)]
+
+
+def evaluate_terms(terms, degree, rep, field):
+    """sum c x^m over the terms {m: c} of a form of the given degree, at the
+    point rep. Over GF(p) each term is c times pow(x, e, p) per variable,
+    reduced once. Over Q the point is x / D and the coefficients are c / C
+    on integer numerators x and c; the terms share one degree, so the value
+    is sum c x^m / (C D^degree), one Fraction built at the end."""
+    p = field.size
+    if p is not None:
+        total = 0
+        for m, c in terms.items():
+            for x, e in zip(rep, m):
+                if e:
+                    c *= pow(x, e, p)
+            total += c % p
+        return total % p
+    xs, d = _cleared(rep)
+    cs, cd = _cleared(list(terms.values()))
+    return Fraction(sum(c * prod(x**e for x, e in zip(xs, m) if e)
+                        for c, m in zip(cs, terms)),
+                    cd * d**degree)
+
 
 def _cleared(vec):
     """(integer numerators, common denominator) of a vector over Q."""
     d = lcm(*(v.denominator for v in vec))
     return [v.numerator * (d // v.denominator) for v in vec], d
-
-
-def _as_columns(vecs, field):
-    """Vectors in the form _row_times_cols takes its columns: over Q
-    cleared."""
-    return list(vecs) if field.size is not None else list(map(_cleared, vecs))
-
-
-def _row_times_cols(row, cols, M):
-    """row times M, given the columns of M from _as_columns: one dot
-    product per column, summed in C; reduced once mod p over GF(p), and over
-    Q taken on integer numerators, with one Fraction per entry."""
-    p = M.field.size
-    if not M.nrows:
-        return [M.field.zero] * M.ncols
-    if p is not None:
-        return [sum(map(mul, row, col)) % p for col in cols]
-    rn, rd = _cleared(row)
-    return [Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in cols]
 
 
 def _zmatmul(a, b):
@@ -289,19 +309,20 @@ def rref(M: Matrix):
 
 
 def kernel(M: Matrix):
-    """Basis of the right kernel {v : M v = 0}, as a list of vectors."""
+    """Basis of the right kernel {v : M v = 0}, as a list of vectors: per
+    free column c of the RREF, minus the vector that is -1 at c and column c
+    on the pivot columns."""
     f = M.field
     R, rank, pivot_cols = rref(M)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(M.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [f.zero] * M.ncols
-        v[fc] = f.one
+    negated = []
+    for fc in (c for c in range(M.ncols) if c not in pivot_set):
+        u = [f.zero] * M.ncols
+        u[fc] = -f.one
         for r, pc in enumerate(pivot_cols):
-            v[pc] = f.neg(R.rows[r][fc])
-        basis.append(v)
-    return basis
+            u[pc] = R.rows[r][fc]
+        negated.append(u)
+    return Matrix(f, negated, ncols=M.ncols).scale(-1).rows
 
 
 def solve_in_rowspace(v, rows: Matrix):
@@ -705,17 +726,15 @@ def eigenspace(M: Matrix, lam):
     """Basis of ker(M - lam I); empty iff lam is not an eigenvalue."""
     if M.nrows != M.ncols:
         raise ValueError("eigenspace of non-square matrix")
-    f = M.field
-    shifted = Matrix(f, [[f.sub(v, lam) if i == j else v
-                          for j, v in enumerate(r)]
-                         for i, r in enumerate(M.rows)], ncols=M.ncols)
-    return kernel(shifted)
+    rows = M.copy_rows()
+    for i, row in enumerate(rows):
+        row[i] -= lam  # any residue: the kernel's rref reduces it
+    return kernel(Matrix(M.field, rows, ncols=M.ncols))
 
 
 def normalize_vector(v, field):
     """Scale v so its first nonzero entry is one. Returns None for zero v."""
     for x in v:
         if not field.is_zero(x):
-            inv = field.inv(x)
-            return [field.mul(inv, y) for y in v]
+            return entrywise(repeat(field.inv(x)), v, field)
     return None

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
                      InvariantViolation, RankDeficientBasis, ZeroPoint)
-from .linalg import (Matrix, kernel, linear_combination, normalize_vector,
-                     rref, solve_in_rowspace)
+from .linalg import (Matrix, entrywise, kernel, linear_combination,
+                     normalize_vector, rref, solve_in_rowspace, vec_matmul)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
 
@@ -89,38 +89,32 @@ def nzd_sweep(P: ProjPointSet) -> Form:
         raise FieldTooSmall(
             f"{f.name} has {f.size} elements but the sweep needs at least {m}")
 
-    def values(coeffs, rep):
-        acc = f.zero
-        for c, x in zip(coeffs, rep):
-            acc = f.add(acc, f.mul(c, x))
-        return acc
-
+    # the points as columns: a linear form's values at all of them are one
+    # product
+    points = Matrix(f, P.reps).transpose()
     v = [f.zero] * nv
     v[P.first_one[0]] = f.one
+    values = vec_matmul(v, points)
     for i in range(1, m):
-        if not f.is_zero(values(v, P.reps[i])):
+        if values[i]:
             continue
         # w in the kernel of evaluation at p_{i-1}, nonzero at p_i
         ker = kernel(Matrix(f, [P.reps[i - 1]], ncols=nv))
-        w = None
-        for cand in ker:
-            if not f.is_zero(values(cand, P.reps[i])):
-                w = cand
-                break
+        w = next((c for c in ker if vec_matmul(c, points)[i]), None)
         if w is None:
             raise InvariantViolation(
                 "distinct points always admit a correction")
+        vw = Matrix(f, [v, w])
         alphas = (f.from_int(k) for k in range(1, m + 1)) if f.size is None \
             else (f.from_int(k) for k in range(1, f.size))
-        fixed = None
         for alpha in alphas:
-            cand = [f.add(a, f.mul(alpha, b)) for a, b in zip(v, w)]
-            if all(not f.is_zero(values(cand, P.reps[j])) for j in range(i + 1)):
-                fixed = cand
+            cand = vec_matmul([f.one, alpha], vw)  # v + alpha w
+            values = vec_matmul(cand, points)
+            if all(values[:i + 1]):
+                v = cand
                 break
-        if fixed is None:
+        else:
             raise FieldTooSmall(f"sweep exhausted the elements of {f.name}")
-        v = fixed
     return Form.linear(f, v)
 
 
@@ -157,15 +151,9 @@ def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
     """`_interpolate` over evaluation at the points, from B_0 = {1}, with
     candidates in descending order."""
     f = P.field
-    p = f.size
     cols = list(zip(*P.reps))
-
-    def step(v, j):
-        w = [a * b for a, b in zip(v, cols[j])]
-        return w if p is None else [a % p for a in w]
-
-    return _interpolate(f, {mono_one(P.n + 1): [f.one] * P.size}, step,
-                        order, False)
+    return _interpolate(f, {mono_one(P.n + 1): [f.one] * P.size},
+                        lambda v, j: entrywise(v, cols[j], f), order, False)
 
 
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
@@ -224,8 +212,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     hf = [len(b) for b in B]
 
     def scaled_rows(vals):
-        return Matrix(f, [[f.mul(x, e) for x, e in zip(vals, row)]
-                          for row in rows], ncols=m)
+        return Matrix(f, [entrywise(vals, row, f) for row in rows], ncols=m)
 
     G_inv = scaled_rows(l_values).inverse()
     A_core = [scaled_rows([rep[j] for rep in core.reps]) @ G_inv

@@ -8,13 +8,12 @@ class are consistent.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 from .errors import (FormSyntax, InvariantViolation, NotHomogeneous,
                      UnknownVariable)
-from .linalg import _cleared
+from .linalg import evaluate_terms
 
 
 def mono_degree(m):
@@ -222,29 +221,10 @@ class Form:
         return Form(f, self.nvars, self.degree * e, terms)
 
     def evaluate(self, rep):
-        """Evaluate at a fixed affine representative (list of scalars).
-
-        Over GF(p) each term is c times pow(x, e, p) per variable, reduced
-        once. Over Q the point is x / D and the coefficients are c / C on
-        integer numerators x and c; the form is homogeneous, so the value is
-        sum c x^e / (C D^degree), one Fraction built at the end.
-        """
+        """Evaluate at a fixed affine representative (list of scalars)."""
         if len(rep) != self.nvars:
             raise ValueError("representative has wrong length")
-        p = self.field.size
-        if p is not None:
-            total = 0
-            for m, c in self.terms.items():
-                for x, e in zip(rep, m):
-                    if e:
-                        c *= pow(x, e, p)
-                total += c % p
-            return total % p
-        xs, d = _cleared(rep)
-        cs, cd = _cleared(list(self.terms.values()))
-        return Fraction(sum(c * prod(x**e for x, e in zip(xs, m) if e)
-                            for c, m in zip(cs, self.terms)),
-                        cd * d**self.degree)
+        return evaluate_terms(self.terms, self.degree, rep, self.field)
 
     def coeff_vector(self, monos):
         """Coefficients on an ordered monomial list (zeros where absent)."""

@@ -21,7 +21,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import CapExceeded, InputError, InvariantViolation
-from .linalg import Matrix, _as_columns, _row_times_cols, rref, vec_matmul
+from .linalg import Matrix, rref, vec_matmul
 from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
 
@@ -94,8 +94,11 @@ class DegreePiece:
         std_cols = [c for c in range(len(self.monomials)) if c not in pivots]
         table = dict(zip(self.standard_monomials,
                          Matrix.identity(field, self.hf).rows))
-        for c, row in zip(self.pivot_cols, self.echelon.rows):
-            table[self.monomials[c]] = [field.neg(row[i]) for i in std_cols]
+        leads = Matrix(field, [[row[i] for i in std_cols]
+                               for row in self.echelon.rows],
+                       ncols=self.hf).scale(-1)
+        table.update(zip((self.monomials[c] for c in self.pivot_cols),
+                         leads.rows))
         return table
 
 
@@ -314,10 +317,7 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     field = I.field
     start = dict(zip(trip.E_monomials,
                      Matrix.identity(field, trip.size).rows))
-    # the columns of each A_j, prepared once for all the steps of the search
-    cols = [_as_columns(zip(*A.rows), field) for A in trip.A]
-    runs = _interpolate(field, start,
-                        lambda v, j: _row_times_cols(v, cols[j], trip.A[j]),
+    runs = _interpolate(field, start, lambda v, j: vec_matmul(v, trip.A[j]),
                         order, True, [g for g, _ in mins])
     for e, (_, _, initials, _) in zip(range(top + 1, up_to + 1), runs):
         mins += [(t, e) for t in order.sort_desc(initials)]
@@ -365,7 +365,7 @@ def _interpolate(field, start, step, order: MonomialOrder, ascending,
         basis = {tested[c]: vecs[c] for c in pivot_cols}
         free = sorted(set(range(len(tested))) - set(pivot_cols))
         initials = [tested[c] for c in free]
-        reductions = [[field.neg(R.rows[k][c]) for k in range(rank)]
-                      for c in free]
+        reductions = Matrix(field, [[R.rows[k][c] for k in range(rank)]
+                                    for c in free], ncols=rank).scale(-1).rows
         known += initials
         yield list(basis), list(basis.values()), initials, reductions

@@ -35,10 +35,11 @@ combination, or dimensions of those intersections.
 
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
-from .linalg import (Matrix, _as_columns, _row_times_cols, char_poly,
-                     eigenspace, kernel, linear_combination, normalize_vector,
-                     roots_in_field, rref, vec_matmul)
+from .linalg import (Matrix, char_poly, eigenspace, entrywise, kernel,
+                     linear_combination, normalize_vector, roots_in_field,
+                     rref, vec_matmul)
 from .quotient import IdealPresentation, hilbert_scan
 from .polyring import MonomialOrder
 from .triplet import Triplet, TripletOptions, build_triplet
@@ -87,18 +88,16 @@ def _intersect(basis_a, basis_b, field):
     return [list(r) for r in R.rows[:rank]]
 
 
-def _joint_eigenvector(w, A, cols, field):
+def _joint_eigenvector(w, transposes, field):
     """(w, lambdas) if the normalized w is an eigenvector of every A_j, else
-    None. lambda_j is (A_j w)_i at the first nonzero w_i = 1; cols[j] holds
-    the rows of A_j, the columns of the product A_j w, from _as_columns."""
-    p = field.size
+    None. lambda_j is (A_j w)_i at the first nonzero w_i = 1; A_j w is
+    w A_j^T, from the transposes."""
     i = next(k for k, x in enumerate(w) if x)
     lambdas = []
-    for Aj, cj in zip(A, cols):
-        Aw = _row_times_cols(w, cj, Aj)
+    for T in transposes:
+        Aw = vec_matmul(w, T)
         lam = Aw[i]
-        if Aw != ([lam * x for x in w] if p is None
-                  else [lam * x % p for x in w]):
+        if Aw != entrywise(repeat(lam), w, field):
             return None
         lambdas.append(lam)
     return w, lambdas
@@ -126,12 +125,12 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     search = EigenSearch(vectors=[], blocks=[], residual=False,
                          residual_degree=report.residual_degree)
     eigs = {}
-    cols = [_as_columns(Aj.rows, field) for Aj in A]
+    transposes = [Aj.transpose() for Aj in A]
     for mu, mult in report.pairs:
         W = eigenspace(M, mu)
         if len(W) == 1:
-            found = _joint_eigenvector(normalize_vector(W[0], field), A, cols,
-                                       field)
+            found = _joint_eigenvector(normalize_vector(W[0], field),
+                                       transposes, field)
             if found is not None:
                 search.vectors.append((*found, mult))
         else:

@@ -309,7 +309,8 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
     Each monomial is split as a*b with deg b = triplet.d; nf(b) is read
     off the reduced echelon at degree d and the coordinate row is then pushed
     up by the matrices, one variable at a time, with binary matrix powers
-    A_j^e shared by all monomials. Nothing is expanded: the result's `form`
+    A_j^e shared by all monomials; one product with f's coefficients sums
+    the pushed rows. Nothing is expanded: the result's `form`
     builds sum_i c_i l^k e_i on first use.
     """
     if f.degree < triplet.d:
@@ -321,13 +322,13 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
     k = f.degree - triplet.d
     std = triplet.piece_d.standard_monomials
     pos_of_basis = {mono: i for i, mono in enumerate(triplet.E_monomials)}
-    total = [field.zero] * m
+    rows = []
     powers_cache = {}
-    for mono, coeff in f.terms.items():
+    for mono in f.terms:
         a, b = _split_monomial(mono, triplet.d, order)
         row = [field.zero] * m
         for s, c in zip(std, triplet.piece_d.normal_forms[b]):
-            if field.is_zero(c):
+            if not c:
                 continue
             if s not in pos_of_basis:
                 raise ProjzeroError(
@@ -343,7 +344,7 @@ def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
             if key not in powers_cache:
                 powers_cache[key] = triplet.A[j].mat_pow(e)
             row = vec_matmul(row, powers_cache[key])
-        total = [field.add(t, field.mul(coeff, r)) for t, r in zip(total, row)]
-
-    return FastNormalForm(coords=total, k=k, l=triplet.l,
+        rows.append(row)
+    coords = vec_matmul(list(f.terms.values()), Matrix(field, rows, ncols=m))
+    return FastNormalForm(coords=coords, k=k, l=triplet.l,
                           E_monomials=triplet.E_monomials)

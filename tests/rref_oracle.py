@@ -1,11 +1,14 @@
 """The per-scalar kernels that projzero used before its elimination, char
-poly, matrix products and form evaluation did field arithmetic inline, and
-before its Q products and Q elimination worked on integer numerators; kept
-as the oracle of the differential tests in test_kernels.py. Every scalar
-operation is a call of a field method (over Q one Fraction operation), over
-the full row width. `standard_coords` reduces by `normal_form_coeffs`, the
-loop projzero ran before it read normal forms off the reduced echelon, for
-the oracles in nf_oracle.py and triplet_oracle.py and for the l-map tests.
+poly, matrix products, sums, scalings, entrywise products, kernels and form
+evaluation did field arithmetic inline, and before its Q products and Q
+elimination worked on integer numerators; kept as the oracle of the
+differential tests in test_kernels.py. Every scalar operation is a call of a
+field method (over Q one Fraction operation), over the full row width, so
+over GF(p) products, sums, scalings, entrywise products, kernels and
+evaluations come out as canonical residues whatever residues go in.
+`standard_coords` reduces by `normal_form_coeffs`, the loop projzero ran
+before it read normal forms off the reduced echelon, for the oracles in
+nf_oracle.py and triplet_oracle.py and for the l-map tests.
 """
 
 from projzero.linalg import Matrix
@@ -154,11 +157,63 @@ def standard_coords(f, piece):
 
 
 def linear_combination(coeffs, mats):
-    """sum_j c_j M_j through Matrix.scale and Matrix.__add__."""
-    acc = Matrix.zero(mats[0].field, mats[0].nrows, mats[0].ncols)
+    """sum_j c_j M_j, one field multiply-add per term."""
+    f = mats[0].field
+    acc = Matrix.zero(f, mats[0].nrows, mats[0].ncols).rows
     for c, M in zip(coeffs, mats):
-        acc = acc + M.scale(c)
-    return acc
+        acc = [[f.add(a, f.mul(c, v)) for a, v in zip(ra, rm)]
+               for ra, rm in zip(acc, M.rows)]
+    return Matrix(f, acc, ncols=mats[0].ncols)
+
+
+def scale(M, c):
+    f = M.field
+    return Matrix(f, [[f.mul(c, v) for v in r] for r in M.rows], ncols=M.ncols)
+
+
+def add(A, B):
+    f = A.field
+    return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)]
+                      for ra, rb in zip(A.rows, B.rows)], ncols=A.ncols)
+
+
+def sub(A, B):
+    f = A.field
+    return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
+                      for ra, rb in zip(A.rows, B.rows)], ncols=A.ncols)
+
+
+def entrywise(u, v, field):
+    return [field.mul(a, b) for a, b in zip(u, v)]
+
+
+def kernel(M):
+    """Right kernel basis: per free column of the RREF, the unit vector
+    there minus the column on the pivot coordinates."""
+    f = M.field
+    R, rank, pivot_cols = rref_rows(M.copy_rows(), f)
+    basis = []
+    for fc in range(M.ncols):
+        if fc in pivot_cols:
+            continue
+        v = [f.zero] * M.ncols
+        v[fc] = f.one
+        for r, pc in enumerate(pivot_cols):
+            v[pc] = f.neg(R[r][fc])
+        basis.append(v)
+    return basis
+
+
+def eigenspace(M, lam):
+    return kernel(sub(M, scale(Matrix.identity(M.field, M.nrows), lam)))
+
+
+def normalize_vector(v, field):
+    for x in v:
+        if not field.is_zero(x):
+            inv = field.inv(x)
+            return [field.mul(inv, y) for y in v]
+    return None
 
 
 def evaluate(form, rep):

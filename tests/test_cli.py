@@ -405,6 +405,56 @@ def test_input_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "hilbert", str(tmp_path / "missing.ideal"))[0] == 1
 
 
+def run_file(capsys, tmp_path, command, name, text, *flags):
+    path = tmp_path / name
+    path.write_text(text)
+    return run(capsys, command, str(path), *flags)
+
+
+def test_zero_denominator_in_an_ideal_file(capsys, tmp_path):
+    code, out, err = run_file(capsys, tmp_path, "hilbert", "gf7.ideal",
+                              "field GF(7)\nvars x y\n1/7*x\n")
+    assert (code, out, err) == (1, "", "error: bad field literal '1/7'\n")
+
+
+def test_zero_denominator_in_a_points_file(capsys, tmp_path):
+    code, out, err = run_file(capsys, tmp_path, "vanish", "gf7.pts",
+                              "field GF(7)\ncoords 2\n1/7 : 1\n")
+    assert (code, out, err) == (1, "", "error: bad field literal '1/7'\n")
+
+
+def test_zero_denominator_in_a_linear_form(capsys, data_dir):
+    code, out, err = run(capsys, "solve",
+                         str(data_dir / "three_quadrics_gf3.ideal"),
+                         "--linear-form", "1/3*x")
+    assert (code, out, err) == (1, "", "error: bad field literal '1/3'\n")
+
+
+def test_zero_denominator_in_an_nf_form(capsys, data_dir):
+    code, out, err = run(capsys, "nf",
+                         str(data_dir / "three_quadrics_gf3.ideal"), "1/3*x^2")
+    assert (code, out, err) == (1, "", "error: bad field literal '1/3'\n")
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("solve", "dup.ideal", "field GF(7)\nvars x x y\nx\ny\n"),
+    ("vanish", "dup.pts", "field Q\nvars u u\n1 : 2\n"),
+], ids=["ideal", "points"])
+def test_duplicate_variable_names_exit_1(capsys, tmp_path, command, name,
+                                         text):
+    code, out, err = run_file(capsys, tmp_path, command, name, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: vars repeats a name")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_coords_count_below_one_exits_1(capsys, tmp_path, count):
+    code, out, err = run_file(capsys, tmp_path, "vanish", "bad.pts",
+                              f"field Q\ncoords {count}\n1 : 2\n")
+    assert (code, out) == (1, "")
+    assert err == f"error: coords count must be at least 1, got {count}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "three_quadrics.ideal", "--linear-form", "-x"],
      "argument --linear-form: expected one argument"),

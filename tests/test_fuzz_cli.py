@@ -1,6 +1,7 @@
 """Fuzz test of the command line: generated ideal files, points files and
 flags, over Q and small prime fields, including GF(2) and GF(3), where a
-random l often vanishes at a point. Every run must end in one of the
+random l often vanishes at a point. Coefficients and coordinates include
+fractions, whose denominators vanish in some of those fields. Every run must end in one of the
 documented exit codes, 0 to 4, and never in an uncaught exception. Small
 --max-degree and --max-trials values keep each run short.
 """
@@ -15,6 +16,7 @@ from projzero.cli import main
 
 FIELDS = ("GF(2)", "GF(3)", "GF(7)", "GF(32003)", "Q")
 NAMES = ("x", "y", "z")
+FRACTIONS = ("1/2", "2/3", "3/7", "-1/2", "-5/3")
 
 
 @st.composite
@@ -24,7 +26,8 @@ def forms(draw, nvars, degree):
     monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
              if sum(m) == degree]
     terms = draw(st.lists(st.tuples(st.sampled_from(monos),
-                                    st.sampled_from([1, -1, 2, -2, 3])),
+                                    st.sampled_from([1, -1, 2, -2, 3,
+                                                     *FRACTIONS])),
                           min_size=1, max_size=4))
     parts = []
     for mono, c in terms:
@@ -46,14 +49,14 @@ def ideal_files(draw):
 @st.composite
 def points_files(draw):
     nvars = draw(st.integers(2, 3))
-    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nvars,
-                                  max_size=nvars), min_size=1, max_size=5))
+    entry = st.integers(-3, 3) | st.sampled_from(FRACTIONS)
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars),
+                         min_size=1, max_size=5))
     # without a vars or coords line the rows may differ in length
     header = draw(st.sampled_from(["vars " + " ".join(NAMES[:nvars]),
                                    f"coords {nvars}", ""]))
     if not header:
-        rows.append(draw(st.lists(st.integers(-3, 3), min_size=1,
-                                  max_size=3)))
+        rows.append(draw(st.lists(entry, min_size=1, max_size=3)))
     return "\n".join([f"field {draw(st.sampled_from(FIELDS))}", header,
                       *(" : ".join(map(str, r)) for r in rows)]) + "\n", nvars
 

@@ -1,11 +1,14 @@
 """The field-specialised kernels of linalg and quotient against the
 per-scalar oracle in tests/rref_oracle.py: elimination, kernel, inverse,
-row-space solves, char polys, matrix products, linear combinations of
-matrices, Macaulay reduction and evaluation of forms."""
+row-space solves, char polys, matrix products, linear combinations, sums,
+differences and scalings of matrices, entrywise products, eigenspaces,
+Macaulay reduction and evaluation of forms. Over GF(p) the kernels take
+residues outside range(p) and must still return canonical ones."""
 
 import copy
 import random
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,9 @@ from projzero import (Form, Matrix, ProjzeroError, char_poly, ideal_piece,
 from projzero.cli import parse_ideal_file
 from projzero.fields import PrimeField, RationalField
 from projzero import linalg
-from projzero.linalg import _rref_rows, linear_combination, vec_matmul
+from projzero.linalg import (_rref_rows, eigenspace, entrywise,
+                             evaluate_terms, linear_combination,
+                             normalize_vector, vec_matmul)
 from projzero.polyring import MonomialOrder, monomials_of_degree
 from projzero.quotient import IdealPresentation, macaulay_rows, standard_coords
 from tests import rref_oracle as oracle
@@ -330,3 +335,103 @@ def test_evaluate_matches_oracle(fi, nvars, degree, data):
     got = g.evaluate(rep)
     want = oracle.evaluate(g, rep)
     assert got == want and type(got) is type(want)
+    assert evaluate_terms(g.terms, degree, rep, field) == want
+    assert canonical([got], field)
+
+
+def residues(field):
+    """Entries as `scalars` draws them and, over GF(p), residues outside
+    range(p), which the kernels take as they come."""
+    if field.size is None:
+        return scalars(field)
+    return st.one_of(scalars(field),
+                     st.integers(-3 * field.size, 3 * field.size))
+
+
+def canonical(values, field):
+    if field.size is None:
+        return all(type(v) is Fraction for v in values)
+    return all(type(v) is int and 0 <= v < field.size for v in values)
+
+
+@st.composite
+def raw_matrices(draw, field, nrows, ncols):
+    return Matrix(field, [[draw(residues(field)) for _ in range(ncols)]
+                          for _ in range(nrows)], ncols=ncols)
+
+
+def entries(M):
+    return [v for r in M.rows for v in r]
+
+
+@given(field_index, st.integers(0, 6), st.data())
+def test_entrywise_matches_oracle(fi, n, data):
+    field = FIELDS[fi]
+    vector = st.lists(residues(field), min_size=n, max_size=n)
+    u, v = data.draw(vector), data.draw(vector)
+    c = data.draw(residues(field))
+    got = entrywise(u, v, field)
+    assert got == oracle.entrywise(u, v, field) and canonical(got, field)
+    scaled = entrywise(repeat(c), v, field)
+    assert scaled == oracle.entrywise([c] * n, v, field)
+    assert canonical(scaled, field)
+
+
+@given(field_index, shapes, shapes, st.data())
+def test_scale_sum_and_difference_match_oracle(fi, a, b, data):
+    field = FIELDS[fi]
+    A = data.draw(raw_matrices(field, a, b))
+    B = data.draw(raw_matrices(field, a, b))
+    c = data.draw(residues(field))
+    before = copy.deepcopy((A.rows, B.rows))
+    for got, want in [(A.scale(c), oracle.scale(A, c)),
+                      (A + B, oracle.add(A, B)), (A - B, oracle.sub(A, B))]:
+        assert got == want and canonical(entries(got), field)
+    assert (A.rows, B.rows) == before
+
+
+@given(field_index, st.integers(1, 4), shapes, shapes, st.data())
+def test_linear_combination_of_raw_residues(fi, k, a, b, data):
+    field = FIELDS[fi]
+    mats = [data.draw(raw_matrices(field, a, b)) for _ in range(k)]
+    coeffs = data.draw(st.lists(residues(field), min_size=k, max_size=k))
+    got = linear_combination(coeffs, mats)
+    assert got == oracle.linear_combination(coeffs, mats)
+    assert canonical(entries(got), field)
+
+
+@given(field_index, shapes, shapes, shapes, st.data())
+def test_a_kept_right_factor_gives_the_fresh_product(fi, a, b, c, data):
+    """B keeps its columns from its first product; a second product with
+    B, as a matrix or row by row, equals the one on a fresh copy of B."""
+    field = FIELDS[fi]
+    A1 = data.draw(raw_matrices(field, a, b))
+    A2 = data.draw(raw_matrices(field, a, b))
+    B = data.draw(raw_matrices(field, b, c))
+    before = copy.deepcopy(B.rows)
+    first = A1 @ B
+    second = A2 @ B
+    assert first == A1 @ Matrix(field, B.rows, ncols=c)
+    assert second == A2 @ Matrix(field, B.rows, ncols=c)
+    assert second.rows == oracle.matmul(A2, B).rows
+    assert canonical(entries(first) + entries(second), field)
+    for row in A2.rows:
+        got = vec_matmul(row, B)
+        assert got == vec_matmul(row, Matrix(field, B.rows, ncols=c))
+        assert got == oracle.vec_matmul(row, B)
+    assert B.rows == before
+
+
+@given(field_index, st.integers(0, 5), st.data())
+def test_kernel_eigenspace_and_normalize_match_oracle(fi, n, data):
+    field = FIELDS[fi]
+    M = data.draw(raw_matrices(field, n, n))
+    lam = data.draw(residues(field))
+    for got, want in [(kernel(M), oracle.kernel(M)),
+                      (eigenspace(M, lam), oracle.eigenspace(M, lam))]:
+        assert got == want
+        assert all(canonical(v, field) for v in got)
+    v = data.draw(st.lists(residues(field), min_size=n, max_size=n))
+    got = normalize_vector(v, field)
+    assert got == oracle.normalize_vector(v, field)
+    assert got is None or canonical(got, field)
