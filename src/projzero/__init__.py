@@ -22,8 +22,7 @@ from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
                        macaulay_growth, normal_form_by_degree)
 from .points import (CMatrix, PointTriplet, ProjPointSet, bm_triplet,
                      c_matrix, eval_normal_form, normalize, nzd_sweep,
-                     project_variables, refine_partitions, separators,
-                     vanishing_ideal)
+                     refine_partitions, separators, vanishing_ideal)
 from .solver import (EigenPoint, SolutionReport, common_eigenvectors,
                      eigenpoints_from_matrices, filter_points, solve)
 from .triplet import (FastNormalForm, Triplet, TripletOptions, build_triplet,

@@ -321,7 +321,6 @@ def cmd_vanish(args):
         "initials": [format_monomial(m, var_names) for m in trip.initials],
         "A": {name: _matrix_json(field, trip.A[j])
               for j, name in enumerate(var_names)},
-        "projected_to": [var_names[i] for i in trip.kept],
     }
     lines = [f"hf: {' '.join(str(v) for v in trip.hf)}",
              f"stop degree: {trip.d}",

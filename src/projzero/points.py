@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
                      InvariantViolation, RankDeficientBasis, ZeroPoint)
-from .linalg import (Matrix, entrywise, kernel, linear_combination,
-                     normalize_vector, rref, solve_in_rowspace, vec_matmul)
+from .linalg import (Matrix, entrywise, kernel, normalize_vector,
+                     solve_in_rowspace, vec_matmul)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
+from .triplet import l_combination
 
 
 @dataclass
@@ -56,20 +57,6 @@ def normalize(raw_points, field) -> ProjPointSet:
             if reps[i] == reps[j]:
                 raise DuplicatePoint(i, j)
     return ProjPointSet(field=field, n=width - 1, reps=reps, first_one=first_one)
-
-
-def project_variables(P: ProjPointSet):
-    """Smallest-index maximal independent coordinate subset, with the linear
-    expression of each dropped coordinate in the kept ones (valid on P).
-
-    One rref of the points-by-coordinates matrix: its pivot columns are the
-    kept coordinates, and a dropped column's entries in the pivot rows are
-    its coefficients on the kept coordinates before it (later ones are 0).
-    """
-    R, _, kept = rref(Matrix(P.field, P.reps))
-    subs = {i: [R.rows[r][i] for r, k in enumerate(kept) if k < i]
-            for i in range(P.n + 1) if i not in kept}
-    return kept, subs
 
 
 def nzd_sweep(P: ProjPointSet) -> Form:
@@ -120,31 +107,22 @@ def nzd_sweep(P: ProjPointSet) -> Form:
 
 @dataclass
 class PointTriplet:
-    B: list          # per-degree monomial bases B_0..B_d (full-arity monomials)
+    B: list          # per-degree monomial bases B_0..B_d
     initials: list
     l: Form
-    A: list          # n+1 matrices, original variable order
-    hf: list
-    d: int
-    field: object
-    kept: list       # variable indices the computation ran on
-    substitutions: dict  # dropped index -> coefficients over kept
+    A: list          # n+1 matrices, one per variable
+
+    @property
+    def d(self):
+        return len(self.B) - 1
+
+    @property
+    def hf(self):
+        return [len(b) for b in self.B]
 
     @property
     def size(self):
-        return len(self.B[self.d])
-
-
-def _embed_mono(mono, kept, width):
-    out = [0] * width
-    for e, i in zip(mono, kept):
-        out[i] = e
-    return tuple(out)
-
-
-def _embed_form(form: Form, kept, width):
-    return Form(form.field, width, form.degree,
-                {_embed_mono(m, kept, width): c for m, c in form.terms.items()})
+        return len(self.B[-1])
 
 
 def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
@@ -161,73 +139,43 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     """Interpolation run over the points: per-degree monomial bases until the
     evaluation matrix reaches full rank, then multiplication matrices.
 
-    Candidates in each degree are the monomials outside the recorded
-    initials, processed in descending order; a candidate whose evaluation
-    vector depends on the rows already accepted joins the initials, the
-    rest extend the basis. Row i of A_j solves c G = x_j b_i on the points,
-    where G holds l b_k, so every A_j comes from one inverse of G. When the
-    ambient dimension exceeds the number of points the computation runs on
-    a projected coordinate subset and the matrices of dropped variables are
-    recovered by linearity.
+    This is the run of `vanishing_ideal` on every coordinate, stopped at
+    the least degree d with hf(d) = |P|: B and the initials are the
+    standard monomials and the leading terms of its basis elements up to
+    degree d, so a coordinate that is a linear combination of others on P
+    is a degree-1 initial. Row i of A_j solves c G = x_j b_i on the points,
+    where G holds l b_k, so every A_j comes from one inverse of G, and
+    sum_j coeff_j(l) A_j = I is checked.
     """
     f = P.field
     m = P.size
-    width = P.n + 1
-    if width > m:
-        kept, subs = project_variables(P)
-    else:
-        kept, subs = list(range(width)), {}
-    nv = len(kept)
-    core_reps = [[rep[i] for i in kept] for rep in P.reps]
-    # the first_one coordinate of a point is never projected away, so the
-    # projected representatives are still normalized
-    core_first = [next(i for i, x in enumerate(r) if not f.is_zero(x))
-                  for r in core_reps]
-    core = ProjPointSet(field=f, n=nv - 1, reps=core_reps, first_one=core_first)
-    if order is None:
-        order = MonomialOrder.default(nv)
-    elif len(order.ranking) == width and nv != width:
-        pos = {i: k for k, i in enumerate(kept)}
-        induced = tuple(pos[i] for i in order.ranking if i in pos)
-        order = MonomialOrder(kind=order.kind, ranking=induced)
-
-    # the A_j depend on l only through its values at the points, so a
-    # given l may use the coordinates the projection drops
     if l is None:
-        l = _embed_form(nzd_sweep(core), kept, width)
+        l = nzd_sweep(P)
     l_values = P.eval_form(l)
     if any(f.is_zero(x) for x in l_values):
         raise InputError("provided linear form vanishes at a point")
 
-    B = [[mono_one(nv)]]
+    B = [[mono_one(P.n + 1)]]
     rows = [[f.one] * m]
     initials = []
-    runs = _evaluation_run(core, order)
+    runs = _evaluation_run(P, order or MonomialOrder.default(P.n + 1))
     while len(B[-1]) != m:
         if len(B) > m:
             raise InvariantViolation("interpolation must stop by degree |P|")
         Bd, rows, news, _ = next(runs)
         B.append(Bd)
         initials += news
-    hf = [len(b) for b in B]
 
     def scaled_rows(vals):
         return Matrix(f, [entrywise(vals, row, f) for row in rows], ncols=m)
 
     G_inv = scaled_rows(l_values).inverse()
-    A_core = [scaled_rows([rep[j] for rep in core.reps]) @ G_inv
-              for j in range(nv)]
-    A_full = [None] * width
-    for k, i in enumerate(kept):
-        A_full[i] = A_core[k]
-    for i, coeffs in subs.items():
-        A_full[i] = linear_combination(coeffs, A_core)
-
-    return PointTriplet(B=[[_embed_mono(t, kept, width) for t in bd] for bd in B],
-                        initials=[_embed_mono(t, kept, width) for t in initials],
-                        l=l,
-                        A=A_full, hf=hf, d=len(B) - 1, field=f, kept=kept,
-                        substitutions=subs)
+    A = [scaled_rows(col) @ G_inv for col in zip(*P.reps)]
+    trip = PointTriplet(B=B, initials=initials, l=l, A=A)
+    if l_combination(trip) != Matrix.identity(f, m):
+        raise InvariantViolation(
+            "the l-combination sum_j coeff_j(l) A_j is not the identity")
+    return trip
 
 
 def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
@@ -345,14 +293,13 @@ def vanishing_ideal(P: ProjPointSet,
     """The reduced Groebner basis of I(P) up to degree d + 1, where d is the
     least degree with hf(d) = |P| (the stop degree of `bm_triplet`).
 
-    This is the interpolation run of `bm_triplet`, over every coordinate,
-    continued one degree past d: each initial t comes with its reduction
-    t - sum c_b b over the standard monomials b > t of its degree, which
-    vanishes on P. These are the basis elements of degree <= d + 1 for the
-    term order that compares degree first and then `order` reversed. I(P)
-    is generated in degrees <= d + 1, its regularity, and a homogeneous
-    element of degree e reduces to 0 by basis elements of degree <= e, so
-    they generate I(P).
+    This is the interpolation run of `bm_triplet` continued one degree past
+    d: each initial t comes with its reduction t - sum c_b b over the
+    standard monomials b > t of its degree, which vanishes on P. These are
+    the basis elements of degree <= d + 1 for the term order that compares
+    degree first and then `order` reversed. I(P) is generated in degrees
+    <= d + 1, its regularity, and a homogeneous element of degree e reduces
+    to 0 by basis elements of degree <= e, so they generate I(P).
     """
     f = P.field
     nv = P.n + 1

@@ -5,34 +5,16 @@ test oracle.
 accepted so far in its degree and solves for every matrix row separately;
 `vanishing_ideal` compares the kernel of each degree's evaluation matrix
 against the Macaulay piece of the generators found so far, in every degree
-up to |P|. `eval_monomial` is the per-point monomial evaluation both used,
-`project_variables` the per-coordinate projection and `_restrict_form` the
-restriction of l to the kept coordinates that `bm_triplet` used.
+up to |P|. `eval_monomial` is the per-point monomial evaluation both used.
+Both run on every coordinate.
 """
 
-from projzero.errors import InputError, InvariantViolation
+from projzero.errors import InvariantViolation
 from projzero.linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
-from projzero.points import (PointTriplet, ProjPointSet, _embed_form,
-                             _embed_mono, nzd_sweep)
+from projzero.points import PointTriplet, ProjPointSet, nzd_sweep
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
-
-
-def _restrict_form(form: Form, kept, width):
-    """form on the kept coordinates; it may not use a dropped one."""
-    pos = {i: k for k, i in enumerate(kept)}
-    terms = {}
-    for m, c in form.terms.items():
-        nm = [0] * len(kept)
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if i not in pos:
-                raise InputError("form uses a projected-away variable")
-            nm[pos[i]] = e
-        terms[tuple(nm)] = c
-    return Form(form.field, len(kept), form.degree, terms)
 
 
 def eval_monomial(P: ProjPointSet, mono):
@@ -53,27 +35,6 @@ def eval_monomial(P: ProjPointSet, mono):
     return out
 
 
-def project_variables(P: ProjPointSet):
-    """Smallest-index maximal independent coordinate subset, with the linear
-    expression of each dropped coordinate in the kept ones (valid on P):
-    one rank test per coordinate and one row-space solve per dropped one."""
-    f = P.field
-    m = P.size
-    coord_rows = [[rep[i] for rep in P.reps] for i in range(P.n + 1)]
-    kept = []
-    kept_rows = []
-    subs = {}
-    for i, row in enumerate(coord_rows):
-        trial = Matrix(f, kept_rows + [row], ncols=m)
-        if trial.rank() > len(kept_rows):
-            kept.append(i)
-            kept_rows.append(row)
-        else:
-            coeffs = solve_in_rowspace(row, Matrix(f, kept_rows, ncols=m))
-            subs[i] = coeffs
-    return kept, subs
-
-
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                l: Form | None = None) -> PointTriplet:
     """Interpolation run over the points: per-degree monomial bases until the
@@ -82,37 +43,17 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     Candidates in each degree are the monomials outside the recorded
     initials, processed in descending order; a candidate whose evaluation
     vector depends on the rows already accepted joins the initials, the
-    rest extend the basis. When the ambient dimension exceeds the number of
-    points the computation runs on a projected coordinate subset and the
-    matrices of dropped variables are recovered by linearity.
+    rest extend the basis.
     """
     f = P.field
     m = P.size
-    width = P.n + 1
-    if width > m:
-        kept, subs = project_variables(P)
-    else:
-        kept, subs = list(range(width)), {}
-    nv = len(kept)
-    core_reps = [[rep[i] for i in kept] for rep in P.reps]
-    # the first_one coordinate of a point is never projected away, so the
-    # projected representatives are still normalized
-    core_first = [next(i for i, x in enumerate(r) if not f.is_zero(x))
-                  for r in core_reps]
-    core = ProjPointSet(field=f, n=nv - 1, reps=core_reps, first_one=core_first)
+    nv = P.n + 1
     if order is None:
         order = MonomialOrder.default(nv)
-    elif len(order.ranking) == width and nv != width:
-        pos = {i: k for k, i in enumerate(kept)}
-        induced = tuple(pos[i] for i in order.ranking if i in pos)
-        order = MonomialOrder(kind=order.kind, ranking=induced)
-
     if l is None:
-        l_core = nzd_sweep(core)
-    else:
-        l_core = _restrict_form(l, kept, width)
-        if any(f.is_zero(x) for x in core.eval_form(l_core)):
-            raise ValueError("provided linear form vanishes at a point")
+        l = nzd_sweep(P)
+    elif any(f.is_zero(x) for x in P.eval_form(l)):
+        raise ValueError("provided linear form vanishes at a point")
 
     B = [[mono_one(nv)]]
     rows = [[f.one] * m]
@@ -126,7 +67,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
         for t in monomials_of_degree(nv, d, order):
             if any(mono_divides(g, t) for g in initials):
                 continue
-            vec = eval_monomial(core, t)
+            vec = eval_monomial(P, t)
             if solve_in_rowspace(vec, Matrix(f, rows_d, ncols=m)) is None:
                 Bd.append(t)
                 rows_d.append(vec)
@@ -134,14 +75,13 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                 initials.append(t)
         B.append(Bd)
         rows = rows_d
-    hf = [len(b) for b in B]
 
-    lvals = core.eval_form(l_core)
+    lvals = P.eval_form(l)
     G = Matrix(f, [[f.mul(lv, ev) for lv, ev in zip(lvals, row)]
                    for row in rows], ncols=m)
-    A_core = []
+    A = []
     for j in range(nv):
-        xvals = [rep[j] for rep in core.reps]
+        xvals = [rep[j] for rep in P.reps]
         mat_rows = []
         for row in rows:
             vec = [f.mul(xv, ev) for xv, ev in zip(xvals, row)]
@@ -151,23 +91,8 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                     "x_j times a basis row is outside the span of l times "
                     "the basis rows")
             mat_rows.append(c)
-        A_core.append(Matrix(f, mat_rows, ncols=m))
-
-    A_full = [None] * width
-    for k, i in enumerate(kept):
-        A_full[i] = A_core[k]
-    for i, coeffs in subs.items():
-        acc = Matrix.zero(f, m, m)
-        for c, k in zip(coeffs, range(len(kept))):
-            if not f.is_zero(c):
-                acc = acc + A_core[k].scale(c)
-        A_full[i] = acc
-
-    return PointTriplet(B=[[_embed_mono(t, kept, width) for t in bd] for bd in B],
-                        initials=[_embed_mono(t, kept, width) for t in initials],
-                        l=_embed_form(l_core, kept, width),
-                        A=A_full, hf=hf, d=d, field=f, kept=kept,
-                        substitutions=subs)
+        A.append(Matrix(f, mat_rows, ncols=m))
+    return PointTriplet(B=B, initials=initials, l=l, A=A)
 
 
 def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,

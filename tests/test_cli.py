@@ -66,6 +66,15 @@ def test_invariant_violation_exit_1(capsys, data_dir, monkeypatch):
     assert out == ""
 
 
+def test_vanish_invariant_violation_exit_1(capsys, data_dir, monkeypatch):
+    """bm_triplet checks the l-combination identity too."""
+    monkeypatch.setattr(Matrix, "inverse", lambda self: self.scale(2))
+    code, out, err = run(capsys, "vanish", str(data_dir / "six_points.pts"))
+    assert code == 1
+    assert err.startswith("error: the l-combination")
+    assert out == ""
+
+
 def test_solve_under_python_O_matches_golden(data_dir):
     """The invariant checks are not asserts, so -O keeps them and the
     answer."""

@@ -6,6 +6,7 @@ engine no longer needs."""
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,12 +17,14 @@ import projzero.quotient
 from projzero import (Form, MonomialOrder, bm_triplet, build_triplet,
                       hilbert_scan, ideal_piece, initial_ideal_min_generators,
                       normalize, solve, vanishing_ideal)
+from projzero.cli import parse_points_file
 from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
-from projzero.polyring import mono_divides, mono_one
+from projzero.polyring import mono_divides, mono_one, monomials_of_degree
 from projzero.triplet import TripletOptions
 from tests import interp_oracle, points_oracle as oracle
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 Q = RationalField()
 GF32003 = PrimeField(32003)
 FIELDS = [PrimeField(2), PrimeField(7), GF32003, Q]
@@ -58,7 +61,8 @@ def orders(draw, nvars):
 @st.composite
 def differential_cases(draw):
     field = draw(st.sampled_from(FIELDS))
-    # widths above the number of points exercise the projection
+    # widths above the number of points make some coordinates linear
+    # combinations of others on P, so they become degree-1 initials
     P = draw(point_sets(field, st.integers(1, 5),
                         lambda m: st.integers(2, 5 if m <= 3 else 4)))
     return P, draw(orders(P.n + 1))
@@ -151,10 +155,8 @@ def test_engine_matches_oracle(case):
     if isinstance(old, type):
         assert new is old
     else:
-        assert (new.B, new.initials, new.hf, new.d, new.kept,
-                new.substitutions) \
-            == (old.B, old.initials, old.hf, old.d, old.kept,
-                old.substitutions)
+        assert (new.B, new.initials, new.hf, new.d) \
+            == (old.B, old.initials, old.hf, old.d)
         assert new.l.terms == old.l.terms
         assert [A.rows for A in new.A] == [A.rows for A in old.A]
     I_new = vanishing_ideal(P, order)
@@ -171,7 +173,9 @@ def test_engine_matches_oracle(case):
 def test_generators_are_a_reduced_basis(case):
     """Each generator is t plus terms of its degree above t in `order`, and
     no other generator's t divides any of its terms: a reduced basis for
-    the order by degree and then `order` reversed."""
+    the order by degree and then `order` reversed. bm_triplet agrees on
+    every width: its initials are the leads t of degree <= d, and B_e is
+    the set of degree-e monomials that none of them divides."""
     P, order = case
     gens = vanishing_ideal(P, order).generators
     leads = [min(g.terms, key=order.key) for g in gens]
@@ -180,6 +184,14 @@ def test_generators_are_a_reduced_basis(case):
         for mono in g.terms:
             assert not any(mono_divides(u, mono) for u in leads if u != t)
         assert all(P.field.is_zero(g.evaluate(rep)) for rep in P.reps)
+    trip = _outcome(bm_triplet, P, order)
+    if trip is FieldTooSmall:
+        return
+    low = [t for g, t in zip(gens, leads) if g.degree <= trip.d]
+    assert trip.initials == low
+    for e, Be in enumerate(trip.B):
+        assert set(Be) == {t for t in monomials_of_degree(P.n + 1, e, order)
+                           if not any(mono_divides(u, t) for u in low)}
 
 
 @settings(max_examples=4)
@@ -212,10 +224,12 @@ def _points(field, rows):
                 [1, 4, 4]]),
     _points(GF32003, [[1, 5, 9, 2], [3, 1, 4, 1], [2, 7, 1, 8], [5, 3, 5, 8],
                       [9, 7, 9, 3], [2, 3, 8, 4], [6, 2, 6, 4]]),
-], ids=["six_points", "seven_gf32003"])
+    parse_points_file((DATA / "four_points_p7.pts").read_text())[0],
+], ids=["six_points", "seven_gf32003", "four_points_p7"])
 def test_no_elimination_outside_the_engine(P, monkeypatch):
-    """vanishing_ideal builds no Macaulay piece, and bm_triplet on at most
-    as many coordinates as points solves no row-space system."""
+    """vanishing_ideal builds no Macaulay piece, and bm_triplet, also on
+    more coordinates than points, computes no rank and solves no
+    row-space system."""
     calls = []
 
     def forbidden(name):
@@ -230,7 +244,7 @@ def test_no_elimination_outside_the_engine(P, monkeypatch):
     for module in (projzero.linalg, projzero.points):
         monkeypatch.setattr(module, "solve_in_rowspace",
                             forbidden("solve_in_rowspace"))
-    assert P.n + 1 <= P.size
+    monkeypatch.setattr(projzero.linalg.Matrix, "rank", forbidden("rank"))
     vanishing_ideal(P)
     bm_triplet(P)
     assert calls == []

@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import projzero.points
 from projzero import (Form, Matrix, MonomialOrder, bm_triplet, c_matrix,
                       char_poly, eigenpoints_from_matrices, eval_normal_form,
                       hilbert_scan, ideal_piece, normalize, nzd_sweep,
-                      parse_form, project_variables, refine_partitions,
-                      roots_in_field, separators, vanishing_ideal)
-from projzero.cli import parse_points_file
+                      parse_form, refine_partitions, roots_in_field,
+                      separators, vanishing_ideal)
 from projzero.errors import (DuplicatePoint, FieldTooSmall,
                              RankDeficientBasis, ZeroPoint)
 from projzero.fields import PrimeField, RationalField
@@ -45,49 +42,20 @@ def test_normalize_detects_duplicates_and_zero():
 
 
 def test_project_variables_general_position():
+    """No coordinate is a linear combination of the others on P, so none is
+    a degree-1 initial."""
     P = qpts([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    kept, subs = project_variables(P)
-    assert kept == [0, 1, 2] and subs == {}
+    t = bm_triplet(P)
+    assert t.B[1] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert all(sum(u) == 2 for u in t.initials)
 
 
 def test_project_variables_hyperplane():
-    # points on x2 = x0 + x1
+    """x2 = x0 + x1 on P: x2 is a degree-1 initial and A_2 = A_0 + A_1."""
     P = qpts([[1, 0, 1], [0, 1, 1], [1, 1, 2], [1, 2, 3]])
-    kept, subs = project_variables(P)
-    assert kept == [0, 1]
-    assert subs == {2: [1, 1]}
-
-
-def test_project_variables_single_point():
-    P = qpts([[1, 0, 0]])
-    kept, subs = project_variables(P)
-    assert kept == [0]
-    assert subs == {1: [0], 2: [0]}
-
-
-def test_project_variables_one_rref(monkeypatch):
-    # four points in P^7: bm_triplet projects away four coordinates
-    path = Path(__file__).resolve().parent.parent / "data" / "four_points_p7.pts"
-    P, _ = parse_points_file(path.read_text())
-    calls = []
-
-    def forbidden(name):
-        def record(*args):
-            calls.append(name)
-        return record
-
-    monkeypatch.setattr(Matrix, "rank", forbidden("rank"))
-    monkeypatch.setattr(projzero.points, "solve_in_rowspace",
-                        forbidden("solve_in_rowspace"))
     t = bm_triplet(P)
-    assert t.substitutions and calls == []
-
-
-def test_project_variables_dropped_before_kept():
-    # x0 is zero on every point: dropped with an empty expression
-    P = qpts([[0, 1, 2], [0, 1, 3]])
-    kept, subs = project_variables(P)
-    assert kept == [1, 2] and subs == {0: []}
+    assert t.initials[0] == (0, 0, 1)
+    assert t.A[2] == t.A[0] + t.A[1]
 
 
 def test_nzd_sweep_z3_example():
