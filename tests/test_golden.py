@@ -28,7 +28,15 @@ re-recorded when that policy began to build at the Hilbert scan's
 certificate degree and to return the scan's commuting triplet there: only
 `triplet.degree` (12 -> 5, 3 -> 2) and `triplet.basis` moved, while l, the
 matrices, the points, their multiplicities and the warnings stayed as they
-were. To re-record after an intended change of output:
+were. golden/vanish.json was re-recorded when `vanish` stopped projecting
+to an independent coordinate subset, so its documents no longer carry
+`projected_to`: `gf3_three_points` and the three `six_points` entries lost
+only that key, and `four_points_p7` also gained the initials x5, x6, x7
+and x8, the coordinates that are linear combinations of x1..x4 on its four
+points (they are the leads of the degree-1 generators of its vanishing
+ideal); `gf2_three_points` still exits 4 with no document. A, B, l, hf
+and stop_degree stayed as they were in every entry. To re-record after an
+intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -91,7 +99,7 @@ POINT_SETS = ("four_points_p7", "gf2_three_points", "gf3_three_points",
               "six_points")
 
 # case name -> (fixture, vanish arguments); four_points_p7 has more
-# coordinates than points, so vanish runs on a projected coordinate subset
+# coordinates than points, so some coordinates are degree-1 initials
 VANISH_CASES = {
     **{name: (name, []) for name in POINT_SETS},
     "six_points lex z,y,x": (
