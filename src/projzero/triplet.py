@@ -142,8 +142,8 @@ def _assemble(I, order, d, l, trials, piece_d, piece_d1, L):
     return trip
 
 
-def l_combination(triplet: Triplet) -> Matrix:
-    """sum_j coeff_j(l) A_j, which must equal the identity."""
+def l_combination(triplet) -> Matrix:
+    """sum_j coeff_j(l) A_j of either side's triplet; must be the identity."""
     terms = triplet.l.terms.items()
     return linear_combination([c for _, c in terms],
                               [triplet.A[mono.index(1)] for mono, _ in terms])
