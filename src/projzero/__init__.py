@@ -20,13 +20,13 @@ from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
                        binomial_expansion, gb_degree_bound, hilbert_scan,
                        ideal_piece, initial_ideal_min_generators,
                        macaulay_growth, normal_form_by_degree)
-from .points import (CMatrix, PointTriplet, ProjPointSet, bm_triplet,
-                     c_matrix, eval_normal_form, normalize, nzd_sweep,
+from .points import (CMatrix, ProjPointSet, bm_triplet, c_matrix,
+                     eval_normal_form, normalize, nzd_sweep,
                      refine_partitions, separators, vanishing_ideal)
 from .solver import (EigenPoint, SolutionReport, common_eigenvectors,
                      eigenpoints_from_matrices, filter_points, solve)
-from .triplet import (FastNormalForm, Triplet, TripletOptions, build_triplet,
-                      fast_normal_form, find_surjective_linear,
+from .triplet import (FastNormalForm, Triplet, TripletOptions, assemble,
+                      build_triplet, fast_normal_form, find_surjective_linear,
                       l_combination, l_map_matrix)
 
 __version__ = "0.1.0"

@@ -226,7 +226,7 @@ def cmd_solve(args):
         "hf_prefix": report.hf_prefix,
         "artinian": report.artinian,
         "points": [{"point": [field.format(x) for x in ep.point],
-                    "multiplicity": mult} for ep, mult in report.points],
+                    "multiplicity": ep.multiplicity} for ep in report.points],
         "rejected": [[field.format(x) for x in ep.point]
                      for ep in report.rejected],
         "residual_degree": report.residual_degree,
@@ -245,8 +245,8 @@ def cmd_solve(args):
         }
         lines.append(f"triplet: degree {t.d}, l = {doc['triplet']['l']}, "
                      f"basis [{', '.join(doc['triplet']['basis'])}]")
-    for ep, mult in report.points:
-        lines.append(f"{_fmt_point(field, ep.point)}  mult={mult}")
+    for ep in report.points:
+        lines.append(f"{_fmt_point(field, ep.point)}  mult={ep.multiplicity}")
     if report.artinian:
         lines.append("artinian; variety empty")
     for ep in report.rejected:
@@ -270,7 +270,7 @@ def cmd_nf(args):
         _emit(doc, args, [f"reduced: {doc['reduced']}"])
         return 0
     triplet = build_triplet(I, order, _solve_options(args, I))
-    res = fast_normal_form(f, triplet)
+    res = fast_normal_form(f, I, triplet)
     l_str = format_form(triplet.l, I.vars, order)
     basis = [format_monomial(m, I.vars) for m in triplet.E_monomials]
     parts = []
@@ -311,18 +311,19 @@ def cmd_nf(args):
 def cmd_vanish(args):
     P, var_names = parse_points_file(_read(args.file))
     order = _apply_order_flags(MonomialOrder.default(P.n + 1), args, var_names)
-    trip = bm_triplet(P, order, l=_linear_form(args, var_names, P.field))
+    trip, B, initials = bm_triplet(P, order,
+                                   l=_linear_form(args, var_names, P.field))
     field = P.field
     doc = {
         "schema": SCHEMA, "command": "vanish",
-        "hf": trip.hf, "stop_degree": trip.d,
+        "hf": [len(bd) for bd in B], "stop_degree": trip.d,
         "l": format_form(trip.l, var_names, None),
-        "B": [[format_monomial(m, var_names) for m in bd] for bd in trip.B],
-        "initials": [format_monomial(m, var_names) for m in trip.initials],
+        "B": [[format_monomial(m, var_names) for m in bd] for bd in B],
+        "initials": [format_monomial(m, var_names) for m in initials],
         "A": {name: _matrix_json(field, trip.A[j])
               for j, name in enumerate(var_names)},
     }
-    lines = [f"hf: {' '.join(str(v) for v in trip.hf)}",
+    lines = [f"hf: {' '.join(str(v) for v in doc['hf'])}",
              f"stop degree: {trip.d}",
              f"l = {doc['l']}"]
     for d, bd in enumerate(doc["B"]):

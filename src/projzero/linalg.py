@@ -347,16 +347,6 @@ def solve_in_rowspace(v, rows: Matrix):
     return c
 
 
-def poly_mul(p, q, field):
-    out = [field.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if field.is_zero(a):
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return out
-
-
 def poly_eval(p, x, field):
     acc = field.zero
     for c in reversed(p):

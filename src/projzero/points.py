@@ -17,7 +17,7 @@ from .linalg import (Matrix, entrywise, kernel, normalize_vector,
                      solve_in_rowspace, vec_matmul)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
-from .triplet import l_combination
+from .triplet import Triplet, assemble
 
 
 @dataclass
@@ -105,26 +105,6 @@ def nzd_sweep(P: ProjPointSet) -> Form:
     return Form.linear(f, v)
 
 
-@dataclass
-class PointTriplet:
-    B: list          # per-degree monomial bases B_0..B_d
-    initials: list
-    l: Form
-    A: list          # n+1 matrices, one per variable
-
-    @property
-    def d(self):
-        return len(self.B) - 1
-
-    @property
-    def hf(self):
-        return [len(b) for b in self.B]
-
-    @property
-    def size(self):
-        return len(self.B[-1])
-
-
 def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
     """`_interpolate` over evaluation at the points, from B_0 = {1}, with
     candidates in descending order."""
@@ -135,47 +115,40 @@ def _evaluation_run(P: ProjPointSet, order: MonomialOrder):
 
 
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
-               l: Form | None = None) -> PointTriplet:
+               l: Form | None = None) -> tuple[Triplet, list, list]:
     """Interpolation run over the points: per-degree monomial bases until the
     evaluation matrix reaches full rank, then multiplication matrices.
 
     This is the run of `vanishing_ideal` on every coordinate, stopped at
-    the least degree d with hf(d) = |P|: B and the initials are the
-    standard monomials and the leading terms of its basis elements up to
-    degree d, so a coordinate that is a linear combination of others on P
-    is a degree-1 initial. Row i of A_j solves c G = x_j b_i on the points,
-    where G holds l b_k, so every A_j comes from one inverse of G, and
-    sum_j coeff_j(l) A_j = I is checked.
+    the least degree d with hf(d) = |P|. Returns (triplet, B, initials): B
+    holds the bases B_0..B_d and the initials are the leading terms of the
+    basis elements up to degree d, so a coordinate that is a linear
+    combination of others on P is a degree-1 initial. The triplet is the
+    ideal side's type, built by the same `triplet.assemble`: E = B_d and
+    row i of X_j holds the values of x_j b_i at the points, so
+    A_j = X_j L_E^{-1} with L_E the values of l b_k.
     """
     f = P.field
     m = P.size
+    order = order or MonomialOrder.default(P.n + 1)
     if l is None:
         l = nzd_sweep(P)
-    l_values = P.eval_form(l)
-    if any(f.is_zero(x) for x in l_values):
+    if any(f.is_zero(x) for x in P.eval_form(l)):
         raise InputError("provided linear form vanishes at a point")
 
     B = [[mono_one(P.n + 1)]]
     rows = [[f.one] * m]
     initials = []
-    runs = _evaluation_run(P, order or MonomialOrder.default(P.n + 1))
+    runs = _evaluation_run(P, order)
     while len(B[-1]) != m:
         if len(B) > m:
             raise InvariantViolation("interpolation must stop by degree |P|")
         Bd, rows, news, _ = next(runs)
         B.append(Bd)
         initials += news
-
-    def scaled_rows(vals):
-        return Matrix(f, [entrywise(vals, row, f) for row in rows], ncols=m)
-
-    G_inv = scaled_rows(l_values).inverse()
-    A = [scaled_rows(col) @ G_inv for col in zip(*P.reps)]
-    trip = PointTriplet(B=B, initials=initials, l=l, A=A)
-    if l_combination(trip) != Matrix.identity(f, m):
-        raise InvariantViolation(
-            "the l-combination sum_j coeff_j(l) A_j is not the identity")
-    return trip
+    X = [Matrix(f, [entrywise(col, row, f) for row in rows], ncols=m)
+         for col in zip(*P.reps)]
+    return assemble(B[-1], l, X, order), B, initials
 
 
 def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:

@@ -210,7 +210,7 @@ def _draw_coefficients(field, n, rng):
 
 @dataclass
 class SolutionReport:
-    points: list                  # (EigenPoint, multiplicity), kept ones
+    points: list                  # kept EigenPoints
     rejected: list                # EigenPoint candidates that failed filtering
     hf_prefix: list
     scan: object
@@ -241,10 +241,9 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
     kept, rejected = filter_points(_eigenpoints(found, field), I)
     kept.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
     rejected.sort(key=lambda ep: [field.sort_key(x) for x in ep.point])
-    points = [(ep, ep.multiplicity) for ep in kept]
     resid = found.residual_degree
     warnings = []
-    total = sum(mult for _, mult in points)
+    total = sum(ep.multiplicity for ep in kept)
     if total > scan.m:
         warnings.append(
             f"multiplicities sum to {total}, more than the stable Hilbert "
@@ -260,7 +259,7 @@ def solve(I: IdealPresentation, order: MonomialOrder | None = None,
         warnings.append(
             f"{len(found.blocks)} joint eigenspaces of dimension > 1 were "
             "not interpreted as points")
-    return SolutionReport(points=points, rejected=rejected,
+    return SolutionReport(points=kept, rejected=rejected,
                           hf_prefix=scan.hf_values, scan=scan, triplet=triplet,
                           residual_degree=resid, blocks=len(found.blocks),
                           warnings=warnings)

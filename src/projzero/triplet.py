@@ -3,8 +3,7 @@
 A triplet is (degree d, basis E of R_d, linear form l, matrices A_0..A_n)
 where the map [a] -> [l a] from R_d onto R_{d+1} is surjective. Row i of A_j
 holds the coordinates of [x_j e_i] in the basis {[l e_k]} of R_{d+1}; in
-particular sum_j coeff_j(l) A_j is the identity, which every constructor
-here checks.
+particular sum_j coeff_j(l) A_j is the identity, which `assemble` checks.
 
 Two degree policies are supported. first_surjective stops at the first
 degree with hf(d) >= hf(d+1) and a surjective l, which is all the variety
@@ -18,10 +17,16 @@ did, over fields too small to have a bijective l.
 The ideal keeps its degree pieces (`IdealPresentation.piece`), so the
 scan, the search for l and a fallback scan eliminate each degree once per
 command, and `solve` hands its scan to `build_triplet`. The certificate
-draws l from the caller's seed, and the search's stream restarts at every degree; where
-hf(d) = hf(d+1) surjective means bijective, so at the certificate degree the
-search would find the certificate's l, and `build_triplet` returns the
-scan's triplet unless an explicit l or too few trials change the search.
+draws l from the caller's seed, and the search's stream restarts at every
+degree; where hf(d) = hf(d+1) surjective means bijective, so at the
+certificate degree the search would find the certificate's l, and
+`build_triplet` returns the scan's triplet unless l is explicit or the trial
+budget is below COMMUTATION_DRAWS = 4. Below it the search replays the
+certificate's draws, so it builds the same triplet when the budget reaches
+the draw that gave l, and fails otherwise.
+
+`Triplet` is the one triplet type: `build_triplet` here and
+`points.bm_triplet` both build it with `assemble`.
 """
 
 import random
@@ -31,7 +36,7 @@ from functools import cached_property
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
                      InvariantViolation, NoSurjectionFound, ProjzeroError)
 from .linalg import Matrix, linear_combination, rref, vec_matmul
-from .polyring import Form, MonomialOrder
+from .polyring import Form, MonomialOrder, mono_degree
 from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
                        hilbert_scan)
 
@@ -55,17 +60,48 @@ class TripletOptions:
 
 @dataclass
 class Triplet:
-    d: int
+    """A triplet (d, E, l, A_0..A_n), the one type of the ideal side
+    (`build_triplet`) and the points side (`points.bm_triplet`); `assemble`
+    builds every one."""
     E_monomials: list  # basis of R_d (standard monomials, possibly a subset)
     l: Form
-    trials: int        # draws of l tried at degree d, the last one giving l
     A: list            # n+1 multiplication matrices, one per variable
-    piece_d: DegreePiece
     order: MonomialOrder
+
+    @property
+    def d(self):
+        return mono_degree(self.E_monomials[0])
 
     @property
     def size(self):
         return len(self.E_monomials)
+
+
+def _l_sum(l: Form, matrix_of) -> Matrix:
+    """sum_j coeff_j(l) matrix_of(j) over the variables x_j of l."""
+    terms = l.terms.items()
+    return linear_combination([c for _, c in terms],
+                              [matrix_of(mono.index(1)) for mono, _ in terms])
+
+
+def assemble(E_monomials, l: Form, X: list, order: MonomialOrder) -> Triplet:
+    """The triplet on E from X_j, the matrix of multiplication by x_j from E
+    to coordinates on a basis of the degree above: L_E = sum_j coeff_j(l) X_j
+    is inverted once and A_j = X_j L_E^{-1}. Both sides build their `Triplet`
+    here, the ideal side from normal forms and the points side from values
+    at the points, and sum_j coeff_j(l) A_j = 1 is checked."""
+    L_E_inv = _l_sum(l, X.__getitem__).inverse()
+    trip = Triplet(E_monomials=E_monomials, l=l,
+                   A=[X_j @ L_E_inv for X_j in X], order=order)
+    if l_combination(trip) != Matrix.identity(L_E_inv.field, trip.size):
+        raise InvariantViolation(
+            "the l-combination sum_j coeff_j(l) A_j is not the identity")
+    return trip
+
+
+def l_combination(triplet) -> Matrix:
+    """sum_j coeff_j(l) A_j of a triplet; `assemble` checks that it is 1."""
+    return _l_sum(triplet.l, triplet.A.__getitem__)
 
 
 def _times_variable(j, monos, piece_d1: DegreePiece) -> Matrix:
@@ -82,11 +118,8 @@ def l_map_matrix(l: Form, piece_d: DegreePiece, piece_d1: DegreePiece) -> Matrix
     R_{d+1}; entries are normal-form coordinates. It is sum_j c_j X_j for
     l = sum_j c_j x_j, X_j on the standard monomials of R_d.
     """
-    terms = l.terms.items()
-    return linear_combination(
-        [c for _, c in terms],
-        [_times_variable(mono.index(1), piece_d.standard_monomials, piece_d1)
-         for mono, _ in terms])
+    return _l_sum(l, lambda j: _times_variable(
+        j, piece_d.standard_monomials, piece_d1))
 
 
 def _surjective(l, piece_d, piece_d1):
@@ -108,45 +141,29 @@ def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
                            piece_d1: DegreePiece, seed=0, max_trials=200):
     """Find l with [l] R_d = R_{d+1} by seeded random draws.
 
-    Returns (l, its l-map matrix, the number of draws it took).
+    Returns l and its l-map matrix.
     """
     hf_d, hf_d1 = len(piece_d.standard_monomials), len(piece_d1.standard_monomials)
     if not hf_d >= hf_d1 > 0:
         raise ValueError(f"need hf(d) >= hf(d+1) > 0, got {hf_d}, {hf_d1}")
     rng = random.Random(seed)
-    for trial in range(1, max_trials + 1):
+    for _ in range(max_trials):
         l = _random_linear(I.field, I.nvars, rng)
         L = _surjective(l, piece_d, piece_d1)
         if L is not None:
-            return l, L, trial
+            return l, L
     raise NoSurjectionFound(max_trials, degree=piece_d.d)
 
 
-def _assemble(I, order, d, l, trials, piece_d, piece_d1, L):
+def _assemble(order, l, piece_d, piece_d1, L):
     """The triplet at d from the l-map L: E is the earliest set of standard
-    monomials whose rows L_E are a basis of R_{d+1}; A_j = X_j[E] L_E^{-1}."""
-    field = I.field
-    target = len(piece_d1.standard_monomials)
+    monomials whose rows of L are a basis of R_{d+1}, and X_j is read off
+    the normal forms of piece_d1."""
     # pivot columns of L^T pick the earliest independent row subset of L
     _, _, basis_rows = rref(L.transpose())
     E_mon = [piece_d.standard_monomials[i] for i in basis_rows]
-    L_E_inv = Matrix(field, [L.rows[i] for i in basis_rows],
-                     ncols=target).inverse()
-    A = [_times_variable(j, E_mon, piece_d1) @ L_E_inv
-         for j in range(I.nvars)]
-    trip = Triplet(d=d, E_monomials=E_mon, l=l, trials=trials, A=A,
-                   piece_d=piece_d, order=order)
-    if l_combination(trip) != Matrix.identity(field, target):
-        raise InvariantViolation(
-            "the l-combination sum_j coeff_j(l) A_j is not the identity")
-    return trip
-
-
-def l_combination(triplet) -> Matrix:
-    """sum_j coeff_j(l) A_j of either side's triplet; must be the identity."""
-    terms = triplet.l.terms.items()
-    return linear_combination([c for _, c in terms],
-                              [triplet.A[mono.index(1)] for mono, _ in terms])
+    return assemble(E_mon, l, [_times_variable(j, E_mon, piece_d1)
+                               for j in range(l.nvars)], order)
 
 
 # Seeded draws of l per degree in the commutation certificate. A random l
@@ -168,18 +185,18 @@ def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
     l once it is.
 
     Only the pairs without one variable x_k are multiplied, for a k with
-    c_k = coeff_k(l) != 0. `_assemble` has checked sum_j c_j A_j = 1, so
+    c_k = coeff_k(l) != 0. `assemble` has checked sum_j c_j A_j = 1, so
     A_k = c_k^{-1} (1 - sum_{j != k} c_j A_j). If the other A_j commute
     pairwise, each commutes with that combination, hence with A_k, and all
     pairs commute; the converse is plain. That is C(n, 2) products of pairs
     instead of C(n + 1, 2) for n + 1 variables.
     """
     try:
-        l, L, trials = find_surjective_linear(I, piece_d, piece_d1, seed,
-                                              COMMUTATION_DRAWS)
+        l, L = find_surjective_linear(I, piece_d, piece_d1, seed,
+                                      COMMUTATION_DRAWS)
     except NoSurjectionFound:
         return None
-    trip = _assemble(I, order, piece_d.d, l, trials, piece_d, piece_d1, L)
+    trip = _assemble(order, l, piece_d, piece_d1, L)
     k = next(iter(l.terms)).index(1)
     A = trip.A[:k] + trip.A[k + 1:]
     if any(A[i] @ A[j] != A[j] @ A[i]
@@ -236,19 +253,19 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
                 raise ArtinianQuotient("empty variety; no triplet exists")
             known = scan.triplet if scan and options.linear_form is None else None
             if (known is not None and known.d == d
-                    and known.trials <= options.max_trials):
+                    and options.max_trials >= COMMUTATION_DRAWS):
                 return known
             l, trials = options.linear_form, 1
             if l is not None:
                 L = _surjective(l, piece_d, piece_d1)
             else:
                 try:
-                    l, L, trials = find_surjective_linear(
+                    l, L = find_surjective_linear(
                         I, piece_d, piece_d1, options.seed, options.max_trials)
                 except NoSurjectionFound:
                     L, trials = None, options.max_trials
             if L is not None:
-                return _assemble(I, order, d, l, trials, piece_d, piece_d1, L)
+                return _assemble(order, l, piece_d, piece_d1, L)
             # K2 failed: compute one more degree, unless d is at least d_c. The
             # scan waits until here: it costs more than most triplets.
             if scan is None:
@@ -303,37 +320,38 @@ def _split_monomial(mono, d, order: MonomialOrder):
     return a, tuple(b)
 
 
-def fast_normal_form(f: Form, triplet: Triplet) -> FastNormalForm:
+def fast_normal_form(f: Form, I: IdealPresentation,
+                     triplet: Triplet) -> FastNormalForm:
     """Normal form of a high-degree form as coordinates in {l^k e_i}.
 
     Each monomial is split as a*b with deg b = triplet.d; nf(b) is read
-    off the reduced echelon at degree d and the coordinate row is then pushed
+    off I's reduced echelon at degree d and the coordinate row is then pushed
     up by the matrices, one variable at a time, with binary matrix powers
     A_j^e shared by all monomials; one product with f's coefficients sums
     the pushed rows. Nothing is expanded: the result's `form`
     builds sum_i c_i l^k e_i on first use.
     """
-    if f.degree < triplet.d:
-        raise DegreeTooLow(
-            f"form degree {f.degree} below triplet degree {triplet.d}")
+    d = triplet.d
+    if f.degree < d:
+        raise DegreeTooLow(f"form degree {f.degree} below triplet degree {d}")
     field = f.field
     order = triplet.order
     m = triplet.size
-    k = f.degree - triplet.d
-    std = triplet.piece_d.standard_monomials
+    k = f.degree - d
+    piece_d = I.piece(d, order)
     pos_of_basis = {mono: i for i, mono in enumerate(triplet.E_monomials)}
     rows = []
     powers_cache = {}
     for mono in f.terms:
-        a, b = _split_monomial(mono, triplet.d, order)
+        a, b = _split_monomial(mono, d, order)
         row = [field.zero] * m
-        for s, c in zip(std, triplet.piece_d.normal_forms[b]):
+        for s, c in zip(piece_d.standard_monomials, piece_d.normal_forms[b]):
             if not c:
                 continue
             if s not in pos_of_basis:
                 raise ProjzeroError(
                     f"the normal form of the split tail with exponents {b} "
-                    f"leaves the span of E at triplet degree {triplet.d}, "
+                    f"leaves the span of E at triplet degree {d}, "
                     f"where hf is not yet stable; --degree-policy "
                     f"certified_stable builds the triplet where it is")
             row[pos_of_basis[s]] = c

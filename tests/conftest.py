@@ -131,7 +131,7 @@ def _build_instance(rng, with_triplets):
     assert scan.m == P.size
     inst = RandomInstance(P=P, ideal=ideal, order=order, scan=scan)
     if with_triplets:
-        inst.bm = bm_triplet(P, order)
+        inst.bm = bm_triplet(P, order)[0]
         inst.trip = build_triplet(ideal, order,
                                   TripletOptions(seed=rng.randint(0, 10**6)))
     return inst

@@ -11,10 +11,11 @@ Both run on every coordinate.
 
 from projzero.errors import InvariantViolation
 from projzero.linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
-from projzero.points import PointTriplet, ProjPointSet, nzd_sweep
+from projzero.points import ProjPointSet, nzd_sweep
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
+from projzero.triplet import Triplet
 
 
 def eval_monomial(P: ProjPointSet, mono):
@@ -36,14 +37,14 @@ def eval_monomial(P: ProjPointSet, mono):
 
 
 def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
-               l: Form | None = None) -> PointTriplet:
+               l: Form | None = None) -> tuple[Triplet, list, list]:
     """Interpolation run over the points: per-degree monomial bases until the
     evaluation matrix reaches full rank, then multiplication matrices.
 
     Candidates in each degree are the monomials outside the recorded
     initials, processed in descending order; a candidate whose evaluation
     vector depends on the rows already accepted joins the initials, the
-    rest extend the basis.
+    rest extend the basis. Returns (triplet, B, initials) as the engine.
     """
     f = P.field
     m = P.size
@@ -92,7 +93,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                     "the basis rows")
             mat_rows.append(c)
         A.append(Matrix(f, mat_rows, ncols=m))
-    return PointTriplet(B=B, initials=initials, l=l, A=A)
+    return Triplet(E_monomials=B[-1], l=l, A=A, order=order), B, initials
 
 
 def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,

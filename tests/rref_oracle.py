@@ -8,7 +8,9 @@ over GF(p) products, sums, scalings, entrywise products, kernels and
 evaluations come out as canonical residues whatever residues go in.
 `standard_coords` reduces by `normal_form_coeffs`, the loop projzero ran
 before it read normal forms off the reduced echelon, for the oracles in
-nf_oracle.py and triplet_oracle.py and for the l-map tests.
+nf_oracle.py and triplet_oracle.py and for the l-map tests. `poly_mul`
+multiplies coefficient lists (lowest degree first) for the tests that build
+polynomials from their roots or expand determinants.
 """
 
 from projzero.linalg import Matrix
@@ -232,3 +234,13 @@ def evaluate(form, rep):
                 v = f.mul(v, x)
         total = f.add(total, v)
     return total
+
+
+def poly_mul(p, q, field):
+    out = [field.zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if field.is_zero(a):
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return out

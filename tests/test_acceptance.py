@@ -71,7 +71,7 @@ def test_criterion_2_solve_three_quadrics(capsys, data_dir):
                                             ["1/2", "-1/2", "1/2"]]
 
 
-def test_criterion_3_fast_normal_form_x17(main_triplet):
+def test_criterion_3_fast_normal_form_x17(main_ideal, main_triplet):
     # With d = 1, E = (x, y, z) and l = y + z, the coordinates of nf(x^17)
     # are those of x, (1, 0, 0), times A_x^16. The points are (0:1:1),
     # (1:0:1) and (1:1:0), where x/l is 0, 1 and 1, so A_x is idempotent and
@@ -86,7 +86,7 @@ def test_criterion_3_fast_normal_form_x17(main_triplet):
         assert a_x @ a_x == a_x
         assert a_x.row(0) == [1, 0, 0]
         f = parse_form("x^17", XYZ, Q)
-        res = fast_normal_form(f, main_triplet)
+        res = fast_normal_form(f, main_ideal, main_triplet)
         assert res.k == 16
         assert res.coords == [1, 0, 0]
         for rep in ([Q.zero, Q.one, Q.one], [Q.one, Q.zero, Q.one],
@@ -98,7 +98,7 @@ def test_criterion_3_corrected_value(main_triplet, main_ideal, order3):
     with criterion("3b", "fast normal form of x^17 is x*(y+z)^16 and equals "
                    "x^17 at the three points"):
         f = parse_form("x^17", XYZ, Q)
-        res = fast_normal_form(f, main_triplet)
+        res = fast_normal_form(f, main_ideal, main_triplet)
         assert res.coords == [1, 0, 0]
         assert res.form == parse_form("x", XYZ, Q) \
             * parse_form("y + z", XYZ, Q).power(16)
@@ -131,17 +131,17 @@ def test_criterion_6_multiplicities(mixed_2var_ideal, order2):
         for seed in (0, 1):
             rep = solve(mixed_2var_ideal, order2, TripletOptions(
                 degree_policy="certified_stable", seed=seed))
-            assert {tuple(ep.point): m for ep, m in rep.points} \
+            assert {tuple(ep.point): ep.multiplicity for ep in rep.points} \
                 == {(1, 1): 1, (1, 0): 2}
 
 
 def test_criterion_7_six_point_triplet(six_points):
     with criterion(7, "six-point run: hf=1,3,6, B_2, eigenvalues, exact nf"):
-        t = bm_triplet(six_points, MonomialOrder.default(3),
-                       l=Form.variable(Q, 3, 1))
-        assert t.hf == [1, 3, 6] and t.d == 2
-        assert set(t.B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
-                               (1, 1, 0), (2, 0, 0)}
+        t, B, _ = bm_triplet(six_points, MonomialOrder.default(3),
+                             l=Form.variable(Q, 3, 1))
+        assert [len(b) for b in B] == [1, 3, 6] and t.d == 2
+        assert set(B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
+                             (1, 1, 0), (2, 0, 0)}
         eig_x = dict(roots_in_field(char_poly(t.A[0]), Q).pairs)
         assert eig_x == {Fraction(0): 2, Fraction(1, 3): 1, Fraction(4, 3): 1,
                          Fraction(2, 5): 1, Fraction(1, 4): 1}
@@ -232,7 +232,7 @@ def test_criterion_11a_fast_nf_oracle(main_ideal, order3, main_triplet,
                 cuts = sorted(rng.randint(0, deg) for _ in range(nv - 1))
                 mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
                 f = Form.monomial(I.field, nv, mono)
-                res = fast_normal_form(f, trip)
+                res = fast_normal_form(f, I, trip)
                 piece = pieces.setdefault(deg, ideal_piece(I, deg, order))
                 assert normal_form_by_degree(f, piece) \
                     == normal_form_by_degree(res.form, piece)

@@ -51,7 +51,8 @@ def check_against_oracle(I, order, scan=None):
     if scan.certificate == "commutation":
         trip = scan.triplet
         assert trip.d == scan.certificate_degree and commute(trip.A)
-        assert trip.piece_d.hf == trip.size == scan.hf_values[trip.d]
+        assert (I.piece(trip.d, trip.order).hf == trip.size
+                == scan.hf_values[trip.d])
         # hf is constant from the certificate degree on
         assert scan.certificate_degree >= max(scan.t, scan.postulation)
     else:
@@ -167,8 +168,8 @@ def test_commutation_rejects_a_valley():
     assert commuting_triplet(I, order, pieces[3], pieces[4]) is None
     rng = random.Random(3)
     for _ in range(10):
-        l, _, _ = find_surjective_linear(I, pieces[3], pieces[4],
-                                         seed=rng.random())
+        l, _ = find_surjective_linear(I, pieces[3], pieces[4],
+                                      seed=rng.random())
         trip = build_triplet(I, order, TripletOptions(linear_form=l))
         assert trip.d == 3 and not commute(trip.A)
     assert commute(commuting_triplet(I, order, pieces[5], pieces[6]).A)
@@ -311,7 +312,7 @@ def solve_outcome(I, order, options):
 
     def fmt(ep):
         return [I.field.format(x) for x in ep.point]
-    return ([(fmt(ep), mult) for ep, mult in rep.points],
+    return ([(fmt(ep), ep.multiplicity) for ep in rep.points],
             [fmt(ep) for ep in rep.rejected], rep.residual_degree,
             rep.warnings)
 

@@ -265,7 +265,7 @@ def test_nf_prints_rationals_of_any_length(capsys, data_dir):
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
     I, order = parse_ideal_file(path.read_text())
-    res = fast_normal_form(parse_form(poly, I.vars, I.field),
+    res = fast_normal_form(parse_form(poly, I.vars, I.field), I,
                            build_triplet(I, order))
     sys.set_int_max_str_digits(0)
     try:

@@ -8,6 +8,10 @@ stored and reduced. Outside linalg (and fields, which defines them):
 - no code reduces modulo a prime `p` or `.p`.
 
 A field is recognised by name: `f`, `fld`, `field`, or any `<x>.field`.
+
+One triplet type serves the ideal side and the points side: src defines one
+class whose name ends in `Triplet`, only `triplet.assemble` constructs it,
+and the l-combination identity is checked at one site.
 """
 
 import ast
@@ -101,3 +105,96 @@ def nzd_sweep(P):
         (2, "imports linalg._cleared"), (6, "reads a field's size"),
         (7, "reads linalg._cleared"), (8, "reduces mod p"),
         (8, "reduces mod p")]
+
+
+class TripletSites(ast.NodeVisitor):
+    """Classes named `...Triplet`, calls constructing one, and raises of the
+    l-combination InvariantViolation; sites as (module, function, line)."""
+
+    def __init__(self, module):
+        self.module = module
+        self.functions = []
+        self.classes, self.constructions, self.identity_checks = [], [], []
+
+    def _site(self, node):
+        return (self.module, ".".join(self.functions), node.lineno)
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        if node.name.endswith("Triplet"):
+            self.classes.append(node.name)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name)
+                and node.func.id.endswith("Triplet")):
+            self.constructions.append(self._site(node))
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        exc = node.exc
+        if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id == "InvariantViolation"
+                and any(isinstance(c, ast.Constant)
+                        and "the l-combination" in str(c.value)
+                        for arg in exc.args for c in ast.walk(arg))):
+            self.identity_checks.append(self._site(node))
+        self.generic_visit(node)
+
+
+def triplet_sites(sources):
+    """(classes, constructions, identity checks) over {module: source}."""
+    classes, constructions, checks = [], [], []
+    for module, source in sorted(sources.items()):
+        visitor = TripletSites(module)
+        visitor.visit(ast.parse(source))
+        classes += visitor.classes
+        constructions += visitor.constructions
+        checks += visitor.identity_checks
+    return classes, constructions, checks
+
+
+def test_one_triplet_type_built_and_checked_in_one_place():
+    classes, constructions, checks = triplet_sites(
+        {p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert classes == ["Triplet"]
+    assert [(m, fn) for m, fn, _ in constructions] == [("triplet", "assemble")]
+    assert [(m, fn) for m, fn, _ in checks] == [("triplet", "assemble")]
+
+
+def test_the_triplet_check_sees_each_site():
+    points = """
+@dataclass
+class PointTriplet:
+    A: list
+
+def bm_triplet(P):
+    trip = PointTriplet(A=[])
+    if l_combination(trip) != identity:
+        raise InvariantViolation(
+            "the l-combination sum_j coeff_j(l) A_j is not the identity")
+    raise InvariantViolation("interpolation must stop by degree |P|")
+"""
+    triplet = """
+class Triplet:
+    pass
+
+def _assemble(l):
+    trip = Triplet(l=l)
+    if l_combination(trip) != identity:
+        raise InvariantViolation(f"the l-combination of {l} is not 1")
+    return trip
+"""
+    classes, constructions, checks = triplet_sites(
+        {"points": points, "triplet": triplet})
+    assert classes == ["PointTriplet", "Triplet"]
+    assert constructions == [("points", "bm_triplet", 7),
+                             ("triplet", "_assemble", 6)]
+    assert checks == [("points", "bm_triplet", 9),
+                      ("triplet", "_assemble", 8)]

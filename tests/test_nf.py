@@ -76,17 +76,19 @@ def forms_above(draw, triplet, max_k):
 
 
 @given(st.data())
-def test_fast_normal_form_matches_oracle_main(main_triplet, data):
+def test_fast_normal_form_matches_oracle_main(main_ideal, main_triplet, data):
     f = data.draw(forms_above(main_triplet, 12))
-    res = fast_normal_form(f, main_triplet)
-    assert res.coords == nf_oracle.linear_push(f, main_triplet)
+    res = fast_normal_form(f, main_ideal, main_triplet)
+    assert res.coords == nf_oracle.linear_push(f, main_ideal, main_triplet)
     assert res.form == nf_oracle.expand(res.coords, res.k, main_triplet)
 
 
 @given(st.data())
-def test_fast_normal_form_matches_oracle_mixed(mixed_2var_triplet, data):
+def test_fast_normal_form_matches_oracle_mixed(mixed_2var_ideal,
+                                              mixed_2var_triplet, data):
     f = data.draw(forms_above(mixed_2var_triplet, 12))
-    res = fast_normal_form(f, mixed_2var_triplet)
-    assert res.coords == nf_oracle.linear_push(f, mixed_2var_triplet)
+    res = fast_normal_form(f, mixed_2var_ideal, mixed_2var_triplet)
+    assert res.coords == nf_oracle.linear_push(f, mixed_2var_ideal,
+                                               mixed_2var_triplet)
     assert res.form == nf_oracle.expand(res.coords, res.k, mixed_2var_triplet)
 

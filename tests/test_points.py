@@ -45,16 +45,16 @@ def test_project_variables_general_position():
     """No coordinate is a linear combination of the others on P, so none is
     a degree-1 initial."""
     P = qpts([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    t = bm_triplet(P)
-    assert t.B[1] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert all(sum(u) == 2 for u in t.initials)
+    _, B, initials = bm_triplet(P)
+    assert B[1] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert all(sum(u) == 2 for u in initials)
 
 
 def test_project_variables_hyperplane():
     """x2 = x0 + x1 on P: x2 is a degree-1 initial and A_2 = A_0 + A_1."""
     P = qpts([[1, 0, 1], [0, 1, 1], [1, 1, 2], [1, 2, 3]])
-    t = bm_triplet(P)
-    assert t.initials[0] == (0, 0, 1)
+    t, _, initials = bm_triplet(P)
+    assert initials[0] == (0, 0, 1)
     assert t.A[2] == t.A[0] + t.A[1]
 
 
@@ -91,13 +91,14 @@ def test_nzd_sweep_sweep_path():
 
 
 def test_bm_triplet_six_points(six_points):
-    t = bm_triplet(six_points, MonomialOrder.default(3),
-                   l=Form.variable(Q, 3, 1))
-    assert t.hf == [1, 3, 6] and t.d == 2
-    assert set(t.B[1]) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert set(t.B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
-                           (1, 1, 0), (2, 0, 0)}
-    assert t.initials == []
+    t, B, initials = bm_triplet(six_points, MonomialOrder.default(3),
+                                l=Form.variable(Q, 3, 1))
+    assert [len(b) for b in B] == [1, 3, 6] and t.d == 2
+    assert set(B[1]) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
+                         (1, 1, 0), (2, 0, 0)}
+    assert t.E_monomials == B[2]
+    assert initials == []
     A_x, A_y, A_z = t.A
     assert A_y == Matrix.identity(Q, 6)
     eig_x = roots_in_field(char_poly(A_x), Q)
@@ -111,21 +112,21 @@ def test_bm_triplet_six_points(six_points):
 
 
 def test_bm_triplet_single_point():
-    t = bm_triplet(qpts([[1, 0, 0]]))
-    assert t.hf == [1] and t.d == 0
+    t, B, _ = bm_triplet(qpts([[1, 0, 0]]))
+    assert [len(b) for b in B] == [1] and t.d == 0
     pts = eigenpoints_from_matrices(t.A)
     assert [tuple(ep.point) for ep in pts] == [(1, 0, 0)]
 
 
 def test_bm_triplet_round_trip_gf7():
     P = normalize([[1, 2, 3], [1, 0, 6], [0, 1, 5], [1, 1, 1]], GF7)
-    t = bm_triplet(P)
+    t, _, _ = bm_triplet(P)
     got = sorted(tuple(ep.point) for ep in eigenpoints_from_matrices(t.A))
     assert got == sorted(tuple(r) for r in P.reps)
 
 
 def test_bm_matrices_commute(six_points):
-    t = bm_triplet(six_points)
+    t, _, _ = bm_triplet(six_points)
     for i in range(3):
         for j in range(3):
             assert (t.A[i] @ t.A[j]) == (t.A[j] @ t.A[i])
@@ -170,9 +171,9 @@ def test_eval_normal_form_rank_deficient(six_points):
 
 def test_eval_normal_form_matches_matrix_route(six_points):
     # push nf(x^2) and nf(z^2) four degrees up through the matrices
-    t = bm_triplet(six_points, MonomialOrder.default(3),
-                   l=Form.variable(Q, 3, 1))
-    basis_monos = t.B[2]
+    t, _, _ = bm_triplet(six_points, MonomialOrder.default(3),
+                         l=Form.variable(Q, 3, 1))
+    basis_monos = t.E_monomials
     y4 = Form.variable(Q, 3, 1).power(4)
     basis6 = [y4 * Form.monomial(Q, 3, m) for m in basis_monos]
     idx = {m: i for i, m in enumerate(basis_monos)}
@@ -293,9 +294,9 @@ def test_separator_basis_claim(six_points):
 def test_vanishing_ideal_cross_engine(six_points):
     I = vanishing_ideal(six_points)
     order = MonomialOrder.default(3)
-    t = bm_triplet(six_points, order)
-    quotient_hf = [ideal_piece(I, d, order).hf for d in range(len(t.hf))]
-    assert quotient_hf == t.hf
+    _, B, _ = bm_triplet(six_points, order)
+    quotient_hf = [ideal_piece(I, d, order).hf for d in range(len(B))]
+    assert quotient_hf == [len(b) for b in B]
     for g in I.generators:
         assert all(Q.is_zero(g.evaluate(r)) for r in six_points.reps)
 
@@ -315,19 +316,19 @@ def test_vanishing_ideal_random_cross_engine():
         except DuplicatePoint:
             continue
         I = vanishing_ideal(P)
-        t = bm_triplet(P)
-        hf = [ideal_piece(I, d, order).hf for d in range(len(t.hf))]
-        assert hf == t.hf
+        _, B, _ = bm_triplet(P)
+        hf = [ideal_piece(I, d, order).hf for d in range(len(B))]
+        assert hf == [len(b) for b in B]
         scan = hilbert_scan(I, order)
         assert scan.m == P.size
 
 
 def test_bm_staircase_property(six_points):
     from projzero.polyring import mono_divides
-    t = bm_triplet(six_points)
-    for bd in t.B:
+    _, B, initials = bm_triplet(six_points)
+    for bd in B:
         for m in bd:
-            assert not any(mono_divides(g, m) for g in t.initials)
+            assert not any(mono_divides(g, m) for g in initials)
 
 
 def test_x_squared_independent_of_other_quadratics(six_points):
@@ -340,11 +341,11 @@ def test_x_squared_independent_of_other_quadratics(six_points):
 
     rows = Matrix(Q, [values(m) for m in others], ncols=6)
     assert solve_in_rowspace(values((2, 0, 0)), rows) is None
-    t = bm_triplet(six_points)
-    assert (2, 0, 0) in t.B[2]
+    _, B, _ = bm_triplet(six_points)
+    assert (2, 0, 0) in B[2]
 
 
 def test_joint_eigenvector_count_bounded(six_points):
-    t = bm_triplet(six_points)
+    t, _, _ = bm_triplet(six_points)
     pts = eigenpoints_from_matrices(t.A)
     assert len(pts) == six_points.size == t.size

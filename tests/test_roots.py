@@ -11,9 +11,10 @@ from projzero import MonomialOrder, roots_in_field, solve, vanishing_ideal
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.fields import PrimeField, RationalField
 from projzero import linalg
-from projzero.linalg import RootReport, deflate, poly_mul
+from projzero.linalg import RootReport, deflate
 from projzero.triplet import TripletOptions
 from tests.eigen_oracle import joint_multiplicity
+from tests.rref_oracle import poly_mul
 from tests.root_oracle import enumerate_roots
 
 Q = RationalField()
@@ -136,20 +137,20 @@ def test_multiplicity_matches_enumeration(name, seed):
     I, order = load_fixture(name)
     rep = solve(I, order, TripletOptions(seed=seed))
     assert rep.points
-    for ep, mult in rep.points:
-        assert mult == joint_multiplicity(rep.triplet.A, ep.lambdas)
+    for ep in rep.points:
+        assert ep.multiplicity == joint_multiplicity(rep.triplet.A, ep.lambdas)
     if I.field.size == 3:
-        assert [m for _, m in rep.points] == [1, 1, 1]
+        assert [ep.multiplicity for ep in rep.points] == [1, 1, 1]
         assert rep.residual_degree == 0 and not rep.warnings
 
 
 def test_double_point_multiplicity():
     I, order = load_fixture("line_and_double_point.ideal")
     rep = solve(I, order, TripletOptions(degree_policy="certified_stable"))
-    got = {tuple(ep.point): m for ep, m in rep.points}
+    got = {tuple(ep.point): ep.multiplicity for ep in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
-    for ep, mult in rep.points:
-        assert mult == joint_multiplicity(rep.triplet.A, ep.lambdas)
+    for ep in rep.points:
+        assert ep.multiplicity == joint_multiplicity(rep.triplet.A, ep.lambdas)
 
 
 def root_searches(monkeypatch):

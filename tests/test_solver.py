@@ -93,7 +93,7 @@ def test_multiplicity_mixed_2var(mixed_2var_ideal, order2):
     for seed in (0, 1):
         rep = solve(mixed_2var_ideal, order2,
                     TripletOptions(degree_policy="certified_stable", seed=seed))
-        assert {tuple(ep.point): m for ep, m in rep.points} \
+        assert {tuple(ep.point): ep.multiplicity for ep in rep.points} \
             == {(1, 1): 1, (1, 0): 2}
 
 
@@ -101,14 +101,15 @@ def test_multiplicity_main_all_one(main_ideal, order3):
     for seed in (0, 1):
         rep = solve(main_ideal, order3, TripletOptions(seed=seed))
         assert len(rep.points) == 3
-        assert all(m == 1 for _, m in rep.points)
+        assert all(ep.multiplicity == 1 for ep in rep.points)
 
 
 def test_multiplicity_single_point(embedded_ideal, order3):
     rep = solve(embedded_ideal, order3,
                 TripletOptions(degree_policy="certified_stable"))
     assert rep.triplet.size == 1
-    assert [(tuple(ep.point), m) for ep, m in rep.points] == [((1, 1, 1), 1)]
+    assert [(tuple(ep.point), ep.multiplicity) for ep in rep.points] \
+        == [((1, 1, 1), 1)]
 
 
 def test_eigen_identities_exact(main_triplet):
@@ -123,23 +124,23 @@ def test_eigen_identities_exact(main_triplet):
 def test_solve_main(main_ideal, order3):
     l = parse_form("y + z", XYZ, Q)
     rep = solve(main_ideal, order3, TripletOptions(linear_form=l))
-    assert sorted(tuple(ep.point) for ep, _ in rep.points) \
+    assert sorted(tuple(ep.point) for ep in rep.points) \
         == sorted([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
-    assert all(m == 1 for _, m in rep.points)
+    assert all(ep.multiplicity == 1 for ep in rep.points)
     assert rep.rejected == [] and rep.residual_degree == 0
-    assert sum(m for _, m in rep.points) == rep.triplet.size
+    assert sum(ep.multiplicity for ep in rep.points) == rep.triplet.size
 
 
 def test_solve_embedded(embedded_ideal, order3):
     rep = solve(embedded_ideal, order3, TripletOptions(seed=0))
-    assert [tuple(ep.point) for ep, _ in rep.points] == [(1, 1, 1)]
+    assert [tuple(ep.point) for ep in rep.points] == [(1, 1, 1)]
     assert rep.hf_prefix == [1, 3, 3, 1, 1]
 
 
 def test_solve_mixed_2var(mixed_2var_ideal, order2):
     rep = solve(mixed_2var_ideal, order2,
                 TripletOptions(degree_policy="certified_stable"))
-    got = {tuple(ep.point): m for ep, m in rep.points}
+    got = {tuple(ep.point): ep.multiplicity for ep in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
     assert sum(got.values()) == rep.triplet.size == 3
 
@@ -153,8 +154,8 @@ def test_solve_artinian():
 def test_solve_deterministic(main_ideal, order3):
     a = solve(main_ideal, order3, TripletOptions(seed=5))
     b = solve(main_ideal, order3, TripletOptions(seed=5))
-    assert [(tuple(ep.point), m) for ep, m in a.points] \
-        == [(tuple(ep.point), m) for ep, m in b.points]
+    assert [(tuple(ep.point), ep.multiplicity) for ep in a.points] \
+        == [(tuple(ep.point), ep.multiplicity) for ep in b.points]
     assert a.residual_degree == b.residual_degree
     assert [tuple(ep.point) for ep in a.rejected] \
         == [tuple(ep.point) for ep in b.rejected]
@@ -163,10 +164,10 @@ def test_solve_deterministic(main_ideal, order3):
 def test_solve_six_point_vanishing_ideal(six_points):
     I = vanishing_ideal(six_points)
     rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=2))
-    got = sorted(tuple(ep.point) for ep, _ in rep.points)
+    got = sorted(tuple(ep.point) for ep in rep.points)
     want = sorted(tuple(r) for r in six_points.reps)
     assert got == want
-    assert all(m == 1 for _, m in rep.points)
+    assert all(ep.multiplicity == 1 for ep in rep.points)
     assert rep.residual_degree == 0 and rep.rejected == []
 
 
@@ -175,7 +176,7 @@ def test_solve_prime_field_end_to_end():
     P = normalize([[1, 2, 3], [1, 0, 6], [0, 1, 5]], GF7)
     I = vanishing_ideal(P)
     rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=0))
-    got = sorted((tuple(ep.point), m) for ep, m in rep.points)
+    got = sorted((tuple(ep.point), ep.multiplicity) for ep in rep.points)
     assert got == [((0, 1, 5), 1), ((1, 0, 6), 1), ((1, 2, 3), 1)]
     assert rep.residual_degree == 0 and rep.rejected == []
 
@@ -204,7 +205,7 @@ def test_shared_draws_give_per_point_multiplicities(mixed_2var_ideal, order2,
         calls.clear()
         rep = solve(mixed_2var_ideal, order2,
                     TripletOptions(degree_policy="certified_stable", seed=seed))
-        assert sorted(m for _, m in rep.points) == [1, 2]
+        assert sorted(ep.multiplicity for ep in rep.points) == [1, 2]
         assert len(calls) == 1
 
 
@@ -213,11 +214,11 @@ def test_multiplicity_overcount_warns(mixed_2var_ideal, order2):
     # at d = 3, below d* = 5, and counts (1 : 0) three times against m = 3
     I, order = mixed_2var_ideal, order2
     rep = solve(I, order, TripletOptions())
-    assert sorted(m for _, m in rep.points) == [1, 3]
+    assert sorted(ep.multiplicity for ep in rep.points) == [1, 3]
     assert any("sum to 4" in w and "m = 3" in w
                and "certified_stable" in w for w in rep.warnings)
     stable = solve(I, order, TripletOptions(degree_policy="certified_stable"))
-    assert sorted(m for _, m in stable.points) == [1, 2]
+    assert sorted(ep.multiplicity for ep in stable.points) == [1, 2]
     assert not any("sum to" in w for w in stable.warnings)
 
 
@@ -400,7 +401,7 @@ def test_common_eigenvectors_match_oracle_on_ideal_fixtures(path):
 def test_common_eigenvectors_match_oracle_on_point_fixtures(path):
     P, _ = parse_points_file(path.read_text())
     try:
-        t = bm_triplet(P)
+        t, _, _ = bm_triplet(P)
     except ProjzeroError:
         pytest.skip("field too small for the sweep")
     for seed in (0, 1):

@@ -47,8 +47,8 @@ def test_find_surjective_main(main_ideal, order3):
         assert l_map_matrix(l, p1, p2).rank() < 3
     good = parse_form("y + z", XYZ, Q)
     assert l_map_matrix(good, p1, p2).rank() == 3
-    found, L, trials = find_surjective_linear(main_ideal, p1, p2, seed=4)
-    assert L == l_map_matrix(found, p1, p2) and L.rank() == 3 and trials >= 1
+    found, L = find_surjective_linear(main_ideal, p1, p2, seed=4)
+    assert L == l_map_matrix(found, p1, p2) and L.rank() == 3
 
 
 def test_find_surjective_embedded(embedded_ideal, order3):
@@ -71,14 +71,14 @@ def test_exhaustive_fails_for_full_projective_line_gf2():
     assert sum(1 for _ in normalized_linear_forms(GF2, 2)) == 3
 
 
-def test_build_triplet_main_entry_exact(main_triplet):
+def test_build_triplet_main_entry_exact(main_ideal, main_triplet):
     t = main_triplet
     assert t.d == 1
     assert t.E_monomials == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert t.A[0] == A_X
     assert t.A[1] == A_Y
     assert t.A[2] == A_Z
-    assert t.piece_d.hf == t.size == 3
+    assert main_ideal.piece(t.d, t.order).hf == t.size == 3
 
 
 def test_build_triplet_false_point_example(false_point_ideal, order3):
@@ -135,20 +135,20 @@ def test_surjectivity_propagates(main_ideal, order3, main_triplet):
     assert l_map_matrix(main_triplet.l, p2, p3).rank() == p3.hf
 
 
-def test_fast_normal_form_x17(main_triplet):
+def test_fast_normal_form_x17(main_ideal, main_triplet):
     f = parse_form("x^17", XYZ, Q)
-    res = fast_normal_form(f, main_triplet)
+    res = fast_normal_form(f, main_ideal, main_triplet)
     assert res.k == 16
     assert res.coords == [1, 0, 0]
     expected = parse_form("x", XYZ, Q) * parse_form("y + z", XYZ, Q).power(16)
     assert res.form == expected
 
 
-def test_fast_normal_form_x17_matches_evaluation(main_triplet):
+def test_fast_normal_form_x17_matches_evaluation(main_ideal, main_triplet):
     # independent check at the three solution points: a normal form must
     # agree with the input on the variety representatives
     f = parse_form("x^17", XYZ, Q)
-    res = fast_normal_form(f, main_triplet)
+    res = fast_normal_form(f, main_ideal, main_triplet)
     for rep in ([Q.one, Q.one, Q.zero], [Q.one, Q.zero, Q.one],
                 [Q.zero, Q.one, Q.one]):
         assert res.form.evaluate(rep) == f.evaluate(rep)
@@ -159,19 +159,20 @@ def test_a_x_is_idempotent(main_triplet):
     assert (A @ A) == A
 
 
-def test_fast_normal_form_basis_elements(main_triplet):
+def test_fast_normal_form_basis_elements(main_ideal, main_triplet):
     t = main_triplet
     for k in (0, 2):
         lk = t.l.power(k)
         for i, e in enumerate(t.E_monomials):
-            res = fast_normal_form(lk * Form.monomial(Q, 3, e), t)
+            res = fast_normal_form(lk * Form.monomial(Q, 3, e), main_ideal, t)
             want = [Q.one if j == i else Q.zero for j in range(t.size)]
             assert res.coords == want and res.k == k
 
 
-def test_fast_normal_form_degree_too_low(main_triplet):
+def test_fast_normal_form_degree_too_low(main_ideal, main_triplet):
     with pytest.raises(DegreeTooLow):
-        fast_normal_form(Form.monomial(Q, 3, (0, 0, 0)), main_triplet)
+        fast_normal_form(Form.monomial(Q, 3, (0, 0, 0)), main_ideal,
+                         main_triplet)
 
 
 def _random_monomial(rng, nvars, degree):
@@ -187,7 +188,7 @@ def test_fast_normal_form_macaulay_oracle(main_ideal, order3, main_triplet):
         deg = rng.randint(1, 7)
         mono = _random_monomial(rng, 3, deg)
         f = Form.monomial(Q, 3, mono)
-        res = fast_normal_form(f, main_triplet)
+        res = fast_normal_form(f, main_ideal, main_triplet)
         if deg not in pieces:
             pieces[deg] = ideal_piece(main_ideal, deg, order3)
         piece = pieces[deg]
@@ -203,7 +204,7 @@ def test_fast_normal_form_oracle_mixed(mixed_2var_ideal, order2,
         deg = rng.randint(5, 10)
         mono = _random_monomial(rng, 2, deg)
         f = Form.monomial(Q, 2, mono)
-        res = fast_normal_form(f, mixed_2var_triplet)
+        res = fast_normal_form(f, mixed_2var_ideal, mixed_2var_triplet)
         if deg not in pieces:
             pieces[deg] = ideal_piece(mixed_2var_ideal, deg, order2)
         piece = pieces[deg]
@@ -211,18 +212,18 @@ def test_fast_normal_form_oracle_mixed(mixed_2var_ideal, order2,
             == normal_form_by_degree(res.form, piece)
 
 
-def test_fast_normal_form_linear_schedule_agrees(main_triplet):
+def test_fast_normal_form_linear_schedule_agrees(main_ideal, main_triplet):
     f = parse_form("x^9 + 2*x^3*y^2*z^4", XYZ, Q)
-    fast = fast_normal_form(f, main_triplet)
-    slow = nf_oracle.linear_push(f, main_triplet)
+    fast = fast_normal_form(f, main_ideal, main_triplet)
+    slow = nf_oracle.linear_push(f, main_ideal, main_triplet)
     assert fast.coords == slow
     assert fast.form == nf_oracle.expand(slow, fast.k, main_triplet)
 
 
-def test_build_triplet_certified_policy(mixed_2var_triplet):
+def test_build_triplet_certified_policy(mixed_2var_ideal, mixed_2var_triplet):
     t = mixed_2var_triplet
     assert t.d == 5
-    assert t.piece_d.hf == t.size == 3
+    assert mixed_2var_ideal.piece(t.d, t.order).hf == t.size == 3
 
 
 def test_corrupt_inverse_raises_invariant_violation(main_ideal, order3,

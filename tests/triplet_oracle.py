@@ -109,16 +109,16 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, order: MonomialOrder,
     """
     d = scan.stabilization_degree
     piece_d, piece_d1 = ideal_piece(I, d, order), ideal_piece(I, d + 1, order)
-    l, trials = options.linear_form, 1
+    l = options.linear_form
     if l is None:
-        l, _, trials = find_surjective_linear(I, piece_d, piece_d1,
-                                              options.seed, options.max_trials)
+        l, _ = find_surjective_linear(I, piece_d, piece_d1, options.seed,
+                                      options.max_trials)
     elif l_map_matrix(l, piece_d, piece_d1).rank() < piece_d1.hf:
-        raise NoSurjectionFound(trials, degree=d)
+        raise NoSurjectionFound(1, degree=d)
     E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
     F = [l * e for e in E]
     A = [multiplication_matrix(Form.variable(I.field, I.nvars, j), E, F, I,
                                order, piece_target=piece_d1)
          for j in range(I.nvars)]
-    return Triplet(d=d, E_monomials=list(piece_d.standard_monomials), l=l,
-                   trials=trials, A=A, piece_d=piece_d, order=order)
+    return Triplet(E_monomials=list(piece_d.standard_monomials), l=l, A=A,
+                   order=order)
