@@ -16,7 +16,7 @@ from .linalg import (Matrix, char_poly, eigenspace, kernel, roots_in_field,
                      rref, solve_in_rowspace)
 from .polyring import (Form, MonomialOrder, format_form, format_monomial,
                        monomials_of_degree, parse_form)
-from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
+from .quotient import (DegreePiece, HilbertScan, IdealPresentation, Options,
                        binomial_expansion, gb_degree_bound, hilbert_scan,
                        ideal_piece, initial_ideal_min_generators,
                        macaulay_growth, normal_form_by_degree)
@@ -25,8 +25,8 @@ from .points import (CMatrix, ProjPointSet, bm_triplet, c_matrix,
                      refine_partitions, separators, vanishing_ideal)
 from .solver import (EigenPoint, SolutionReport, common_eigenvectors,
                      eigenpoints_from_matrices, filter_points, solve)
-from .triplet import (FastNormalForm, Triplet, TripletOptions, assemble,
-                      build_triplet, fast_normal_form, find_surjective_linear,
-                      l_combination, l_map_matrix)
+from .triplet import (FastNormalForm, Triplet, assemble, build_triplet,
+                      fast_normal_form, find_surjective_linear, l_combination,
+                      l_map_matrix)
 
 __version__ = "0.1.0"

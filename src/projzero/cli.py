@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from .errors import (CapExceeded, FieldTooSmall, InputError, NoSurjectionFound,
                      ProjzeroError)
@@ -33,10 +34,11 @@ from .fields import parse_field_spec
 from .points import bm_triplet, c_matrix, normalize, separators
 from .polyring import (MonomialOrder, format_form, format_monomial,
                        parse_form)
-from .quotient import (IdealPresentation, gb_degree_bound, hilbert_scan,
-                       initial_ideal_min_generators, normal_form_by_degree)
+from .quotient import (IdealPresentation, Options, gb_degree_bound,
+                       hilbert_scan, initial_ideal_min_generators,
+                       normal_form_by_degree)
 from .solver import solve
-from .triplet import TripletOptions, build_triplet, fast_normal_form
+from .triplet import build_triplet, fast_normal_form
 
 SCHEMA = "projzero.v1"
 
@@ -82,7 +84,7 @@ def parse_ideal_file(text):
         raise InputError("ideal file has no generators")
     gens = [parse_form(src, var_names, field) for src in gens_src]
     order = _make_order(order_kind, ranking_names, var_names)
-    return IdealPresentation(field=field, vars=var_names, generators=gens), order
+    return IdealPresentation(field, var_names, gens, order)
 
 
 def parse_points_file(text):
@@ -175,9 +177,9 @@ def _apply_order_flags(order, args, var_names):
     return _make_order(kind, names, var_names)
 
 
-def _ideal_and_order(args):
-    I, order = parse_ideal_file(_read(args.file))
-    return I, _apply_order_flags(order, args, I.vars)
+def _ideal(args):
+    I = parse_ideal_file(_read(args.file))
+    return replace(I, order=_apply_order_flags(I.order, args, I.vars))
 
 
 def _linear_form(args, var_names, field):
@@ -190,8 +192,8 @@ def _linear_form(args, var_names, field):
 
 
 def cmd_hilbert(args):
-    I, order = _ideal_and_order(args)
-    scan = hilbert_scan(I, order, args.max_degree, args.seed)
+    I = _ideal(args)
+    scan = hilbert_scan(I, Options(seed=args.seed, max_degree=args.max_degree))
     doc = {
         "schema": SCHEMA, "command": "hilbert",
         "hf": scan.hf_values, "t": scan.t,
@@ -211,15 +213,15 @@ def cmd_hilbert(args):
 
 
 def _solve_options(args, I):
-    return TripletOptions(seed=args.seed, max_degree=args.max_degree,
-                          degree_policy=args.degree_policy,
-                          linear_form=_linear_form(args, I.vars, I.field),
-                          max_trials=args.max_trials)
+    return Options(seed=args.seed, max_degree=args.max_degree,
+                   degree_policy=args.degree_policy,
+                   linear_form=_linear_form(args, I.vars, I.field),
+                   max_trials=args.max_trials)
 
 
 def cmd_solve(args):
-    I, order = _ideal_and_order(args)
-    report = solve(I, order, _solve_options(args, I))
+    I = _ideal(args)
+    report = solve(I, _solve_options(args, I))
     field = I.field
     doc = {
         "schema": SCHEMA, "command": "solve",
@@ -238,7 +240,7 @@ def cmd_solve(args):
         t = report.triplet
         doc["triplet"] = {
             "degree": t.d,
-            "l": format_form(t.l, I.vars, t.order),
+            "l": format_form(t.l, I.vars, I.order),
             "basis": [format_monomial(m, I.vars) for m in t.E_monomials],
             "A": {name: _matrix_json(field, t.A[j])
                   for j, name in enumerate(I.vars)},
@@ -259,19 +261,19 @@ def cmd_solve(args):
 
 
 def cmd_nf(args):
-    I, order = _ideal_and_order(args)
+    I = _ideal(args)
     f = parse_form(args.poly, I.vars, I.field)
     field = I.field
     if args.oracle:
-        reduced = normal_form_by_degree(f, I.piece(f.degree, order))
+        reduced = normal_form_by_degree(f, I.piece(f.degree))
         doc = {"schema": SCHEMA, "command": "nf", "mode": "oracle",
                "degree": f.degree,
-               "reduced": format_form(reduced, I.vars, order)}
+               "reduced": format_form(reduced, I.vars, I.order)}
         _emit(doc, args, [f"reduced: {doc['reduced']}"])
         return 0
-    triplet = build_triplet(I, order, _solve_options(args, I))
+    triplet = build_triplet(I, _solve_options(args, I))
     res = fast_normal_form(f, I, triplet)
-    l_str = format_form(triplet.l, I.vars, order)
+    l_str = format_form(triplet.l, I.vars, I.order)
     basis = [format_monomial(m, I.vars) for m in triplet.E_monomials]
     parts = []
     for c, b in zip(res.coords, basis):
@@ -293,12 +295,12 @@ def cmd_nf(args):
              f"in basis {{e_i * l^{res.k}}}",
              f"nf = {rendered}"]
     if args.check_oracle:
-        piece = I.piece(f.degree, order)
+        piece = I.piece(f.degree)
         direct = normal_form_by_degree(f, piece)
         via_triplet = normal_form_by_degree(res.form, piece)
         ok = direct == via_triplet
         doc["oracle_agreement"] = ok
-        doc["reduced"] = format_form(direct, I.vars, order)
+        doc["reduced"] = format_form(direct, I.vars, I.order)
         lines.append(f"reduced: {doc['reduced']}")
         lines.append(f"oracle agreement: {'exact' if ok else 'MISMATCH'}")
         if not ok:
@@ -355,12 +357,12 @@ def cmd_separators(args):
 
 
 def cmd_bound(args):
-    I, order = _ideal_and_order(args)
-    scan = hilbert_scan(I, order, args.max_degree, args.seed)
+    I = _ideal(args)
+    scan = hilbert_scan(I, Options(seed=args.seed, max_degree=args.max_degree))
     if scan.artinian:
         raise InputError("artinian quotient; no projective variety to bound")
     bound = gb_degree_bound(scan, scan.stabilization_degree)
-    mins = initial_ideal_min_generators(I, order, bound + 1, scan)
+    mins = initial_ideal_min_generators(I, bound + 1, scan)
     measured = max(d for _, d in mins)
     doc = {
         "schema": SCHEMA, "command": "bound",

@@ -148,7 +148,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
         initials += news
     X = [Matrix(f, [entrywise(col, row, f) for row in rows], ncols=m)
          for col in zip(*P.reps)]
-    return assemble(B[-1], l, X, order), B, initials
+    return assemble(B[-1], l, X), B, initials
 
 
 def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
@@ -285,4 +285,4 @@ def vanishing_ideal(P: ProjPointSet,
             break
         hf = len(Be)
     return IdealPresentation(field=f, vars=tuple(f"x{i}" for i in range(nv)),
-                             generators=gens)
+                             generators=gens, order=order)

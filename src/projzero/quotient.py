@@ -13,7 +13,9 @@ bijective linear form. Pieces are therefore built only up to the degree
 where hf becomes constant, plus one, whenever the first applies; the
 initial ideal above that degree comes from rank tests on the matrices.
 Normal forms are read off each piece's reduced echelon, monomial by
-monomial, with no reduction.
+monomial, with no reduction. The ideal owns its monomial order and keeps
+each piece it builds (`IdealPresentation.piece`); one `Options` holds every
+other setting of a command.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,13 +28,37 @@ from .polyring import (Form, MonomialOrder, form_from_coeffs, mono_divides,
                        mono_mul, monomials_of_degree)
 
 
+@dataclass(frozen=True)
+class Options:
+    """Every setting of a command but the ideal and its order: the seed, the
+    scan's degree cap, and how `build_triplet` picks its degree and l."""
+
+    degree_policy: str = "first_surjective"  # or "certified_stable"
+    seed: int = 0
+    max_degree: int | None = None
+    max_trials: int = 200
+    linear_form: Form | None = None  # explicit l, skips the search
+
+    def __post_init__(self):
+        if self.degree_policy not in ("first_surjective", "certified_stable"):
+            raise InputError(f"unknown degree policy {self.degree_policy!r}")
+        # a random search with no draws could only fail, degree after degree
+        if self.linear_form is None and self.max_trials < 1:
+            raise InputError(f"max_trials must be at least 1 for the random "
+                             f"search of l, got {self.max_trials}")
+        if self.linear_form is not None and self.linear_form.is_zero():
+            raise InputError("the linear form l is zero")
+
+
 @dataclass
 class IdealPresentation:
-    """Homogeneous ideal given by generators over a fixed ring."""
+    """Homogeneous ideal given by generators over a fixed ring, with the
+    monomial order of its pieces (degrevlex over `vars` by default)."""
 
     field: object
     vars: tuple
     generators: list
+    order: MonomialOrder | None = None
     _pieces: dict = dc_field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -45,6 +71,9 @@ class IdealPresentation:
                 raise InputError("generator over the wrong ring")
             if g.is_zero():
                 raise InputError("zero generator")
+        self.order = self.order or MonomialOrder.default(n)
+        if len(self.order.ranking) != n:
+            raise InputError(f"the order must rank all {n} variables")
 
     @property
     def nvars(self):
@@ -58,16 +87,15 @@ class IdealPresentation:
         return max(self.max_gen_degree,
                    4 * (self.nvars + sum(g.degree for g in self.generators)))
 
-    def piece(self, d, order: MonomialOrder) -> "DegreePiece":
-        """The degree-d piece under `order`, built on first use and kept, so
-        that one command's scan, triplet, initial ideal and normal forms
-        eliminate each degree once. Nothing changes the generators after
-        construction, so a kept piece never goes stale."""
-        key = (order, d)
-        if key not in self._pieces:
+    def piece(self, d) -> "DegreePiece":
+        """The degree-d piece in the ideal's order, built on first use and
+        kept, so that one command's scan, triplet, initial ideal and normal
+        forms eliminate each degree once. Nothing changes the generators or
+        the order after construction, so a kept piece never goes stale."""
+        if d not in self._pieces:
             # the module global, so that a wrapped ideal_piece sees each build
-            self._pieces[key] = ideal_piece(self, d, order)
-        return self._pieces[key]
+            self._pieces[d] = ideal_piece(self, d, self.order)
+        return self._pieces[d]
 
 
 @dataclass
@@ -195,8 +223,8 @@ class HilbertScan:
         return self.m == 0
 
 
-def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
-                 max_degree: int | None = None, seed=0) -> HilbertScan:
+def hilbert_scan(I: IdealPresentation,
+                 options: Options = Options()) -> HilbertScan:
     """Scan hf(0), hf(1), ... until a certificate pins hf for good.
 
     At each degree d >= t (the generator degree) two certificates are
@@ -236,11 +264,11 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     postulation follow by arithmetic. Gotzmann alone closes scans over
     fields too small to have a bijective l.
 
-    `seed` picks the certificate's l, on which hf, d*, m and the
-    postulation do not depend. The pieces stay with I (`I.piece`), for
-    `build_triplet` and `initial_ideal_min_generators` to reuse, and the
-    scan returns the commuting triplet, which `build_triplet` returns where
-    its own search would build it.
+    `options.seed` picks the certificate's l, on which hf, d*, m and the
+    postulation do not depend; `options.max_degree` is the cap. The pieces
+    stay with I (`I.piece`) for the rest of the command, and the scan
+    returns the commuting triplet, which `build_triplet` returns where its
+    own search would build it.
 
     Raises CapExceeded when Gotzmann's d* exceeds the cap, with hf up to
     cap + 1, which signals either projective dimension > 0 or a cap that is
@@ -248,12 +276,12 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     """
     from .triplet import commuting_triplet
     t = I.max_gen_degree
-    cap = I.default_cap() if max_degree is None else max_degree
+    cap = I.default_cap() if options.max_degree is None else options.max_degree
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []
     for d in range(cap + 2):
-        piece = I.piece(d, order)
+        piece = I.piece(d)
         hf.append(piece.hf)
         dd = d - 1
         # persistence alone is not enough: an ideal of projective dimension
@@ -262,7 +290,7 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
         if dd >= t and hf[d] == hf[dd]:
             if hf[d] == macaulay_growth(hf[dd], dd):
                 return _closed(hf, t, dd, "gotzmann", dd)
-            trip = commuting_triplet(I, order, I.piece(dd, order), piece, seed)
+            trip = commuting_triplet(I, I.piece(dd), piece, options.seed)
             if trip is not None:
                 # hf(e) = m for all e >= dd, and Gotzmann failed up to dd
                 m, dstar = hf[dd], d
@@ -291,8 +319,8 @@ def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
     return max(operational_nz, scan.m)
 
 
-def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
-                                 up_to: int, scan: HilbertScan | None = None):
+def initial_ideal_min_generators(I: IdealPresentation, up_to: int,
+                                 scan: HilbertScan | None = None):
     """Minimal generators (monomial, degree) of the initial ideal up to a degree.
 
     Degrees come from the Macaulay pieces, except above the certificate
@@ -309,7 +337,7 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     top = up_to if trip is None else min(up_to, trip.d)
     mins = []
     for d in range(1, top + 1):
-        for mono in order.sort_desc(I.piece(d, order).lead_monomials):
+        for mono in I.order.sort_desc(I.piece(d).lead_monomials):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
     if top == up_to:
@@ -318,9 +346,9 @@ def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
     start = dict(zip(trip.E_monomials,
                      Matrix.identity(field, trip.size).rows))
     runs = _interpolate(field, start, lambda v, j: vec_matmul(v, trip.A[j]),
-                        order, True, [g for g, _ in mins])
+                        I.order, True, [g for g, _ in mins])
     for e, (_, _, initials, _) in zip(range(top + 1, up_to + 1), runs):
-        mins += [(t, e) for t in order.sort_desc(initials)]
+        mins += [(t, e) for t in I.order.sort_desc(initials)]
     return mins
 
 

@@ -40,9 +40,8 @@ from itertools import repeat
 from .linalg import (Matrix, char_poly, eigenspace, entrywise, kernel,
                      linear_combination, normalize_vector, roots_in_field,
                      rref, vec_matmul)
-from .quotient import IdealPresentation, hilbert_scan
-from .polyring import MonomialOrder
-from .triplet import Triplet, TripletOptions, build_triplet
+from .quotient import IdealPresentation, Options, hilbert_scan
+from .triplet import Triplet, build_triplet
 
 
 @dataclass
@@ -224,18 +223,15 @@ class SolutionReport:
         return self.scan is not None and self.scan.artinian
 
 
-def solve(I: IdealPresentation, order: MonomialOrder | None = None,
-          options: TripletOptions = TripletOptions()) -> SolutionReport:
+def solve(I: IdealPresentation, options: Options = Options()) -> SolutionReport:
     """Full pipeline: Hilbert scan, triplet, eigenvectors and their
     multiplicities, filter."""
-    if order is None:
-        order = MonomialOrder.default(I.nvars)
-    scan = hilbert_scan(I, order, options.max_degree, options.seed)
+    scan = hilbert_scan(I, options)
     if scan.artinian:
         return SolutionReport(points=[], rejected=[], hf_prefix=scan.hf_values,
                               scan=scan, triplet=None, residual_degree=0,
                               blocks=0, warnings=["artinian quotient; variety is empty"])
-    triplet = build_triplet(I, order, options, scan)
+    triplet = build_triplet(I, options, scan)
     found = common_eigenvectors(triplet.A, seed=options.seed)
     field = I.field
     kept, rejected = filter_points(_eigenpoints(found, field), I)

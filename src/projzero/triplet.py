@@ -14,16 +14,16 @@ least such degree d_c when the commutation certificate
 (`commuting_triplet`) closed the scan, Gotzmann's d* when only persistence
 did, over fields too small to have a bijective l.
 
-The ideal keeps its degree pieces (`IdealPresentation.piece`), so the
-scan, the search for l and a fallback scan eliminate each degree once per
-command, and `solve` hands its scan to `build_triplet`. The certificate
-draws l from the caller's seed, and the search's stream restarts at every
-degree; where hf(d) = hf(d+1) surjective means bijective, so at the
-certificate degree the search would find the certificate's l, and
-`build_triplet` returns the scan's triplet unless l is explicit or the trial
-budget is below COMMUTATION_DRAWS = 4. Below it the search replays the
-certificate's draws, so it builds the same triplet when the budget reaches
-the draw that gave l, and fails otherwise.
+The ideal keeps its degree pieces, in its own monomial order (`I.piece`),
+so the scan, the search for l and a fallback scan eliminate each degree
+once per command, and `solve` hands its scan to `build_triplet`. The
+certificate draws l from the caller's seed, and the search's stream
+restarts at every degree; where hf(d) = hf(d+1) surjective means
+bijective, so at the certificate degree the search would find the
+certificate's l, and `build_triplet` returns the scan's triplet unless l
+is explicit or the trial budget is below COMMUTATION_DRAWS = 4. Below it
+the search replays the certificate's draws, so it builds the same triplet
+when the budget reaches the draw that gave l, and fails otherwise.
 
 `Triplet` is the one triplet type: `build_triplet` here and
 `points.bm_triplet` both build it with `assemble`.
@@ -33,40 +33,22 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow, InputError,
+from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
                      InvariantViolation, NoSurjectionFound, ProjzeroError)
 from .linalg import Matrix, linear_combination, rref, vec_matmul
 from .polyring import Form, MonomialOrder, mono_degree
-from .quotient import (DegreePiece, HilbertScan, IdealPresentation,
+from .quotient import (DegreePiece, HilbertScan, IdealPresentation, Options,
                        hilbert_scan)
-
-
-@dataclass(frozen=True)
-class TripletOptions:
-    degree_policy: str = "first_surjective"  # or "certified_stable"
-    seed: int = 0
-    max_degree: int | None = None
-    max_trials: int = 200
-    linear_form: Form | None = None  # explicit l, skips the search
-
-    def __post_init__(self):
-        # a random search with no draws could only fail, degree after degree
-        if self.linear_form is None and self.max_trials < 1:
-            raise InputError(f"max_trials must be at least 1 for the random "
-                             f"search of l, got {self.max_trials}")
-        if self.linear_form is not None and self.linear_form.is_zero():
-            raise InputError("the linear form l is zero")
 
 
 @dataclass
 class Triplet:
-    """A triplet (d, E, l, A_0..A_n), the one type of the ideal side
-    (`build_triplet`) and the points side (`points.bm_triplet`); `assemble`
-    builds every one."""
+    """The paper's triplet (d, E, l, A_0..A_n), with d the degree of E: the
+    one type of the ideal side (`build_triplet`) and the points side
+    (`points.bm_triplet`); `assemble` builds every one."""
     E_monomials: list  # basis of R_d (standard monomials, possibly a subset)
     l: Form
     A: list            # n+1 multiplication matrices, one per variable
-    order: MonomialOrder
 
     @property
     def d(self):
@@ -84,7 +66,7 @@ def _l_sum(l: Form, matrix_of) -> Matrix:
                               [matrix_of(mono.index(1)) for mono, _ in terms])
 
 
-def assemble(E_monomials, l: Form, X: list, order: MonomialOrder) -> Triplet:
+def assemble(E_monomials, l: Form, X: list) -> Triplet:
     """The triplet on E from X_j, the matrix of multiplication by x_j from E
     to coordinates on a basis of the degree above: L_E = sum_j coeff_j(l) X_j
     is inverted once and A_j = X_j L_E^{-1}. Both sides build their `Triplet`
@@ -92,7 +74,7 @@ def assemble(E_monomials, l: Form, X: list, order: MonomialOrder) -> Triplet:
     at the points, and sum_j coeff_j(l) A_j = 1 is checked."""
     L_E_inv = _l_sum(l, X.__getitem__).inverse()
     trip = Triplet(E_monomials=E_monomials, l=l,
-                   A=[X_j @ L_E_inv for X_j in X], order=order)
+                   A=[X_j @ L_E_inv for X_j in X])
     if l_combination(trip) != Matrix.identity(L_E_inv.field, trip.size):
         raise InvariantViolation(
             "the l-combination sum_j coeff_j(l) A_j is not the identity")
@@ -155,7 +137,7 @@ def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
     raise NoSurjectionFound(max_trials, degree=piece_d.d)
 
 
-def _assemble(order, l, piece_d, piece_d1, L):
+def _assemble(l, piece_d, piece_d1, L):
     """The triplet at d from the l-map L: E is the earliest set of standard
     monomials whose rows of L are a basis of R_{d+1}, and X_j is read off
     the normal forms of piece_d1."""
@@ -163,7 +145,7 @@ def _assemble(order, l, piece_d, piece_d1, L):
     _, _, basis_rows = rref(L.transpose())
     E_mon = [piece_d.standard_monomials[i] for i in basis_rows]
     return assemble(E_mon, l, [_times_variable(j, E_mon, piece_d1)
-                               for j in range(l.nvars)], order)
+                               for j in range(l.nvars)])
 
 
 # Seeded draws of l per degree in the commutation certificate. A random l
@@ -172,9 +154,8 @@ def _assemble(order, l, piece_d, piece_d1, L):
 COMMUTATION_DRAWS = 4
 
 
-def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
-                      piece_d: DegreePiece, piece_d1: DegreePiece,
-                      seed=0) -> Triplet | None:
+def commuting_triplet(I: IdealPresentation, piece_d: DegreePiece,
+                      piece_d1: DegreePiece, seed=0) -> Triplet | None:
     """The triplet at degree d if its matrices commute pairwise, else None.
 
     Needs hf(d) = hf(d+1) > 0 and d at least the generator degree; l is the
@@ -196,7 +177,7 @@ def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
                                       COMMUTATION_DRAWS)
     except NoSurjectionFound:
         return None
-    trip = _assemble(order, l, piece_d, piece_d1, L)
+    trip = _assemble(l, piece_d, piece_d1, L)
     k = next(iter(l.terms)).index(1)
     A = trip.A[:k] + trip.A[k + 1:]
     if any(A[i] @ A[j] != A[j] @ A[i]
@@ -205,8 +186,7 @@ def commuting_triplet(I: IdealPresentation, order: MonomialOrder,
     return trip
 
 
-def build_triplet(I: IdealPresentation, order: MonomialOrder,
-                  options: TripletOptions = TripletOptions(),
+def build_triplet(I: IdealPresentation, options: Options = Options(),
                   scan: HilbertScan | None = None) -> Triplet:
     """Scan degrees, find a surjective linear form and assemble the matrices.
 
@@ -216,9 +196,9 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
     the scan, Gotzmann's d* otherwise. hf is constant from there on, and
     where the scan closed by commutation its triplet is the one returned.
 
-    `scan`, this command's hilbert_scan(I, order, cap, options.seed) when
-    given, lends its commuting triplet at its certificate degree (see the
-    module docstring). Without one, certified_stable scans first, and
+    `scan`, this command's hilbert_scan(I, options) when given, lends its
+    commuting triplet at its certificate degree (see the module
+    docstring). Without one, certified_stable scans first, and
     first_surjective scans only once a search has failed.
 
     A failed search at any d >= d_c, the scan's certificate degree, is
@@ -238,16 +218,14 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
     start = 0
     if options.degree_policy == "certified_stable":
         if scan is None:
-            scan = hilbert_scan(I, order, cap, options.seed)
+            scan = hilbert_scan(I, options)
         if scan.artinian:
             raise ArtinianQuotient("empty variety; no triplet exists")
         start = scan.certificate_degree
-    elif options.degree_policy != "first_surjective":
-        raise ValueError(f"unknown degree policy {options.degree_policy!r}")
-    piece_d = I.piece(start, order)
+    piece_d = I.piece(start)
     last_error = None
     for d in range(start, cap + 1):
-        piece_d1 = I.piece(d + 1, order)
+        piece_d1 = I.piece(d + 1)
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
@@ -265,18 +243,18 @@ def build_triplet(I: IdealPresentation, order: MonomialOrder,
                 except NoSurjectionFound:
                     L, trials = None, options.max_trials
             if L is not None:
-                return _assemble(order, l, piece_d, piece_d1, L)
+                return _assemble(l, piece_d, piece_d1, L)
             # K2 failed: compute one more degree, unless d is at least d_c. The
             # scan waits until here: it costs more than most triplets.
             if scan is None:
-                scan = hilbert_scan(I, order, cap, options.seed)
+                scan = hilbert_scan(I, options)
             if d >= scan.certificate_degree:
                 raise NoSurjectionFound(trials, d, scan.certificate,
                                         scan.certificate_degree)
             last_error = NoSurjectionFound(trials, degree=d)
         piece_d = piece_d1
     raise last_error or CapExceeded(
-        [I.piece(e, order).hf for e in range(cap + 2)], cap)
+        [I.piece(e).hf for e in range(cap + 2)], cap)
 
 
 @dataclass
@@ -324,26 +302,26 @@ def fast_normal_form(f: Form, I: IdealPresentation,
                      triplet: Triplet) -> FastNormalForm:
     """Normal form of a high-degree form as coordinates in {l^k e_i}.
 
-    Each monomial is split as a*b with deg b = triplet.d; nf(b) is read
-    off I's reduced echelon at degree d and the coordinate row is then pushed
-    up by the matrices, one variable at a time, with binary matrix powers
-    A_j^e shared by all monomials; one product with f's coefficients sums
-    the pushed rows. Nothing is expanded: the result's `form`
-    builds sum_i c_i l^k e_i on first use.
+    Each monomial is split as a*b with deg b = triplet.d, b from the least
+    significant variables of I's order; nf(b) is read off I's reduced
+    echelon at degree d and the coordinate row is then pushed up by the
+    matrices, one variable at a time, with binary matrix powers A_j^e
+    shared by all monomials; one product with f's coefficients sums the
+    pushed rows. Nothing is expanded: the result's `form` builds
+    sum_i c_i l^k e_i on first use.
     """
     d = triplet.d
     if f.degree < d:
         raise DegreeTooLow(f"form degree {f.degree} below triplet degree {d}")
     field = f.field
-    order = triplet.order
     m = triplet.size
     k = f.degree - d
-    piece_d = I.piece(d, order)
+    piece_d = I.piece(d)
     pos_of_basis = {mono: i for i, mono in enumerate(triplet.E_monomials)}
     rows = []
     powers_cache = {}
     for mono in f.terms:
-        a, b = _split_monomial(mono, d, order)
+        a, b = _split_monomial(mono, d, I.order)
         row = [field.zero] * m
         for s, c in zip(piece_d.standard_monomials, piece_d.normal_forms[b]):
             if not c:

@@ -4,11 +4,10 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from projzero import (IdealPresentation, MonomialOrder, bm_triplet,
+from projzero import (IdealPresentation, MonomialOrder, Options, bm_triplet,
                       build_triplet, hilbert_scan, normalize, parse_form,
                       vanishing_ideal)
 from projzero.fields import PrimeField, RationalField
-from projzero.triplet import TripletOptions
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True,
@@ -73,15 +72,15 @@ def order2():
 
 
 @pytest.fixture(scope="session")
-def main_triplet(main_ideal, order3):
+def main_triplet(main_ideal):
     l = parse_form("y + z", ("x", "y", "z"), Q)
-    return build_triplet(main_ideal, order3, TripletOptions(linear_form=l))
+    return build_triplet(main_ideal, Options(linear_form=l))
 
 
 @pytest.fixture(scope="session")
-def mixed_2var_triplet(mixed_2var_ideal, order2):
-    return build_triplet(mixed_2var_ideal, order2,
-                         TripletOptions(degree_policy="certified_stable", seed=0))
+def mixed_2var_triplet(mixed_2var_ideal):
+    return build_triplet(mixed_2var_ideal,
+                         Options(degree_policy="certified_stable", seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -127,13 +126,12 @@ def _build_instance(rng, with_triplets):
     P = _random_point_set(rng, field)
     order = MonomialOrder.default(P.n + 1)
     ideal = vanishing_ideal(P, order)
-    scan = hilbert_scan(ideal, order)
+    scan = hilbert_scan(ideal)
     assert scan.m == P.size
     inst = RandomInstance(P=P, ideal=ideal, order=order, scan=scan)
     if with_triplets:
         inst.bm = bm_triplet(P, order)[0]
-        inst.trip = build_triplet(ideal, order,
-                                  TripletOptions(seed=rng.randint(0, 10**6)))
+        inst.trip = build_triplet(ideal, Options(seed=rng.randint(0, 10**6)))
     return inst
 
 

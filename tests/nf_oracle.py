@@ -23,11 +23,11 @@ def linear_push(f, I, triplet):
     """Coordinates of nf(f) in {l^k e_i}, one matrix product per step, with
     nf of each tail reduced in I's degree-d piece."""
     field = f.field
-    piece_d = I.piece(triplet.d, triplet.order)
+    piece_d = I.piece(triplet.d)
     pos_of_basis = {mono: i for i, mono in enumerate(triplet.E_monomials)}
     total = [field.zero] * triplet.size
     for mono, coeff in f.terms.items():
-        a, b = _split_monomial(mono, triplet.d, triplet.order)
+        a, b = _split_monomial(mono, triplet.d, I.order)
         nf_b = standard_coords(Form.monomial(field, f.nvars, b), piece_d)
         row = [field.zero] * triplet.size
         for s, c in zip(piece_d.standard_monomials, nf_b):

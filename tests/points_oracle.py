@@ -93,7 +93,7 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
                     "the basis rows")
             mat_rows.append(c)
         A.append(Matrix(f, mat_rows, ncols=m))
-    return Triplet(E_monomials=B[-1], l=l, A=A, order=order), B, initials
+    return Triplet(E_monomials=B[-1], l=l, A=A), B, initials
 
 
 def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,
@@ -138,4 +138,5 @@ def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,
                 span_rows, _, _ = _rref_rows(span_rows, f)
     if not gens:
         raise ValueError("no generators found; raise up_to")
-    return IdealPresentation(field=f, vars=var_names, generators=gens)
+    return IdealPresentation(field=f, vars=var_names, generators=gens,
+                             order=order)

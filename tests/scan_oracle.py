@@ -6,13 +6,13 @@ test_certificate.py.
 """
 
 from projzero.errors import CapExceeded, InputError
-from projzero.polyring import MonomialOrder, mono_divides
-from projzero.quotient import (HilbertScan, IdealPresentation, ideal_piece,
-                               macaulay_growth)
+from projzero.polyring import mono_divides
+from projzero.quotient import (HilbertScan, IdealPresentation, Options,
+                               ideal_piece, macaulay_growth)
 
 
-def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
-                 max_degree: int | None = None) -> HilbertScan:
+def hilbert_scan(I: IdealPresentation,
+                 options: Options = Options()) -> HilbertScan:
     """Scan hf(0), hf(1), ... until Gotzmann persistence certifies stability.
 
     The certificate at degree d >= t is hf(d+1) = hf(d)^{<d>}; persistence
@@ -20,15 +20,15 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     artinian quotient, i.e. an empty variety). Raises CapExceeded when no
     certificate appears up to the cap, which signals either projective
     dimension > 0 or a cap that is too low, and InputError for a cap below
-    the generator degree.
+    the generator degree. Of `options` it reads only the cap, `max_degree`.
     """
     t = I.max_gen_degree
-    cap = I.default_cap() if max_degree is None else max_degree
+    cap = I.default_cap() if options.max_degree is None else options.max_degree
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []
     for d in range(cap + 2):
-        hf.append(ideal_piece(I, d, order).hf)
+        hf.append(ideal_piece(I, d, I.order).hf)
         dd = d - 1
         # persistence alone is not enough: an ideal of projective dimension
         # one meets the Macaulay bound forever while still growing, so the
@@ -43,15 +43,14 @@ def hilbert_scan(I: IdealPresentation, order: MonomialOrder,
     raise CapExceeded(hf, cap)
 
 
-def initial_ideal_min_generators(I: IdealPresentation, order: MonomialOrder,
-                                 up_to: int):
+def initial_ideal_min_generators(I: IdealPresentation, up_to: int):
     """Minimal generators (monomial, degree) of the initial ideal up to a degree."""
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
     mins = []
     for d in range(1, up_to + 1):
-        piece = ideal_piece(I, d, order)
-        for mono in order.sort_desc(piece.lead_monomials):
+        piece = ideal_piece(I, d, I.order)
+        for mono in I.order.sort_desc(piece.lead_monomials):
             if not any(mono_divides(g, mono) for g, _ in mins):
                 mins.append((mono, d))
     return mins

@@ -12,8 +12,8 @@ from math import comb
 
 import pytest
 
-from projzero import (Form, Matrix, MonomialOrder, binomial_expansion,
-                      bm_triplet, build_triplet, c_matrix,
+from projzero import (Form, Matrix, MonomialOrder, Options,
+                      binomial_expansion, bm_triplet, build_triplet, c_matrix,
                       char_poly, eigenpoints_from_matrices, eval_normal_form,
                       fast_normal_form, filter_points, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
@@ -23,7 +23,6 @@ from projzero import (Form, Matrix, MonomialOrder, binomial_expansion,
 from projzero.cli import main
 from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
-from projzero.triplet import TripletOptions
 from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
@@ -46,9 +45,9 @@ def cli_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_criterion_1_hilbert_scan_mixed(mixed_2var_ideal, order2):
+def test_criterion_1_hilbert_scan_mixed(mixed_2var_ideal):
     with criterion(1, "Hilbert scan: hf=1,2,3,4,4,3,3, m=3, post=5"):
-        scan = hilbert_scan(mixed_2var_ideal, order2)
+        scan = hilbert_scan(mixed_2var_ideal)
         assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3]
         assert scan.m == 3
         assert scan.postulation == 5
@@ -126,10 +125,10 @@ def test_criterion_5_embedded_component(capsys, data_dir):
         assert doc["hf_prefix"] == [1, 3, 3, 1, 1]
 
 
-def test_criterion_6_multiplicities(mixed_2var_ideal, order2):
+def test_criterion_6_multiplicities(mixed_2var_ideal):
     with criterion(6, "multiplicities (1:1) -> 1 and (1:0) -> 2, two seeds"):
         for seed in (0, 1):
-            rep = solve(mixed_2var_ideal, order2, TripletOptions(
+            rep = solve(mixed_2var_ideal, Options(
                 degree_policy="certified_stable", seed=seed))
             assert {tuple(ep.point): ep.multiplicity for ep in rep.points} \
                 == {(1, 1): 1, (1, 0): 2}
@@ -212,8 +211,7 @@ def test_criterion_10_gb_bound(capsys, data_dir, scan_pool):
         assert len(scan_pool) >= 200
         for inst in scan_pool:
             bound = max(inst.scan.stabilization_degree, inst.scan.m)
-            mins = initial_ideal_min_generators(inst.ideal, inst.order,
-                                                bound + 1)
+            mins = initial_ideal_min_generators(inst.ideal, bound + 1)
             assert max(d for _, d in mins) <= bound
 
 
@@ -253,7 +251,7 @@ def test_criterion_11b_l_combination_identity(instance_pool, main_triplet,
         assert count >= 100
 
 
-def test_criterion_11c_commutation(instance_pool, main_ideal, order3):
+def test_criterion_11c_commutation(instance_pool, main_ideal):
     with criterion("11c", "multiplication matrices commute on certified "
                    "unmixed instances"):
         cases = 0
@@ -264,9 +262,9 @@ def test_criterion_11c_commutation(instance_pool, main_ideal, order3):
                     for j in range(i + 1, len(A)):
                         assert (A[i] @ A[j]) == (A[j] @ A[i])
                 cases += 1
-        stable = build_triplet(main_ideal, order3,
-                               TripletOptions(degree_policy="certified_stable",
-                                              seed=0))
+        stable = build_triplet(main_ideal,
+                               Options(degree_policy="certified_stable",
+                                       seed=0))
         A = stable.A
         assert all((A[i] @ A[j]) == (A[j] @ A[i])
                    for i in range(3) for j in range(3))

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from projzero import (Form, IdealPresentation, MonomialOrder, build_triplet,
+from projzero import (Form, IdealPresentation, Options, build_triplet,
                       find_surjective_linear, hilbert_scan, ideal_piece,
                       initial_ideal_min_generators, normalize,
                       vanishing_ideal)
@@ -20,7 +20,7 @@ from projzero.cli import main, parse_ideal_file
 from projzero.errors import CapExceeded, NoSurjectionFound, ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero.solver import solve
-from projzero.triplet import TripletOptions, commuting_triplet
+from projzero.triplet import commuting_triplet
 from tests import scan_oracle, triplet_oracle
 from tests.conftest import ideal_from
 from tests.triplet_oracle import exhaustive_surjective_linear
@@ -42,17 +42,16 @@ def commute(A):
                for i in range(len(A)) for j in range(i))
 
 
-def check_against_oracle(I, order, scan=None):
+def check_against_oracle(I, scan=None):
     """The scan and the initial-ideal generators up to max(d*, m) + 1 equal
     the oracle's; the certificate record is consistent with the theorem."""
     if scan is None:
-        scan = hilbert_scan(I, order)
-    assert core(scan) == core(scan_oracle.hilbert_scan(I, order))
+        scan = hilbert_scan(I)
+    assert core(scan) == core(scan_oracle.hilbert_scan(I))
     if scan.certificate == "commutation":
         trip = scan.triplet
         assert trip.d == scan.certificate_degree and commute(trip.A)
-        assert (I.piece(trip.d, trip.order).hf == trip.size
-                == scan.hf_values[trip.d])
+        assert I.piece(trip.d).hf == trip.size == scan.hf_values[trip.d]
         # hf is constant from the certificate degree on
         assert scan.certificate_degree >= max(scan.t, scan.postulation)
     else:
@@ -60,8 +59,8 @@ def check_against_oracle(I, order, scan=None):
         assert scan.certificate_degree == scan.stabilization_degree
     if not scan.artinian:
         up_to = max(scan.stabilization_degree, scan.m) + 1
-        assert (initial_ideal_min_generators(I, order, up_to, scan)
-                == scan_oracle.initial_ideal_min_generators(I, order, up_to))
+        assert (initial_ideal_min_generators(I, up_to, scan)
+                == scan_oracle.initial_ideal_min_generators(I, up_to))
     return scan
 
 
@@ -80,8 +79,8 @@ def fixture(data_dir, name):
     ("three_quadrics_p31", "commutation", 2),
 ])
 def test_fixtures_match_oracle(data_dir, name, certificate, degree):
-    I, order = fixture(data_dir, name)
-    scan = check_against_oracle(I, order)
+    I = fixture(data_dir, name)
+    scan = check_against_oracle(I)
     assert (scan.certificate, scan.certificate_degree) == (certificate, degree)
 
 
@@ -91,11 +90,11 @@ def test_fixtures_match_oracle(data_dir, name, certificate, degree):
 def test_cap_exceeded_matches_oracle(data_dir, name, cap):
     """Exit 2 carries the same partial hf, up to cap + 1, also when the
     commutation certificate holds below the cap but d* lies above it."""
-    I, order = fixture(data_dir, name)
+    I = fixture(data_dir, name)
     with pytest.raises(CapExceeded) as got:
-        hilbert_scan(I, order, cap)
+        hilbert_scan(I, Options(max_degree=cap))
     with pytest.raises(CapExceeded) as expected:
-        scan_oracle.hilbert_scan(I, order, cap)
+        scan_oracle.hilbert_scan(I, Options(max_degree=cap))
     assert got.value.partial_hf == expected.value.partial_hf
     assert len(got.value.partial_hf) == cap + 2
     assert str(got.value) == str(expected.value)
@@ -105,7 +104,7 @@ def test_random_point_ideals_match_oracle(scan_pool):
     """The 200 vanishing ideals of random points over Q and GF(7)."""
     certificates = set()
     for inst in scan_pool:
-        check_against_oracle(inst.ideal, inst.order, inst.scan)
+        check_against_oracle(inst.ideal, inst.scan)
         certificates.add(inst.scan.certificate)
     assert certificates == {"commutation", "gotzmann"}
 
@@ -148,8 +147,7 @@ def test_complete_intersections_match_oracle(field, degrees, seed):
     and the certificate holds there; over Q the draws have coefficients in
     [-3, 3] and may all vanish at a point, which costs a degree."""
     I = product_ci(field, degrees, random.Random(seed))
-    order = MonomialOrder.default(I.nvars)
-    scan = check_against_oracle(I, order)
+    scan = check_against_oracle(I)
     assert scan.certificate == "commutation"
     assert scan.certificate_degree < scan.stabilization_degree
     if field is GF32003:
@@ -161,19 +159,18 @@ def test_commutation_rejects_a_valley():
     degree 3 commute for no bijective l, and at degree 5, where hf is
     constant, they commute."""
     I = ideal_from(["x*y*z + x*z^2", "x^3 - y*z^2", "x^2*z"], ("x", "y", "z"))
-    order = MonomialOrder.default(3)
-    pieces = [ideal_piece(I, d, order) for d in range(7)]
+    pieces = [ideal_piece(I, d, I.order) for d in range(7)]
     hf = [p.hf for p in pieces]
     assert hf == [1, 3, 6, 7, 7, 6, 6] and I.max_gen_degree == 3
-    assert commuting_triplet(I, order, pieces[3], pieces[4]) is None
+    assert commuting_triplet(I, pieces[3], pieces[4]) is None
     rng = random.Random(3)
     for _ in range(10):
         l, _ = find_surjective_linear(I, pieces[3], pieces[4],
                                       seed=rng.random())
-        trip = build_triplet(I, order, TripletOptions(linear_form=l))
+        trip = build_triplet(I, Options(linear_form=l))
         assert trip.d == 3 and not commute(trip.A)
-    assert commute(commuting_triplet(I, order, pieces[5], pieces[6]).A)
-    scan = check_against_oracle(I, order)
+    assert commute(commuting_triplet(I, pieces[5], pieces[6]).A)
+    scan = check_against_oracle(I)
     assert (scan.certificate, scan.certificate_degree, scan.m) == (
         "commutation", 5, 6)
 
@@ -182,17 +179,17 @@ def test_no_certificate_below_generator_degree(data_dir, monkeypatch):
     """On line_and_double_point (t = 5) hf(3) = hf(4) = 4 but hf(5) = 3.
     Below t the theorem does not apply, and the matrices at degree 3 do
     commute for the seeded l, so the scan must not test there."""
-    I, order = fixture(data_dir, "line_and_double_point")
-    p3, p4 = ideal_piece(I, 3, order), ideal_piece(I, 4, order)
-    assert commute(commuting_triplet(I, order, p3, p4).A)
+    I = fixture(data_dir, "line_and_double_point")
+    p3, p4 = ideal_piece(I, 3, I.order), ideal_piece(I, 4, I.order)
+    assert commute(commuting_triplet(I, p3, p4).A)
     tested = []
     real = triplet.commuting_triplet
 
-    def recording(I, order, piece_d, piece_d1, seed):
+    def recording(I, piece_d, piece_d1, seed):
         tested.append(piece_d.d)
-        return real(I, order, piece_d, piece_d1, seed)
+        return real(I, piece_d, piece_d1, seed)
     monkeypatch.setattr(triplet, "commuting_triplet", recording)
-    scan = check_against_oracle(I, order)
+    scan = check_against_oracle(I)
     assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3] and scan.m == 3
     assert all(d >= I.max_gen_degree for d in tested)
 
@@ -203,12 +200,12 @@ def test_gotzmann_fallback_without_bijective_l():
     close the scan."""
     pts = normalize([list(v) for v in itertools.product((0, 1), repeat=3)
                      if any(v)], GF2)
-    order = MonomialOrder.default(3)
-    I = vanishing_ideal(pts, order)
-    scan = check_against_oracle(I, order)
+    I = vanishing_ideal(pts)
+    scan = check_against_oracle(I)
     assert scan.certificate == "gotzmann" and scan.m == 7
     for d in range(scan.t, scan.stabilization_degree + 1):
-        piece_d, piece_d1 = ideal_piece(I, d, order), ideal_piece(I, d + 1, order)
+        piece_d, piece_d1 = (ideal_piece(I, d, I.order),
+                             ideal_piece(I, d + 1, I.order))
         if piece_d.hf == piece_d1.hf:
             with pytest.raises(NoSurjectionFound):
                 exhaustive_surjective_linear(I, piece_d, piece_d1)
@@ -262,9 +259,8 @@ def test_certified_stable_returns_the_scans_triplet(data_dir, piece_degrees,
     """certified_stable returns the triplet of the commutation certificate
     at degree 5, not one rebuilt at d* = 12, and builds only the scan's
     pieces."""
-    I, order = fixture(data_dir, "ci_3_4_p32003")
-    trip = build_triplet(I, order,
-                         TripletOptions(degree_policy="certified_stable"))
+    I = fixture(data_dir, "ci_3_4_p32003")
+    trip = build_triplet(I, Options(degree_policy="certified_stable"))
     assert len(scans) == 1 and scans[0].certificate == "commutation"
     assert trip is scans[0].triplet and trip.d == 5
     assert sorted(piece_degrees) == [0, 1, 2, 3, 4, 5, 6]
@@ -302,11 +298,11 @@ def point_sets(draw):
         assume(False)
 
 
-def solve_outcome(I, order, options):
+def solve_outcome(I, options):
     """What solve reports: points with multiplicities, rejected points,
     residual degree and warnings, or the error that ended it."""
     try:
-        rep = solve(I, order, options)
+        rep = solve(I, options)
     except ProjzeroError as exc:
         return type(exc).__name__, str(exc)
 
@@ -322,14 +318,13 @@ def test_certified_stable_matches_the_gotzmann_degree_oracle(P, seed):
     """certified_stable builds at the scan's certificate degree, d_c where
     commutation closed the scan; solve reports what the triplet at
     Gotzmann's d* gives."""
-    order = MonomialOrder.default(P.n + 1)
-    I = vanishing_ideal(P, order)
-    options = TripletOptions(degree_policy="certified_stable", seed=seed)
-    got = solve_outcome(I, order, options)
+    I = vanishing_ideal(P)
+    options = Options(degree_policy="certified_stable", seed=seed)
+    got = solve_outcome(I, options)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "build_triplet",
                    triplet_oracle.triplet_at_gotzmann_degree)
-        want = solve_outcome(I, order, options)
+        want = solve_outcome(I, options)
     assert got == want
 
 
@@ -367,14 +362,14 @@ def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
     built, scans = [], []
     real = solver.build_triplet
 
-    def recording(I, order, options, scan):
+    def recording(I, options, scan):
         scans.append(scan)
-        trip = real(I, order, options, scan)
+        trip = real(I, options, scan)
         built.append((trip, scan))
         return trip
     monkeypatch.setattr(solver, "build_triplet", recording)
     reused = rebuilt = stopped = 0
-    for I, order in reuse_cases(data_dir):
+    for I in reuse_cases(data_dir):
         l = Form(I.field, I.nvars, 1, {
             tuple(int(k == j) for k in range(I.nvars)): I.field.one
             for j in range(I.nvars)})
@@ -385,21 +380,20 @@ def test_solve_returns_the_triplet_a_fresh_build_gives(data_dir, monkeypatch):
         grid += [dict(seed=seed, linear_form=l) for seed in range(2)]
         # a search that fails at every degree stops at d* instead of the
         # default cap, which costs a minute over Q
-        cap = hilbert_scan(I, order).stabilization_degree
+        cap = hilbert_scan(I).stabilization_degree
         for kw in grid:
             kw["max_degree"] = cap
             built.clear()
             scans.clear()
             # a later stage may fail over a tiny field; the triplet stands
-            got = outcome(lambda: solve(I, order, TripletOptions(**kw)).triplet)
+            got = outcome(lambda: solve(I, Options(**kw)).triplet)
             if built:
                 trip, scan = built[0]
                 got = triplet_fields(trip)
                 if scan.triplet is not None:
                     reused += trip is scan.triplet
                     rebuilt += trip is not scan.triplet
-            want = outcome(lambda: build_triplet(I, order,
-                                                 TripletOptions(**kw)))
+            want = outcome(lambda: build_triplet(I, Options(**kw)))
             if isinstance(got[0], str) and scans[0].certificate == "commutation":
                 assert got[0] == want[0] == "NoSurjectionFound", (got, want)
                 assert (f"certificate degree {scans[0].certificate_degree} "

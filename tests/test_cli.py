@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import (Form, InputError, Matrix, build_triplet,
+from projzero import (Form, InputError, Matrix, Options, build_triplet,
                       eigenpoints_from_matrices, fast_normal_form, linalg,
                       normalize, parse_form)
 from projzero.cli import (build_parser, main, parse_ideal_file,
                           parse_points_file)
 from projzero.fields import RationalField
-from projzero.triplet import TripletOptions
 
 Q = RationalField()
 
@@ -199,9 +198,15 @@ def test_max_trials_below_one_is_an_input_error(capsys, data_dir,
             assert code == 1 and out == ""
             assert err == ("error: max_trials must be at least 1 for the "
                            f"random search of l, got {trials}\n")
-    I, order = parse_ideal_file((data_dir / "three_quadrics.ideal").read_text())
+    I = parse_ideal_file((data_dir / "three_quadrics.ideal").read_text())
     with pytest.raises(InputError):
-        build_triplet(I, order, TripletOptions(max_trials=0))
+        build_triplet(I, Options(max_trials=0))
+
+
+def test_unknown_degree_policy_is_an_input_error():
+    """Rejected where the options are made, before any scan could start."""
+    with pytest.raises(InputError, match="unknown degree policy 'bogus'"):
+        Options(degree_policy="bogus")
 
 
 def test_nf_x17(capsys, data_dir):
@@ -264,9 +269,9 @@ def test_nf_prints_rationals_of_any_length(capsys, data_dir):
     code, out, _ = run(capsys, "nf", str(path), poly)
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
-    I, order = parse_ideal_file(path.read_text())
+    I = parse_ideal_file(path.read_text())
     res = fast_normal_form(parse_form(poly, I.vars, I.field), I,
-                           build_triplet(I, order))
+                           build_triplet(I))
     sys.set_int_max_str_digits(0)
     try:
         want = [str(c) for c in res.coords]
@@ -507,10 +512,10 @@ def test_order_flags(capsys, data_dir):
 
 
 def test_parse_ideal_file_headers():
-    I, order = parse_ideal_file(
+    I = parse_ideal_file(
         "# comment\nfield GF(7)\nvars a b\nranking b a\norder lex\na^2 + 3*b^2\n")
     assert I.field.p == 7 and I.vars == ("a", "b")
-    assert order.kind == "lex" and order.ranking == (1, 0)
+    assert I.order.kind == "lex" and I.order.ranking == (1, 0)
 
 
 def test_parse_points_file_vars_and_colons():

@@ -2,6 +2,8 @@
 search for l is final at either certificate's degree, and `nf` and the form
 parser end in an exit code on inputs that once reached a traceback."""
 
+from dataclasses import replace
+
 import pytest
 
 from projzero import IdealPresentation, MonomialOrder
@@ -27,9 +29,9 @@ def test_nf_sweep_ends_in_an_exit_code(capsys, data_dir, name, policy):
     """nf of every monomial of degree <= 4 on every fixture of projective
     dimension zero returns an exit code; an exception would escape main."""
     path = data_dir / f"{name}.ideal"
-    I, order = parse_ideal_file(path.read_text())
+    I = parse_ideal_file(path.read_text())
     for d in range(5):
-        for mono in monomials_of_degree(I.nvars, d, order):
+        for mono in monomials_of_degree(I.nvars, d, I.order):
             code, _, _ = run(capsys, "nf", path,
                              format_monomial(mono, I.vars),
                              "--degree-policy", policy)
@@ -60,12 +62,11 @@ def test_nf_fallback_scan_reuses_the_search_pieces(capsys, data_dir,
 
 
 def test_piece_is_kept_per_order_and_degree(data_dir):
-    I, order = parse_ideal_file(
-        (data_dir / "three_quadrics.ideal").read_text())
-    lex = MonomialOrder.default(I.nvars, "lex")
-    assert I.piece(2, order) is I.piece(2, order)
-    assert I.piece(2, lex) is not I.piece(2, order)
-    assert I.piece(2, lex).monomials != I.piece(2, order).monomials
+    I = parse_ideal_file((data_dir / "three_quadrics.ideal").read_text())
+    lex = replace(I, order=MonomialOrder.default(I.nvars, "lex"))
+    assert I.piece(2) is I.piece(2)
+    assert lex.piece(2) is not I.piece(2)
+    assert lex.piece(2).monomials != I.piece(2).monomials
     # the kept pieces are neither compared nor shown
     fresh = IdealPresentation(I.field, I.vars, I.generators)
     assert I == fresh and repr(I) == repr(fresh)

@@ -14,14 +14,14 @@ from hypothesis import assume, given, settings, strategies as st
 import projzero.linalg
 import projzero.points
 import projzero.quotient
-from projzero import (Form, MonomialOrder, bm_triplet, build_triplet,
-                      hilbert_scan, ideal_piece, initial_ideal_min_generators,
-                      normalize, solve, vanishing_ideal)
+from projzero import (Form, MonomialOrder, Options, bm_triplet,
+                      build_triplet, hilbert_scan, ideal_piece,
+                      initial_ideal_min_generators, normalize, solve,
+                      vanishing_ideal)
 from projzero.cli import parse_points_file
 from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
 from projzero.polyring import mono_divides, mono_one, monomials_of_degree
-from projzero.triplet import TripletOptions
 from tests import interp_oracle, points_oracle as oracle
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -129,11 +129,11 @@ def test_engine_matches_loop_on_triplet(data):
     P = normalize([[field.one, *pt] for pt in affine], field)
     order = draw(orders(width))
     I = vanishing_ideal(P, order)
-    scan = hilbert_scan(I, order)
+    scan = hilbert_scan(I)
     if scan.triplet is None:
         x0 = Form.monomial(field, width, (1,) + (0,) * (width - 1))
         scan = dataclasses.replace(scan, triplet=build_triplet(
-            I, order, TripletOptions(linear_form=x0), scan))
+            I, Options(linear_form=x0), scan))
     runs, engine = [], projzero.quotient._interpolate
 
     def spy(*args):
@@ -142,7 +142,7 @@ def test_engine_matches_loop_on_triplet(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projzero.quotient, "_interpolate", spy)
-        initial_ideal_min_generators(I, order, scan.triplet.d + 1, scan)
+        initial_ideal_min_generators(I, scan.triplet.d + 1, scan)
     (field, start, step, order, _, known), = runs
     _assert_runs_agree(field, start, step, order, draw(st.booleans()), known)
 
@@ -209,7 +209,7 @@ def test_round_trip_points_vanishing_ideal_solve(data):
         P = data.draw(point_sets(Q, st.integers(1, 10),
                                  lambda m: st.integers(3, 4)))
     order = MonomialOrder.default(P.n + 1)
-    report = solve(vanishing_ideal(P, order), order)
+    report = solve(vanishing_ideal(P, order))
     key = [[P.field.sort_key(x) for x in rep] for rep in P.reps]
     assert sorted(key) == sorted([P.field.sort_key(x) for x in ep.point]
                                  for ep in report.points)

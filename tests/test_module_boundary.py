@@ -12,6 +12,11 @@ A field is recognised by name: `f`, `fld`, `field`, or any `<x>.field`.
 One triplet type serves the ideal side and the points side: src defines one
 class whose name ends in `Triplet`, only `triplet.assemble` constructs it,
 and the l-combination identity is checked at one site.
+
+The ideal owns its monomial order and one options object holds every other
+setting: `Triplet` is (E, l, A), src defines one class whose name ends in
+`Options`, and in quotient, triplet and solver only the helpers that build
+a piece or walk monomials in an order take a parameter named `order`.
 """
 
 import ast
@@ -198,3 +203,73 @@ def _assemble(l):
                              ("triplet", "_assemble", 6)]
     assert checks == [("points", "bm_triplet", 9),
                       ("triplet", "_assemble", 8)]
+
+
+ORDER_TAKERS = ["_interpolate", "_split_monomial", "ideal_piece",
+                "macaulay_rows"]
+
+
+def order_sites(sources):
+    """(classes named `...Options`, fields of `Triplet`, functions with a
+    parameter named `order` as (module, name)) over {module: source}."""
+    options, fields, takers = [], [], []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                if node.name.endswith("Options"):
+                    options.append(node.name)
+                if node.name == "Triplet":
+                    fields += [stmt.target.id for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == "order" for a in
+                       args.posonlyargs + args.args + args.kwonlyargs):
+                    takers.append((module, node.name))
+    return options, fields, sorted(takers)
+
+
+def test_the_ideal_owns_its_order_and_one_options_class():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    options, fields, _ = order_sites(sources)
+    assert options == ["Options"]
+    assert fields == ["E_monomials", "l", "A"]
+    _, _, takers = order_sites(
+        {m: sources[m] for m in ("quotient", "triplet", "solver")})
+    assert sorted(name for _, name in takers) == ORDER_TAKERS
+
+
+def test_the_order_check_sees_each_site():
+    triplet = """
+@dataclass(frozen=True)
+class TripletOptions:
+    seed: int = 0
+
+@dataclass
+class Triplet:
+    E_monomials: list
+    l: Form
+    A: list
+    order: MonomialOrder
+
+    @property
+    def size(self):
+        return len(self.E_monomials)
+
+def build_triplet(I, order, options=TripletOptions()):
+    return _split_monomial((1, 0), 1, order)
+"""
+    quotient = """
+class IdealPresentation:
+    def piece(self, d, order):
+        return ideal_piece(self, d, order)
+
+def hilbert_scan(I, *, order=None):
+    pass
+"""
+    options, fields, takers = order_sites(
+        {"triplet": triplet, "quotient": quotient})
+    assert options == ["TripletOptions"]
+    assert fields == ["E_monomials", "l", "A", "order"]
+    assert takers == [("quotient", "hilbert_scan"), ("quotient", "piece"),
+                      ("triplet", "build_triplet")]

@@ -42,7 +42,7 @@ def test_l_map_matrix_matches_reduction(data):
                           ranking=tuple(draw(st.permutations(range(n)))))
     I = vanishing_ideal(P, order)
     d = draw(st.integers(0, 3))
-    piece_d, piece_d1 = I.piece(d, order), I.piece(d + 1, order)
+    piece_d, piece_d1 = I.piece(d), I.piece(d + 1)
     pool = field.sample_pool()
     coeffs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     assume(any(not field.is_zero(c) for c in coeffs))

@@ -319,7 +319,7 @@ def test_vanishing_ideal_random_cross_engine():
         _, B, _ = bm_triplet(P)
         hf = [ideal_piece(I, d, order).hf for d in range(len(B))]
         assert hf == [len(b) for b in B]
-        scan = hilbert_scan(I, order)
+        scan = hilbert_scan(I)
         assert scan.m == P.size
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projzero import (Form, IdealPresentation, Matrix, MonomialOrder,
+from projzero import (Form, IdealPresentation, Matrix, MonomialOrder, Options,
                       binomial_expansion, gb_degree_bound, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
                       macaulay_growth, monomials_of_degree,
                       normal_form_by_degree, parse_form, solve_in_rowspace)
-from projzero.errors import CapExceeded
+from projzero.errors import CapExceeded, InputError
 from projzero.polyring import mono_divides
 from projzero.quotient import macaulay_rows
 from tests.conftest import ideal_from
@@ -72,22 +72,22 @@ def test_normal_form_difference_in_rowspace(main_ideal, order3):
         assert solve_in_rowspace(vec, piece.echelon) is not None
 
 
-def test_hilbert_scan_mixed(mixed_2var_ideal, order2):
-    scan = hilbert_scan(mixed_2var_ideal, order2)
+def test_hilbert_scan_mixed(mixed_2var_ideal):
+    scan = hilbert_scan(mixed_2var_ideal)
     assert scan.hf_values == [1, 2, 3, 4, 4, 3, 3]
     assert scan.m == 3 and scan.stabilization_degree == 5
     assert scan.postulation == 5 and scan.certificate == "gotzmann"
 
 
-def test_hilbert_scan_embedded(embedded_ideal, order3):
-    scan = hilbert_scan(embedded_ideal, order3)
+def test_hilbert_scan_embedded(embedded_ideal):
+    scan = hilbert_scan(embedded_ideal)
     assert scan.hf_values == [1, 3, 3, 1, 1]
     assert scan.m == 1 and scan.postulation == 3
 
 
 def test_hilbert_scan_artinian():
     I = ideal_from(["x0", "x1"], ("x0", "x1"))
-    scan = hilbert_scan(I, MonomialOrder.default(2))
+    scan = hilbert_scan(I)
     assert scan.hf_values == [1, 0, 0]
     assert scan.artinian and scan.m == 0
 
@@ -95,8 +95,20 @@ def test_hilbert_scan_artinian():
 def test_hilbert_scan_cap_exceeded():
     I = ideal_from(["x^2", "x*y", "x*z"], XYZ)
     with pytest.raises(CapExceeded) as exc:
-        hilbert_scan(I, MonomialOrder.default(3), max_degree=6)
+        hilbert_scan(I, Options(max_degree=6))
     assert exc.value.partial_hf[:4] == [1, 3, 3, 4]
+
+
+def test_ideal_order_defaults_to_degrevlex_and_must_rank_every_variable():
+    """An order over two variables would list degree-2 monomials of three
+    variables in an order no monomial order gives; the ideal refuses it."""
+    I = ideal_from(["x^2", "y^2", "z^2"], XYZ)
+    assert I.order == MonomialOrder.default(3)
+    with pytest.raises(InputError):
+        IdealPresentation(Q, XYZ, I.generators, MonomialOrder.default(2))
+    with pytest.raises(InputError):
+        IdealPresentation(Q, XYZ, I.generators,
+                          order=MonomialOrder.default(4, "lex"))
 
 
 def test_binomial_expansion_trivial():
@@ -184,30 +196,30 @@ def test_macaulay_bound_on_random_instances(scan_pool):
                 assert macaulay_growth(hf[d], d) >= hf[d + 1]
 
 
-def test_gb_degree_bound_values(main_ideal, embedded_ideal, order3):
-    scan_main = hilbert_scan(main_ideal, order3)
+def test_gb_degree_bound_values(main_ideal, embedded_ideal):
+    scan_main = hilbert_scan(main_ideal)
     assert gb_degree_bound(scan_main, 1) == 3      # max(post, m) = max(1, 3)
-    scan_emb = hilbert_scan(embedded_ideal, order3)
+    scan_emb = hilbert_scan(embedded_ideal)
     assert gb_degree_bound(scan_emb, 3) == 3       # max(3, 1)
     assert gb_degree_bound(scan_main, 3) == 3      # equal inputs
 
 
-def test_initial_ideal_min_generators_main(main_ideal, order3):
-    mins = initial_ideal_min_generators(main_ideal, order3, 4)
+def test_initial_ideal_min_generators_main(main_ideal):
+    mins = initial_ideal_min_generators(main_ideal, 4)
     assert sorted(d for _, d in mins) == [2, 2, 2, 3]
     assert set(m for m, d in mins if d == 2) == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
     assert [m for m, d in mins if d == 3] == [(0, 2, 1)]
 
 
-def test_initial_ideal_min_generators_embedded(embedded_ideal, order3):
-    mins = initial_ideal_min_generators(embedded_ideal, order3, 4)
+def test_initial_ideal_min_generators_embedded(embedded_ideal):
+    mins = initial_ideal_min_generators(embedded_ideal, 4)
     assert len(mins) == 5
     assert max(d for _, d in mins) == 3
 
 
 def test_initial_ideal_principal():
     I = ideal_from(["x0^2"], ("x0", "x1"))
-    mins = initial_ideal_min_generators(I, MonomialOrder.default(2), 4)
+    mins = initial_ideal_min_generators(I, 4)
     assert mins == [((2, 0), 2)]
 
 

@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from projzero import MonomialOrder, roots_in_field, solve, vanishing_ideal
+from projzero import Options, roots_in_field, solve, vanishing_ideal
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.fields import PrimeField, RationalField
 from projzero import linalg
 from projzero.linalg import RootReport, deflate
-from projzero.triplet import TripletOptions
 from tests.eigen_oracle import joint_multiplicity
 from tests.rref_oracle import poly_mul
 from tests.root_oracle import enumerate_roots
@@ -120,7 +119,7 @@ def load_fixture(name):
     if path.suffix == ".ideal":
         return parse_ideal_file(path.read_text())
     P, _ = parse_points_file(path.read_text())
-    return vanishing_ideal(P), MonomialOrder.default(P.n + 1)
+    return vanishing_ideal(P)
 
 
 # Small .ideal fixtures with points, and two fixtures over GF(3) whose
@@ -134,8 +133,8 @@ def load_fixture(name):
     "three_quadrics_gf3.ideal"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_multiplicity_matches_enumeration(name, seed):
-    I, order = load_fixture(name)
-    rep = solve(I, order, TripletOptions(seed=seed))
+    I = load_fixture(name)
+    rep = solve(I, Options(seed=seed))
     assert rep.points
     for ep in rep.points:
         assert ep.multiplicity == joint_multiplicity(rep.triplet.A, ep.lambdas)
@@ -145,8 +144,8 @@ def test_multiplicity_matches_enumeration(name, seed):
 
 
 def test_double_point_multiplicity():
-    I, order = load_fixture("line_and_double_point.ideal")
-    rep = solve(I, order, TripletOptions(degree_policy="certified_stable"))
+    I = load_fixture("line_and_double_point.ideal")
+    rep = solve(I, Options(degree_policy="certified_stable"))
     got = {tuple(ep.point): ep.multiplicity for ep in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
     for ep in rep.points:

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projzero import (Matrix, MonomialOrder, bm_triplet, build_triplet,
+from projzero import (Matrix, Options, bm_triplet, build_triplet,
                       common_eigenvectors, eigenpoints_from_matrices,
                       filter_points, normalize, parse_form, solve,
                       vanishing_ideal)
@@ -14,7 +14,6 @@ from projzero.errors import ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero import solver
 from projzero.linalg import char_poly, eigenspace
-from projzero.triplet import TripletOptions
 from tests import eigen_oracle
 from tests.conftest import ideal_from
 
@@ -37,9 +36,9 @@ def test_common_eigenvectors_main(main_triplet):
     ])
 
 
-def test_common_eigenvectors_false_point(false_point_ideal, order3):
+def test_common_eigenvectors_false_point(false_point_ideal):
     l = parse_form("x + z", XYZ, Q)
-    t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
+    t = build_triplet(false_point_ideal, Options(linear_form=l))
     found = common_eigenvectors(t.A)
     got = sorted((tuple(v), tuple(l_)) for v, l_, _ in found.vectors)
     assert got == sorted([
@@ -61,16 +60,16 @@ def test_candidate_points_main(main_triplet):
     assert as_tuples(pts) == sorted([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 
-def test_candidate_points_embedded(embedded_ideal, order3):
+def test_candidate_points_embedded(embedded_ideal):
     l = parse_form("z", XYZ, Q)
-    t = build_triplet(embedded_ideal, order3, TripletOptions(linear_form=l))
+    t = build_triplet(embedded_ideal, Options(linear_form=l))
     pts = eigenpoints_from_matrices(t.A)
     assert (1, 1, 1) in as_tuples(pts)
 
 
-def test_filter_points_false_point(false_point_ideal, order3):
+def test_filter_points_false_point(false_point_ideal):
     l = parse_form("x + z", XYZ, Q)
-    t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
+    t = build_triplet(false_point_ideal, Options(linear_form=l))
     kept, rejected = filter_points(eigenpoints_from_matrices(t.A),
                                    false_point_ideal)
     assert as_tuples(kept) == [(1, 0, 0)]
@@ -89,24 +88,23 @@ def test_filter_points_empty():
     assert filter_points([], None) == ([], [])
 
 
-def test_multiplicity_mixed_2var(mixed_2var_ideal, order2):
+def test_multiplicity_mixed_2var(mixed_2var_ideal):
     for seed in (0, 1):
-        rep = solve(mixed_2var_ideal, order2,
-                    TripletOptions(degree_policy="certified_stable", seed=seed))
+        rep = solve(mixed_2var_ideal,
+                    Options(degree_policy="certified_stable", seed=seed))
         assert {tuple(ep.point): ep.multiplicity for ep in rep.points} \
             == {(1, 1): 1, (1, 0): 2}
 
 
-def test_multiplicity_main_all_one(main_ideal, order3):
+def test_multiplicity_main_all_one(main_ideal):
     for seed in (0, 1):
-        rep = solve(main_ideal, order3, TripletOptions(seed=seed))
+        rep = solve(main_ideal, Options(seed=seed))
         assert len(rep.points) == 3
         assert all(ep.multiplicity == 1 for ep in rep.points)
 
 
-def test_multiplicity_single_point(embedded_ideal, order3):
-    rep = solve(embedded_ideal, order3,
-                TripletOptions(degree_policy="certified_stable"))
+def test_multiplicity_single_point(embedded_ideal):
+    rep = solve(embedded_ideal, Options(degree_policy="certified_stable"))
     assert rep.triplet.size == 1
     assert [(tuple(ep.point), ep.multiplicity) for ep in rep.points] \
         == [((1, 1, 1), 1)]
@@ -121,9 +119,9 @@ def test_eigen_identities_exact(main_triplet):
             assert Av == [ep.lambdas[j] * x for x in ep.v]
 
 
-def test_solve_main(main_ideal, order3):
+def test_solve_main(main_ideal):
     l = parse_form("y + z", XYZ, Q)
-    rep = solve(main_ideal, order3, TripletOptions(linear_form=l))
+    rep = solve(main_ideal, Options(linear_form=l))
     assert sorted(tuple(ep.point) for ep in rep.points) \
         == sorted([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
     assert all(ep.multiplicity == 1 for ep in rep.points)
@@ -131,15 +129,14 @@ def test_solve_main(main_ideal, order3):
     assert sum(ep.multiplicity for ep in rep.points) == rep.triplet.size
 
 
-def test_solve_embedded(embedded_ideal, order3):
-    rep = solve(embedded_ideal, order3, TripletOptions(seed=0))
+def test_solve_embedded(embedded_ideal):
+    rep = solve(embedded_ideal, Options(seed=0))
     assert [tuple(ep.point) for ep in rep.points] == [(1, 1, 1)]
     assert rep.hf_prefix == [1, 3, 3, 1, 1]
 
 
-def test_solve_mixed_2var(mixed_2var_ideal, order2):
-    rep = solve(mixed_2var_ideal, order2,
-                TripletOptions(degree_policy="certified_stable"))
+def test_solve_mixed_2var(mixed_2var_ideal):
+    rep = solve(mixed_2var_ideal, Options(degree_policy="certified_stable"))
     got = {tuple(ep.point): ep.multiplicity for ep in rep.points}
     assert got == {(1, 1): 1, (1, 0): 2}
     assert sum(got.values()) == rep.triplet.size == 3
@@ -147,13 +144,13 @@ def test_solve_mixed_2var(mixed_2var_ideal, order2):
 
 def test_solve_artinian():
     I = ideal_from(["x0", "x1"], ("x0", "x1"))
-    rep = solve(I, MonomialOrder.default(2))
+    rep = solve(I)
     assert rep.artinian and rep.points == [] and rep.triplet is None
 
 
-def test_solve_deterministic(main_ideal, order3):
-    a = solve(main_ideal, order3, TripletOptions(seed=5))
-    b = solve(main_ideal, order3, TripletOptions(seed=5))
+def test_solve_deterministic(main_ideal):
+    a = solve(main_ideal, Options(seed=5))
+    b = solve(main_ideal, Options(seed=5))
     assert [(tuple(ep.point), ep.multiplicity) for ep in a.points] \
         == [(tuple(ep.point), ep.multiplicity) for ep in b.points]
     assert a.residual_degree == b.residual_degree
@@ -163,7 +160,7 @@ def test_solve_deterministic(main_ideal, order3):
 
 def test_solve_six_point_vanishing_ideal(six_points):
     I = vanishing_ideal(six_points)
-    rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=2))
+    rep = solve(I, Options(seed=2))
     got = sorted(tuple(ep.point) for ep in rep.points)
     want = sorted(tuple(r) for r in six_points.reps)
     assert got == want
@@ -175,7 +172,7 @@ def test_solve_prime_field_end_to_end():
     GF7 = PrimeField(7)
     P = normalize([[1, 2, 3], [1, 0, 6], [0, 1, 5]], GF7)
     I = vanishing_ideal(P)
-    rep = solve(I, MonomialOrder.default(3), TripletOptions(seed=0))
+    rep = solve(I, Options(seed=0))
     got = sorted((tuple(ep.point), ep.multiplicity) for ep in rep.points)
     assert got == [((0, 1, 5), 1), ((1, 0, 6), 1), ((1, 2, 3), 1)]
     assert rep.residual_degree == 0 and rep.rejected == []
@@ -184,13 +181,13 @@ def test_solve_prime_field_end_to_end():
 def test_solve_conjugate_points_report_residual():
     # x^2 + y^2 cuts out two conjugate points of P^1 over Q
     I = ideal_from(["x0^2 + x1^2"], ("x0", "x1"))
-    rep = solve(I, MonomialOrder.default(2), TripletOptions(seed=0))
+    rep = solve(I, Options(seed=0))
     assert rep.points == []
     assert rep.residual_degree == 2
     assert any("incomplete splitting" in w for w in rep.warnings)
 
 
-def test_shared_draws_give_per_point_multiplicities(mixed_2var_ideal, order2,
+def test_shared_draws_give_per_point_multiplicities(mixed_2var_ideal,
                                                     monkeypatch):
     """Every point's multiplicity comes from the one combination that the
     eigenvector search draws: one char poly per solve, not per point."""
@@ -203,21 +200,21 @@ def test_shared_draws_give_per_point_multiplicities(mixed_2var_ideal, order2,
     monkeypatch.setattr(solver, "char_poly", counted)
     for seed in (0, 1):
         calls.clear()
-        rep = solve(mixed_2var_ideal, order2,
-                    TripletOptions(degree_policy="certified_stable", seed=seed))
+        rep = solve(mixed_2var_ideal,
+                    Options(degree_policy="certified_stable", seed=seed))
         assert sorted(ep.multiplicity for ep in rep.points) == [1, 2]
         assert len(calls) == 1
 
 
-def test_multiplicity_overcount_warns(mixed_2var_ideal, order2):
+def test_multiplicity_overcount_warns(mixed_2var_ideal):
     # data/line_and_double_point.ideal: first_surjective builds the triplet
     # at d = 3, below d* = 5, and counts (1 : 0) three times against m = 3
-    I, order = mixed_2var_ideal, order2
-    rep = solve(I, order, TripletOptions())
+    I = mixed_2var_ideal
+    rep = solve(I, Options())
     assert sorted(ep.multiplicity for ep in rep.points) == [1, 3]
     assert any("sum to 4" in w and "m = 3" in w
                and "certified_stable" in w for w in rep.warnings)
-    stable = solve(I, order, TripletOptions(degree_policy="certified_stable"))
+    stable = solve(I, Options(degree_policy="certified_stable"))
     assert sorted(ep.multiplicity for ep in stable.points) == [1, 2]
     assert not any("sum to" in w for w in stable.warnings)
 
@@ -387,9 +384,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "data"
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.ideal")),
                          ids=lambda p: p.stem)
 def test_common_eigenvectors_match_oracle_on_ideal_fixtures(path):
-    I, order = parse_ideal_file(path.read_text())
+    I = parse_ideal_file(path.read_text())
     try:
-        t = build_triplet(I, order, TripletOptions(max_degree=8))
+        t = build_triplet(I, Options(max_degree=8))
     except ProjzeroError:
         pytest.skip("no triplet below degree 9")
     for seed in (0, 1):
@@ -411,7 +408,7 @@ def test_common_eigenvectors_match_oracle_on_point_fixtures(path):
 @pytest.mark.parametrize("name", ["ci_3_4_p32003", "three_quadrics"])
 def test_solve_searches_one_combination(name, monkeypatch):
     """One root search, one char poly, and no eigenspace of any A_j."""
-    I, order = parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())
+    I = parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())
     calls = {"roots_in_field": 0, "char_poly": 0}
     shifted = []
 
@@ -428,7 +425,7 @@ def test_solve_searches_one_combination(name, monkeypatch):
     for name_ in calls:
         monkeypatch.setattr(solver, name_, counting(name_, getattr(solver, name_)))
     monkeypatch.setattr(solver, "eigenspace", recorded)
-    rep = solve(I, order)
+    rep = solve(I)
     assert rep.points and rep.residual_degree == 0
     assert calls["roots_in_field"] == 1
     assert calls["char_poly"] == 1

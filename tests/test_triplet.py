@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import (Form, Matrix, MonomialOrder, build_triplet,
+from projzero import (Form, Matrix, MonomialOrder, Options, build_triplet,
                       fast_normal_form, find_surjective_linear, ideal_piece,
                       l_combination, l_map_matrix, normal_form_by_degree,
                       parse_form)
 from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
-from projzero.triplet import TripletOptions
 from tests import nf_oracle
 from tests.triplet_oracle import (exhaustive_surjective_linear,
                                   multiplication_matrix,
@@ -78,12 +77,12 @@ def test_build_triplet_main_entry_exact(main_ideal, main_triplet):
     assert t.A[0] == A_X
     assert t.A[1] == A_Y
     assert t.A[2] == A_Z
-    assert main_ideal.piece(t.d, t.order).hf == t.size == 3
+    assert main_ideal.piece(t.d).hf == t.size == 3
 
 
-def test_build_triplet_false_point_example(false_point_ideal, order3):
+def test_build_triplet_false_point_example(false_point_ideal):
     l = parse_form("x + z", XYZ, Q)
-    t = build_triplet(false_point_ideal, order3, TripletOptions(linear_form=l))
+    t = build_triplet(false_point_ideal, Options(linear_form=l))
     assert t.d == 1
     assert t.E_monomials == [(1, 0, 0), (0, 1, 0)]
     assert t.A[0] == qm([[1, 0], [0, 0]])
@@ -96,12 +95,12 @@ def test_l_combination_is_identity(main_triplet, mixed_2var_triplet):
         assert l_combination(t) == Matrix.identity(Q, t.size)
 
 
-def test_multiplication_matrix_monomial_bases(main_ideal, order3):
+def test_multiplication_matrix_monomial_bases(main_ideal):
     E1 = [Form.variable(Q, 3, i) for i in range(3)]
     F2 = [parse_form(s, XYZ, Q) for s in ("y^2", "y*z", "z^2")]
-    M_x = multiplication_matrix(E1[0], E1, F2, main_ideal, order3)
-    M_y = multiplication_matrix(E1[1], E1, F2, main_ideal, order3)
-    M_z = multiplication_matrix(E1[2], E1, F2, main_ideal, order3)
+    M_x = multiplication_matrix(E1[0], E1, F2, main_ideal)
+    M_y = multiplication_matrix(E1[1], E1, F2, main_ideal)
+    M_z = multiplication_matrix(E1[2], E1, F2, main_ideal)
     assert M_x == qm([[1, -2, 1], [1, -1, 0], [0, -1, 1]])
     assert M_y == qm([[1, -1, 0], [1, 0, 0], [0, 1, 0]])
     assert M_z == qm([[0, -1, 1], [0, 1, 0], [0, 0, 1]])
@@ -110,22 +109,21 @@ def test_multiplication_matrix_monomial_bases(main_ideal, order3):
     assert (M_x @ L.inverse()) == A_X
 
 
-def test_matrices_recomputed_independently(main_ideal, order3, main_triplet):
+def test_matrices_recomputed_independently(main_ideal, main_triplet):
     # row i of A_j must express nf(x_j e_i) in the basis {nf(l e_k)}
     t = main_triplet
     for j in range(3):
         xj = Form.variable(Q, 3, j)
         E = [Form.monomial(Q, 3, e) for e in t.E_monomials]
-        M = multiplication_matrix(xj, E, [t.l * e for e in E], main_ideal,
-                                  order3)
+        M = multiplication_matrix(xj, E, [t.l * e for e in E], main_ideal)
         assert M == t.A[j]
 
 
-def test_degree_independence(main_ideal, order3, main_triplet,
-                             mixed_2var_ideal, order2, mixed_2var_triplet):
-    up = rebuild_at_next_degree(main_triplet, main_ideal, order3)
+def test_degree_independence(main_ideal, main_triplet, mixed_2var_ideal,
+                             mixed_2var_triplet):
+    up = rebuild_at_next_degree(main_triplet, main_ideal)
     assert all(a == b for a, b in zip(main_triplet.A, up))
-    up2 = rebuild_at_next_degree(mixed_2var_triplet, mixed_2var_ideal, order2)
+    up2 = rebuild_at_next_degree(mixed_2var_triplet, mixed_2var_ideal)
     assert all(a == b for a, b in zip(mixed_2var_triplet.A, up2))
 
 
@@ -223,13 +221,12 @@ def test_fast_normal_form_linear_schedule_agrees(main_ideal, main_triplet):
 def test_build_triplet_certified_policy(mixed_2var_ideal, mixed_2var_triplet):
     t = mixed_2var_triplet
     assert t.d == 5
-    assert mixed_2var_ideal.piece(t.d, t.order).hf == t.size == 3
+    assert mixed_2var_ideal.piece(t.d).hf == t.size == 3
 
 
-def test_corrupt_inverse_raises_invariant_violation(main_ideal, order3,
-                                                    monkeypatch):
+def test_corrupt_inverse_raises_invariant_violation(main_ideal, monkeypatch):
     # the l-combination identity certifies inverse and matmul in every
     # triplet: a wrong inverse must not yield matrices
     monkeypatch.setattr(Matrix, "inverse", lambda self: self.scale(2))
     with pytest.raises(InvariantViolation):
-        build_triplet(main_ideal, order3)
+        build_triplet(main_ideal)

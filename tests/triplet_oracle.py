@@ -14,10 +14,10 @@
 
 from projzero.errors import NoSurjectionFound
 from projzero.linalg import Matrix, solve_in_rowspace
-from projzero.polyring import Form, MonomialOrder
-from projzero.quotient import HilbertScan, IdealPresentation, ideal_piece
-from projzero.triplet import (Triplet, TripletOptions, find_surjective_linear,
-                              l_map_matrix)
+from projzero.polyring import Form
+from projzero.quotient import (HilbertScan, IdealPresentation, Options,
+                               ideal_piece)
+from projzero.triplet import Triplet, find_surjective_linear, l_map_matrix
 from tests.rref_oracle import standard_coords
 
 
@@ -56,7 +56,7 @@ def exhaustive_surjective_linear(I: IdealPresentation, piece_d,
 
 
 def multiplication_matrix(f: Form, E_forms, F_forms, I: IdealPresentation,
-                          order: MonomialOrder, piece_target=None) -> Matrix:
+                          piece_target=None) -> Matrix:
     """Matrix of [a] -> [f a] with respect to explicit bases E and F.
 
     Row i holds the coordinates of nf(f * e_i) in {nf(F_k)}. Raises if some
@@ -64,7 +64,7 @@ def multiplication_matrix(f: Form, E_forms, F_forms, I: IdealPresentation,
     """
     target_degree = E_forms[0].degree + f.degree
     if piece_target is None:
-        piece_target = ideal_piece(I, target_degree, order)
+        piece_target = ideal_piece(I, target_degree, I.order)
     field = I.field
     basis = Matrix(field, [standard_coords(g, piece_target) for g in F_forms],
                    ncols=len(piece_target.standard_monomials))
@@ -78,8 +78,7 @@ def multiplication_matrix(f: Form, E_forms, F_forms, I: IdealPresentation,
     return Matrix(field, rows, ncols=len(F_forms))
 
 
-def rebuild_at_next_degree(triplet, I: IdealPresentation,
-                           order: MonomialOrder):
+def rebuild_at_next_degree(triplet, I: IdealPresentation):
     """Recompute the matrices one degree up, with bases {l e_i} and {l^2 e_i}.
 
     For a triplet built at a degree where the Hilbert function has stabilized
@@ -88,17 +87,16 @@ def rebuild_at_next_degree(triplet, I: IdealPresentation,
     E_up = [triplet.l * Form.monomial(I.field, I.nvars, e)
             for e in triplet.E_monomials]
     F_up = [triplet.l * g for g in E_up]
-    piece = ideal_piece(I, triplet.d + 2, order)
+    piece = ideal_piece(I, triplet.d + 2, I.order)
     out = []
     for j in range(I.nvars):
         xj = Form.variable(I.field, I.nvars, j)
-        out.append(multiplication_matrix(xj, E_up, F_up, I, order,
+        out.append(multiplication_matrix(xj, E_up, F_up, I,
                                          piece_target=piece))
     return out
 
 
-def triplet_at_gotzmann_degree(I: IdealPresentation, order: MonomialOrder,
-                               options: TripletOptions,
+def triplet_at_gotzmann_degree(I: IdealPresentation, options: Options,
                                scan: HilbertScan) -> Triplet:
     """The triplet at d* = scan.stabilization_degree, with options' l or
     the first of its seeded draws that is bijective there.
@@ -108,7 +106,8 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, order: MonomialOrder,
     Raises NoSurjectionFound when no draw is bijective at d*.
     """
     d = scan.stabilization_degree
-    piece_d, piece_d1 = ideal_piece(I, d, order), ideal_piece(I, d + 1, order)
+    piece_d, piece_d1 = (ideal_piece(I, d, I.order),
+                         ideal_piece(I, d + 1, I.order))
     l = options.linear_form
     if l is None:
         l, _ = find_surjective_linear(I, piece_d, piece_d1, options.seed,
@@ -118,7 +117,6 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, order: MonomialOrder,
     E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
     F = [l * e for e in E]
     A = [multiplication_matrix(Form.variable(I.field, I.nvars, j), E, F, I,
-                               order, piece_target=piece_d1)
+                               piece_target=piece_d1)
          for j in range(I.nvars)]
-    return Triplet(E_monomials=list(piece_d.standard_monomials), l=l, A=A,
-                   order=order)
+    return Triplet(E_monomials=list(piece_d.standard_monomials), l=l, A=A)
