@@ -83,7 +83,10 @@ class IdealPresentation:
     def max_gen_degree(self):
         return max(g.degree for g in self.generators)
 
-    def default_cap(self):
+    def degree_cap(self, max_degree):
+        """The scan's degree cap: `max_degree`, or a default when None."""
+        if max_degree is not None:
+            return max_degree
         return max(self.max_gen_degree,
                    4 * (self.nvars + sum(g.degree for g in self.generators)))
 
@@ -276,7 +279,7 @@ def hilbert_scan(I: IdealPresentation,
     """
     from .triplet import commuting_triplet
     t = I.max_gen_degree
-    cap = I.default_cap() if options.max_degree is None else options.max_degree
+    cap = I.degree_cap(options.max_degree)
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []

@@ -5,6 +5,9 @@ where the map [a] -> [l a] from R_d onto R_{d+1} is surjective. Row i of A_j
 holds the coordinates of [x_j e_i] in the basis {[l e_k]} of R_{d+1}; in
 particular sum_j coeff_j(l) A_j is the identity, which `assemble` checks.
 
+Every ideal-side triplet comes out of one loop over candidate forms l,
+an explicit l or seeded draws, at one l-map and one rref each.
+
 Two degree policies are supported. first_surjective stops at the first
 degree with hf(d) >= hf(d+1) and a surjective l, which is all the variety
 computation needs. certified_stable builds the triplet at the Hilbert
@@ -104,48 +107,44 @@ def l_map_matrix(l: Form, piece_d: DegreePiece, piece_d1: DegreePiece) -> Matrix
         j, piece_d.standard_monomials, piece_d1))
 
 
-def _surjective(l, piece_d, piece_d1):
-    target = len(piece_d1.standard_monomials)
-    L = l_map_matrix(l, piece_d, piece_d1)
-    return L if L.rank() == target else None
+def _draws(I: IdealPresentation, seed, trials):
+    """`trials` seeded draws of a nonzero l; each search restarts them."""
+    rng = random.Random(seed)
+    pool = I.field.sample_pool()
+    for _ in range(trials):
+        l = None
+        while l is None or l.is_zero():
+            l = Form.linear(I.field, [pool[rng.randrange(len(pool))]
+                                      for _ in range(I.nvars)])
+        yield l
 
 
-def _random_linear(field, nvars, rng):
-    pool = field.sample_pool()
-    while True:
-        l = Form.linear(field, [pool[rng.randrange(len(pool))]
-                                for _ in range(nvars)])
-        if not l.is_zero():
-            return l
+def _first_triplet(candidates, piece_d: DegreePiece,
+                   piece_d1: DegreePiece) -> Triplet | None:
+    """The triplet at d from the first candidate l with [l] R_d = R_{d+1},
+    else None. One rref of L^T, L the l-map, gives the rank and E: the
+    earliest standard monomials whose rows of L are a basis of R_{d+1}."""
+    for l in candidates:
+        _, rank, rows = rref(l_map_matrix(l, piece_d, piece_d1).transpose())
+        if rank == piece_d1.hf:
+            E = [piece_d.standard_monomials[i] for i in rows]
+            return assemble(E, l, [_times_variable(j, E, piece_d1)
+                                   for j in range(l.nvars)])
+    return None
 
 
 def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
-                           piece_d1: DegreePiece, seed=0, max_trials=200):
-    """Find l with [l] R_d = R_{d+1} by seeded random draws.
-
-    Returns l and its l-map matrix.
-    """
-    hf_d, hf_d1 = len(piece_d.standard_monomials), len(piece_d1.standard_monomials)
-    if not hf_d >= hf_d1 > 0:
-        raise ValueError(f"need hf(d) >= hf(d+1) > 0, got {hf_d}, {hf_d1}")
-    rng = random.Random(seed)
-    for _ in range(max_trials):
-        l = _random_linear(I.field, I.nvars, rng)
-        L = _surjective(l, piece_d, piece_d1)
-        if L is not None:
-            return l, L
-    raise NoSurjectionFound(max_trials, degree=piece_d.d)
-
-
-def _assemble(l, piece_d, piece_d1, L):
-    """The triplet at d from the l-map L: E is the earliest set of standard
-    monomials whose rows of L are a basis of R_{d+1}, and X_j is read off
-    the normal forms of piece_d1."""
-    # pivot columns of L^T pick the earliest independent row subset of L
-    _, _, basis_rows = rref(L.transpose())
-    E_mon = [piece_d.standard_monomials[i] for i in basis_rows]
-    return assemble(E_mon, l, [_times_variable(j, E_mon, piece_d1)
-                               for j in range(l.nvars)])
+                           piece_d1: DegreePiece, seed=0,
+                           max_trials=200) -> Triplet:
+    """The triplet at d from the first of `max_trials` seeded draws with
+    [l] R_d = R_{d+1} (`_first_triplet`); NoSurjectionFound if none is."""
+    if not piece_d.hf >= piece_d1.hf > 0:
+        raise ValueError(
+            f"need hf(d) >= hf(d+1) > 0, got {piece_d.hf}, {piece_d1.hf}")
+    trip = _first_triplet(_draws(I, seed, max_trials), piece_d, piece_d1)
+    if trip is None:
+        raise NoSurjectionFound(max_trials, degree=piece_d.d)
+    return trip
 
 
 # Seeded draws of l per degree in the commutation certificate. A random l
@@ -172,13 +171,10 @@ def commuting_triplet(I: IdealPresentation, piece_d: DegreePiece,
     pairs commute; the converse is plain. That is C(n, 2) products of pairs
     instead of C(n + 1, 2) for n + 1 variables.
     """
-    try:
-        l, L = find_surjective_linear(I, piece_d, piece_d1, seed,
-                                      COMMUTATION_DRAWS)
-    except NoSurjectionFound:
+    trip = _first_triplet(_draws(I, seed, COMMUTATION_DRAWS), piece_d, piece_d1)
+    if trip is None:
         return None
-    trip = _assemble(l, piece_d, piece_d1, L)
-    k = next(iter(l.terms)).index(1)
+    k = next(iter(trip.l.terms)).index(1)
     A = trip.A[:k] + trip.A[k + 1:]
     if any(A[i] @ A[j] != A[j] @ A[i]
            for i in range(len(A)) for j in range(i)):
@@ -191,10 +187,11 @@ def build_triplet(I: IdealPresentation, options: Options = Options(),
     """Scan degrees, find a surjective linear form and assemble the matrices.
 
     first_surjective tries d = 0, 1, ... and stops at the first degree with
-    hf(d) >= hf(d+1) and a surjective l. certified_stable starts at the
-    Hilbert scan's certificate degree: d_c when commuting matrices closed
-    the scan, Gotzmann's d* otherwise. hf is constant from there on, and
-    where the scan closed by commutation its triplet is the one returned.
+    hf(d) >= hf(d+1) and a surjective l: options' l alone, or the first of
+    its max_trials seeded draws (`_first_triplet`). certified_stable starts
+    at the Hilbert scan's certificate degree: d_c when commuting matrices
+    closed the scan, Gotzmann's d* otherwise. hf is constant from there on,
+    and where the scan closed by commutation its triplet is the one returned.
 
     `scan`, this command's hilbert_scan(I, options) when given, lends its
     commuting triplet at its certificate degree (see the module
@@ -213,8 +210,12 @@ def build_triplet(I: IdealPresentation, options: Options = Options(),
     both of codimension m, is J_e for e >= d*. For e >= m - 1, (S/J)_e is the m-dimensional algebra of X
     (O_X(1) is trivial on a finite scheme), and ·l' is multiplication by
     one fixed element of that algebra, whatever e is.
+    A failed search brings in the scan, whose d_c <= cap has hf(d_c) =
+    hf(d_c + 1), so the walk ends by d_c: past the loop only CapExceeded.
     """
-    cap = I.default_cap() if options.max_degree is None else options.max_degree
+    cap = I.degree_cap(options.max_degree)
+    l = options.linear_form
+    trials = 1 if l is not None else options.max_trials
     start = 0
     if options.degree_policy == "certified_stable":
         if scan is None:
@@ -223,27 +224,20 @@ def build_triplet(I: IdealPresentation, options: Options = Options(),
             raise ArtinianQuotient("empty variety; no triplet exists")
         start = scan.certificate_degree
     piece_d = I.piece(start)
-    last_error = None
     for d in range(start, cap + 1):
         piece_d1 = I.piece(d + 1)
         if piece_d.hf >= piece_d1.hf:
             if piece_d1.hf == 0:
                 raise ArtinianQuotient("empty variety; no triplet exists")
-            known = scan.triplet if scan and options.linear_form is None else None
+            known = scan.triplet if scan and l is None else None
             if (known is not None and known.d == d
                     and options.max_trials >= COMMUTATION_DRAWS):
                 return known
-            l, trials = options.linear_form, 1
-            if l is not None:
-                L = _surjective(l, piece_d, piece_d1)
-            else:
-                try:
-                    l, L = find_surjective_linear(
-                        I, piece_d, piece_d1, options.seed, options.max_trials)
-                except NoSurjectionFound:
-                    L, trials = None, options.max_trials
-            if L is not None:
-                return _assemble(l, piece_d, piece_d1, L)
+            trip = _first_triplet(
+                [l] if l is not None else _draws(I, options.seed, trials),
+                piece_d, piece_d1)
+            if trip is not None:
+                return trip
             # K2 failed: compute one more degree, unless d is at least d_c. The
             # scan waits until here: it costs more than most triplets.
             if scan is None:
@@ -251,10 +245,8 @@ def build_triplet(I: IdealPresentation, options: Options = Options(),
             if d >= scan.certificate_degree:
                 raise NoSurjectionFound(trials, d, scan.certificate,
                                         scan.certificate_degree)
-            last_error = NoSurjectionFound(trials, degree=d)
         piece_d = piece_d1
-    raise last_error or CapExceeded(
-        [I.piece(e).hf for e in range(cap + 2)], cap)
+    raise CapExceeded([I.piece(e).hf for e in range(cap + 2)], cap)
 
 
 @dataclass

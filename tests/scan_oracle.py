@@ -23,7 +23,7 @@ def hilbert_scan(I: IdealPresentation,
     the generator degree. Of `options` it reads only the cap, `max_degree`.
     """
     t = I.max_gen_degree
-    cap = I.default_cap() if options.max_degree is None else options.max_degree
+    cap = I.degree_cap(options.max_degree)
     if cap < t:
         raise InputError(f"max_degree {cap} is below the generator degree {t}")
     hf = []

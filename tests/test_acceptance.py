@@ -15,7 +15,7 @@ import pytest
 from projzero import (Form, Matrix, MonomialOrder, Options,
                       binomial_expansion, bm_triplet, build_triplet, c_matrix,
                       char_poly, eigenpoints_from_matrices, eval_normal_form,
-                      fast_normal_form, filter_points, hilbert_scan,
+                      fast_normal_form, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
                       l_combination, l_map_matrix, macaulay_growth,
                       normal_form_by_degree, normalize, nzd_sweep,
@@ -93,7 +93,7 @@ def test_criterion_3_fast_normal_form_x17(main_ideal, main_triplet):
             assert res.form.evaluate(rep) == f.evaluate(rep)
 
 
-def test_criterion_3_corrected_value(main_triplet, main_ideal, order3):
+def test_criterion_3_corrected_value(main_triplet, main_ideal):
     with criterion("3b", "fast normal form of x^17 is x*(y+z)^16 and equals "
                    "x^17 at the three points"):
         f = parse_form("x^17", XYZ, Q)

@@ -165,8 +165,8 @@ def test_commutation_rejects_a_valley():
     assert commuting_triplet(I, pieces[3], pieces[4]) is None
     rng = random.Random(3)
     for _ in range(10):
-        l, _ = find_surjective_linear(I, pieces[3], pieces[4],
-                                      seed=rng.random())
+        l = find_surjective_linear(I, pieces[3], pieces[4],
+                                   seed=rng.random()).l
         trip = build_triplet(I, Options(linear_form=l))
         assert trip.d == 3 and not commute(trip.A)
     assert commute(commuting_triplet(I, pieces[5], pieces[6]).A)

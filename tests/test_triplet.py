@@ -7,6 +7,7 @@ from projzero import (Form, Matrix, MonomialOrder, Options, build_triplet,
                       fast_normal_form, find_surjective_linear, ideal_piece,
                       l_combination, l_map_matrix, normal_form_by_degree,
                       parse_form)
+from projzero import linalg, triplet
 from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
@@ -46,8 +47,53 @@ def test_find_surjective_main(main_ideal, order3):
         assert l_map_matrix(l, p1, p2).rank() < 3
     good = parse_form("y + z", XYZ, Q)
     assert l_map_matrix(good, p1, p2).rank() == 3
-    found, L = find_surjective_linear(main_ideal, p1, p2, seed=4)
-    assert L == l_map_matrix(found, p1, p2) and L.rank() == 3
+    found = find_surjective_linear(main_ideal, p1, p2, seed=4)
+    assert found.d == 1 and l_map_matrix(found.l, p1, p2).rank() == 3
+
+
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_explicit_l_eliminates_its_l_map_once(main_ideal, monkeypatch):
+    """One rref of the transposed l-map gives both the rank test and E."""
+    l = parse_form("y + z", XYZ, Q)
+    p1, p2 = main_ideal.piece(1), main_ideal.piece(2)
+    calls = []
+    for module in (linalg, triplet):
+        _spy(monkeypatch, module, "rref", calls)
+    t = build_triplet(main_ideal, Options(linear_form=l))
+    assert t.d == 1
+    assert calls == [(l_map_matrix(l, p1, p2).transpose(),)]
+
+
+def test_each_draw_costs_one_l_map_and_one_rref(monkeypatch):
+    """Over GF(2) no l maps R_3 onto R_4 for the full projective line, so
+    every draw fails and each costs one l-map and one elimination."""
+    I = ideal_from(["x0^2*x1 + x0*x1^2"], ("x0", "x1"), PrimeField(2))
+    p3, p4 = I.piece(3), I.piece(4)
+    maps, rrefs = [], []
+    _spy(monkeypatch, triplet, "l_map_matrix", maps)
+    for module in (linalg, triplet):
+        _spy(monkeypatch, module, "rref", rrefs)
+    with pytest.raises(NoSurjectionFound) as exc:
+        find_surjective_linear(I, p3, p4, seed=1, max_trials=5)
+    assert exc.value.trials == 5 and len(maps) == len(rrefs) == 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 9, 2024])
+def test_find_surjective_linear_is_the_search_build_triplet_runs(
+        main_ideal, seed):
+    """At d = 1, the first degree with hf(d) >= hf(d+1), the first_surjective
+    triplet is the one the seeded search finds there."""
+    found = find_surjective_linear(main_ideal, main_ideal.piece(1),
+                                   main_ideal.piece(2), seed)
+    assert found == build_triplet(main_ideal, Options(seed=seed))
 
 
 def test_find_surjective_embedded(embedded_ideal, order3):

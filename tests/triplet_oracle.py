@@ -110,8 +110,8 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, options: Options,
                          ideal_piece(I, d + 1, I.order))
     l = options.linear_form
     if l is None:
-        l, _ = find_surjective_linear(I, piece_d, piece_d1, options.seed,
-                                      options.max_trials)
+        l = find_surjective_linear(I, piece_d, piece_d1, options.seed,
+                                   options.max_trials).l
     elif l_map_matrix(l, piece_d, piece_d1).rank() < piece_d1.hf:
         raise NoSurjectionFound(1, degree=d)
     E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
