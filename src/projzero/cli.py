@@ -361,7 +361,7 @@ def cmd_bound(args):
     scan = hilbert_scan(I, Options(seed=args.seed, max_degree=args.max_degree))
     if scan.artinian:
         raise InputError("artinian quotient; no projective variety to bound")
-    bound = gb_degree_bound(scan, scan.stabilization_degree)
+    bound = gb_degree_bound(scan)
     mins = initial_ideal_min_generators(I, bound + 1, scan)
     measured = max(d for _, d in mins)
     doc = {

@@ -76,10 +76,6 @@ class FieldTooSmall(ProjzeroError):
     """The ground field has fewer elements than the sweep needs."""
 
 
-class RankDeficientBasis(ProjzeroError):
-    pass
-
-
 class DegreeTooLow(ProjzeroError):
     pass
 

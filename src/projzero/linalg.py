@@ -49,9 +49,6 @@ class Matrix:
     def copy_rows(self):
         return [list(r) for r in self.rows]
 
-    def row(self, i):
-        return list(self.rows[i])
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)], ncols=self.nrows)
@@ -325,28 +322,6 @@ def kernel(M: Matrix):
     return Matrix(f, negated, ncols=M.ncols).scale(-1).rows
 
 
-def solve_in_rowspace(v, rows: Matrix):
-    """Express v as a combination of the rows of `rows`, or return None.
-
-    The coefficient vector is supported on the first maximal independent set
-    of rows (pivot rows in order); remaining coefficients are zero.
-    """
-    f = rows.field
-    if rows.nrows == 0:
-        return [] if all(f.is_zero(x) for x in v) else None
-    if len(v) != rows.ncols:
-        raise ValueError("dimension mismatch")
-    # Solve rows^T c = v; pivot columns of rows^T pick the earliest row basis.
-    aug = [col + (x,) for col, x in zip(zip(*rows.rows), v)]
-    red, rank, pivot_cols = _rref_rows(aug, f)
-    if rows.nrows in pivot_cols:
-        return None  # inconsistent: v outside the row space
-    c = [f.zero] * rows.nrows
-    for r, pc in enumerate(pivot_cols):
-        c[pc] = red[r][rows.nrows]
-    return c
-
-
 def poly_eval(p, x, field):
     acc = field.zero
     for c in reversed(p):
@@ -441,10 +416,6 @@ class RootReport:
 
     pairs: list  # (root, multiplicity), sorted by field sort key
     residual: list  # coefficients of the part with no in-field roots
-
-    @property
-    def complete(self) -> bool:
-        return len(self.residual) <= 1
 
     @property
     def residual_degree(self) -> int:

@@ -5,16 +5,15 @@ coordinate is one, so evaluation of forms (and hence every rank computation
 below) is well defined. The module covers the non-zero-divisor sweep, the
 per-degree interpolation variant of the Buchberger-Moeller algorithm that
 returns multiplication matrices and, run one degree further, the reduced
-Groebner basis of the vanishing ideal, evaluation normal forms, and the
-separator construction with its comparison-counted prefix table.
+Groebner basis of the vanishing ideal, and the separator construction with
+its comparison-counted prefix table.
 """
 
 from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
-                     InvariantViolation, RankDeficientBasis, ZeroPoint)
-from .linalg import (Matrix, entrywise, kernel, normalize_vector,
-                     solve_in_rowspace, vec_matmul)
+                     InvariantViolation, ZeroPoint)
+from .linalg import Matrix, entrywise, kernel, normalize_vector, vec_matmul
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
 from .triplet import Triplet, assemble
@@ -151,41 +150,22 @@ def bm_triplet(P: ProjPointSet, order: MonomialOrder | None = None,
     return assemble(B[-1], l, X), B, initials
 
 
-def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
-    """The combination of the basis agreeing with f on every point.
-
-    Interpolation does not depend on which representatives were fixed, since
-    f and the basis share one degree.
-    """
-    fld = P.field
-    V = Matrix(fld, [P.eval_form(e) for e in basis], ncols=P.size)
-    if V.rank() != P.size:
-        raise RankDeficientBasis(
-            f"basis evaluation matrix has rank below {P.size}")
-    coeffs = solve_in_rowspace(P.eval_form(f), V)
-    out = Form.zero(fld, f.nvars, f.degree)
-    for c, e in zip(coeffs, basis):
-        if not fld.is_zero(c):
-            out = out + e.scale(c)
-    return out
-
-
 @dataclass
 class CMatrix:
     c: list             # c[i][j]: first coordinate where points i and j differ
     comparisons: int    # scalar equality tests spent building the table
 
 
-def refine_partitions(vectors, field):
-    """Prefix-grouping table for any list of coordinate vectors.
+def c_matrix(P: ProjPointSet) -> CMatrix:
+    """Prefix-grouping table of the points.
 
     Groups points by growing coordinate prefixes; the first coordinate
     separating a pair is recorded. Only scalar equality tests are counted.
     """
+    vectors = P.reps
     m = len(vectors)
     c = [[None] * m for _ in range(m)]
     comparisons = 0
-    partitions = []
     groups = [list(range(m))]
     for h in range(len(vectors[0])):
         new_groups = []
@@ -211,14 +191,8 @@ def refine_partitions(vectors, field):
                             c[i][j] = c[j][i] = h
             new_groups.extend(subs)
         groups = new_groups
-        partitions.append([list(g) for g in groups])
         if all(len(g) == 1 for g in groups):
             break
-    return c, comparisons, partitions
-
-
-def c_matrix(P: ProjPointSet) -> CMatrix:
-    c, comparisons, _ = refine_partitions(P.reps, P.field)
     return CMatrix(c=c, comparisons=comparisons)
 
 

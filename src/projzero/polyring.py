@@ -226,11 +226,6 @@ class Form:
             raise ValueError("representative has wrong length")
         return evaluate_terms(self.terms, self.degree, rep, self.field)
 
-    def coeff_vector(self, monos):
-        """Coefficients on an ordered monomial list (zeros where absent)."""
-        z = self.field.zero
-        return [self.terms.get(m, z) for m in monos]
-
     def _check_compatible(self, other):
         if other.field != self.field or other.nvars != self.nvars:
             raise ValueError("forms over different rings")

@@ -42,6 +42,9 @@ class Options:
     def __post_init__(self):
         if self.degree_policy not in ("first_surjective", "certified_stable"):
             raise InputError(f"unknown degree policy {self.degree_policy!r}")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise InputError(
+                f"max_degree must be at least 0, got {self.max_degree}")
         # a random search with no draws could only fail, degree after degree
         if self.linear_form is None and self.max_trials < 1:
             raise InputError(f"max_trials must be at least 1 for the random "
@@ -317,9 +320,10 @@ def _closed(hf, t, dstar, certificate, degree, triplet=None):
                        triplet=triplet)
 
 
-def gb_degree_bound(scan: HilbertScan, operational_nz: int) -> int:
-    """Degree bound max(operational_nz, m) for a reduced Groebner basis."""
-    return max(operational_nz, scan.m)
+def gb_degree_bound(scan: HilbertScan) -> int:
+    """Degree bound max(d*, m) for a reduced Groebner basis, d* the scan's
+    stabilization degree."""
+    return max(scan.stabilization_degree, scan.m)
 
 
 def initial_ideal_min_generators(I: IdealPresentation, up_to: int,

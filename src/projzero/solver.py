@@ -185,11 +185,6 @@ def _eigenpoints(found: EigenSearch, field) -> list:
     return points
 
 
-def eigenpoints_from_matrices(A: list) -> list:
-    """EigenPoints for every 1-dimensional joint eigenspace of the matrices."""
-    return _eigenpoints(common_eigenvectors(A), A[0].field)
-
-
 def filter_points(candidates: list, I: IdealPresentation):
     """Keep candidates on which every generator vanishes."""
     kept, rejected = [], []

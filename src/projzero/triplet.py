@@ -133,20 +133,6 @@ def _first_triplet(candidates, piece_d: DegreePiece,
     return None
 
 
-def find_surjective_linear(I: IdealPresentation, piece_d: DegreePiece,
-                           piece_d1: DegreePiece, seed=0,
-                           max_trials=200) -> Triplet:
-    """The triplet at d from the first of `max_trials` seeded draws with
-    [l] R_d = R_{d+1} (`_first_triplet`); NoSurjectionFound if none is."""
-    if not piece_d.hf >= piece_d1.hf > 0:
-        raise ValueError(
-            f"need hf(d) >= hf(d+1) > 0, got {piece_d.hf}, {piece_d1.hf}")
-    trip = _first_triplet(_draws(I, seed, max_trials), piece_d, piece_d1)
-    if trip is None:
-        raise NoSurjectionFound(max_trials, degree=piece_d.d)
-    return trip
-
-
 # Seeded draws of l per degree in the commutation certificate. A random l
 # over a large field is bijective almost always; over a field too small to
 # have one every draw fails and the Hilbert scan falls back to Gotzmann.

@@ -8,10 +8,13 @@ covers less than its subspace. `common_eigenvectors` here is the old
 `solver.common_eigenvectors` unchanged. `joint_multiplicity` is the
 definition of a point's multiplicity that solve's multiplicities are
 tested against: the dimension of the joint generalized eigenspace.
+`eigenpoints_from_matrices` is not the oracle: it reads solve's candidate
+points, before filtering, off any matrices with projzero's own search.
 """
 
 from projzero.linalg import (Matrix, char_poly, eigenspace, kernel,
                              normalize_vector, roots_in_field, rref)
+from projzero import solver
 from projzero.solver import EigenSearch, JointBlock
 
 
@@ -97,3 +100,9 @@ def joint_multiplicity(A: list, lambdas: list) -> int:
             power = power @ shifted
         rows += power.rows
     return m - rref(Matrix(field, rows, ncols=m))[1]
+
+
+def eigenpoints_from_matrices(A: list) -> list:
+    """EigenPoints for every 1-dimensional joint eigenspace of the matrices,
+    from `solver.common_eigenvectors`."""
+    return solver._eigenpoints(solver.common_eigenvectors(A), A[0].field)

@@ -6,16 +6,18 @@ accepted so far in its degree and solves for every matrix row separately;
 `vanishing_ideal` compares the kernel of each degree's evaluation matrix
 against the Macaulay piece of the generators found so far, in every degree
 up to |P|. `eval_monomial` is the per-point monomial evaluation both used.
-Both run on every coordinate.
+Both run on every coordinate. `eval_normal_form` interpolates a form on a
+basis of its degree through its values at the points.
 """
 
 from projzero.errors import InvariantViolation
-from projzero.linalg import Matrix, _rref_rows, kernel, solve_in_rowspace
+from projzero.linalg import Matrix, _rref_rows, kernel
 from projzero.points import ProjPointSet, nzd_sweep
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
 from projzero.triplet import Triplet
+from tests.rref_oracle import solve_in_rowspace
 
 
 def eval_monomial(P: ProjPointSet, mono):
@@ -140,3 +142,22 @@ def vanishing_ideal(P: ProjPointSet, order: MonomialOrder | None = None,
         raise ValueError("no generators found; raise up_to")
     return IdealPresentation(field=f, vars=var_names, generators=gens,
                              order=order)
+
+
+def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
+    """The combination of the basis agreeing with f on every point.
+
+    Interpolation does not depend on which representatives were fixed, since
+    f and the basis share one degree. A basis whose values at the points
+    have rank below |P| raises ValueError.
+    """
+    fld = P.field
+    V = Matrix(fld, [P.eval_form(e) for e in basis], ncols=P.size)
+    if V.rank() != P.size:
+        raise ValueError(f"basis evaluation matrix has rank below {P.size}")
+    coeffs = solve_in_rowspace(P.eval_form(f), V)
+    out = Form.zero(fld, f.nvars, f.degree)
+    for c, e in zip(coeffs, basis):
+        if not fld.is_zero(c):
+            out = out + e.scale(c)
+    return out

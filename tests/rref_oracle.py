@@ -8,7 +8,9 @@ over GF(p) products, sums, scalings, entrywise products, kernels and
 evaluations come out as canonical residues whatever residues go in.
 `standard_coords` reduces by `normal_form_coeffs`, the loop projzero ran
 before it read normal forms off the reduced echelon, for the oracles in
-nf_oracle.py and triplet_oracle.py and for the l-map tests. `poly_mul`
+nf_oracle.py and triplet_oracle.py and for the l-map tests; it reads a
+form's coefficient vector with `coeff_vector`. `solve_in_rowspace` is the
+row-space solve of the points and triplet oracles. `poly_mul`
 multiplies coefficient lists (lowest degree first) for the tests that build
 polynomials from their roots or expand determinants.
 """
@@ -151,9 +153,15 @@ def normal_form_coeffs(v, piece, field):
     return v
 
 
+def coeff_vector(f, monos):
+    """Coefficients of the form f on an ordered monomial list, zeros where
+    absent."""
+    return [f.terms.get(m, f.field.zero) for m in monos]
+
+
 def standard_coords(f, piece):
     """Coordinates of nf(f) on the standard monomials, by normal_form_coeffs."""
-    v = normal_form_coeffs(f.coeff_vector(piece.monomials), piece, f.field)
+    v = normal_form_coeffs(coeff_vector(f, piece.monomials), piece, f.field)
     pivots = set(piece.pivot_cols)
     return [c for k, c in enumerate(v) if k not in pivots]
 

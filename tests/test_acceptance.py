@@ -14,8 +14,7 @@ import pytest
 
 from projzero import (Form, Matrix, MonomialOrder, Options,
                       binomial_expansion, bm_triplet, build_triplet, c_matrix,
-                      char_poly, eigenpoints_from_matrices, eval_normal_form,
-                      fast_normal_form, hilbert_scan,
+                      char_poly, fast_normal_form, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
                       l_combination, l_map_matrix, macaulay_growth,
                       normal_form_by_degree, normalize, nzd_sweep,
@@ -23,6 +22,8 @@ from projzero import (Form, Matrix, MonomialOrder, Options,
 from projzero.cli import main
 from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
+from tests.eigen_oracle import eigenpoints_from_matrices
+from tests.points_oracle import eval_normal_form
 from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
@@ -83,7 +84,7 @@ def test_criterion_3_fast_normal_form_x17(main_ideal, main_triplet):
         assert main_triplet.E_monomials == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         a_x = main_triplet.A[0]
         assert a_x @ a_x == a_x
-        assert a_x.row(0) == [1, 0, 0]
+        assert a_x.rows[0] == [1, 0, 0]
         f = parse_form("x^17", XYZ, Q)
         res = fast_normal_form(f, main_ideal, main_triplet)
         assert res.k == 16

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from projzero import (Form, IdealPresentation, Options, build_triplet,
-                      find_surjective_linear, hilbert_scan, ideal_piece,
-                      initial_ideal_min_generators, normalize,
-                      vanishing_ideal)
+                      hilbert_scan, ideal_piece, initial_ideal_min_generators,
+                      normalize, vanishing_ideal)
 from projzero import cli, quotient, solver, triplet
 from projzero.cli import main, parse_ideal_file
 from projzero.errors import CapExceeded, NoSurjectionFound, ProjzeroError
@@ -165,8 +164,8 @@ def test_commutation_rejects_a_valley():
     assert commuting_triplet(I, pieces[3], pieces[4]) is None
     rng = random.Random(3)
     for _ in range(10):
-        l = find_surjective_linear(I, pieces[3], pieces[4],
-                                   seed=rng.random()).l
+        l = triplet._first_triplet(triplet._draws(I, rng.random(), 200),
+                                   pieces[3], pieces[4]).l
         trip = build_triplet(I, Options(linear_form=l))
         assert trip.d == 3 and not commute(trip.A)
     assert commute(commuting_triplet(I, pieces[5], pieces[6]).A)

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from projzero import (Form, InputError, Matrix, Options, build_triplet,
-                      eigenpoints_from_matrices, fast_normal_form, linalg,
-                      normalize, parse_form)
+                      fast_normal_form, linalg, normalize, parse_form)
 from projzero.cli import (build_parser, main, parse_ideal_file,
                           parse_points_file)
 from projzero.fields import RationalField
+from tests.eigen_oracle import eigenpoints_from_matrices
 
 Q = RationalField()
 
@@ -201,6 +201,33 @@ def test_max_trials_below_one_is_an_input_error(capsys, data_dir,
     I = parse_ideal_file((data_dir / "three_quadrics.ideal").read_text())
     with pytest.raises(InputError):
         build_triplet(I, Options(max_trials=0))
+
+
+@pytest.mark.parametrize("argv", [("hilbert",), ("solve",), ("nf", "x"),
+                                  ("bound",)], ids=lambda a: a[0])
+def test_negative_max_degree_is_an_input_error(capsys, data_dir, monkeypatch,
+                                               argv):
+    """Rejected before any elimination, by every ideal command alike; nf
+    used to report it as a scan capped at degree -1 (exit 2)."""
+    def no_elimination(*args):
+        raise AssertionError("a degree piece was built")
+
+    monkeypatch.setattr(linalg, "_rref_rows", no_elimination)
+    ideal = str(data_dir / "three_quadrics.ideal")
+    for cap in ("-1", "-5"):
+        code, out, err = run(capsys, argv[0], ideal, *argv[1:],
+                             "--max-degree", cap)
+        assert code == 1 and out == ""
+        assert err == f"error: max_degree must be at least 0, got {cap}\n"
+    with pytest.raises(InputError, match="max_degree must be at least 0"):
+        Options(max_degree=-5)
+
+
+def test_nf_max_degree_one_builds_the_degree_one_triplet(capsys, data_dir):
+    code, doc, _ = run_json(capsys, "nf", str(data_dir / "three_quadrics.ideal"),
+                            "x", "--max-degree", "1")
+    assert code == 0
+    assert doc["triplet_degree"] == 1 and doc["coordinates"] == ["1", "0", "0"]
 
 
 def test_unknown_degree_policy_is_an_input_error():

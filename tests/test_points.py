@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import (Form, Matrix, MonomialOrder, bm_triplet, c_matrix,
-                      char_poly, eigenpoints_from_matrices, eval_normal_form,
-                      hilbert_scan, ideal_piece, normalize, nzd_sweep,
-                      parse_form, refine_partitions, roots_in_field,
+from projzero import (Form, Matrix, MonomialOrder, ProjPointSet, bm_triplet,
+                      c_matrix, char_poly, hilbert_scan, ideal_piece,
+                      normalize, nzd_sweep, parse_form, roots_in_field,
                       separators, vanishing_ideal)
-from projzero.errors import (DuplicatePoint, FieldTooSmall,
-                             RankDeficientBasis, ZeroPoint)
+from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
 from projzero.linalg import vec_matmul
+from tests.eigen_oracle import eigenpoints_from_matrices
+from tests.points_oracle import eval_normal_form
+from tests.rref_oracle import solve_in_rowspace
 from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
@@ -165,7 +166,7 @@ def test_eval_normal_form_basis_element(six_points):
 
 def test_eval_normal_form_rank_deficient(six_points):
     basis = [parse_form("y^6", XYZ, Q)] * 6
-    with pytest.raises(RankDeficientBasis):
+    with pytest.raises(ValueError, match="rank below 6"):
         eval_normal_form(parse_form("x^6", XYZ, Q), six_points, basis)
 
 
@@ -195,12 +196,23 @@ def test_c_matrix_partition_table():
     vecs = [[1, 2, 0, 1, 1], [1, 0, 1, 1, 2], [1, 2, 0, 3, 3],
             [0, 0, 2, 0, 4], [0, 0, 2, 1, 5], [2, 1, 3, 1, 6]]
     vecs = [[Fraction(c) for c in v] for v in vecs]
-    c, comparisons, partitions = refine_partitions(vecs, Q)
-    assert partitions[0] == [[0, 1, 2], [3, 4], [5]]
-    assert partitions[1] == [[0, 2], [1], [3, 4], [5]]
-    assert partitions[2] == [[0, 2], [1], [3, 4], [5]]
-    assert partitions[3] == [[0], [2], [1], [3], [4], [5]]
-    assert comparisons <= 4 * 6 + 36
+    first = [next(i for i, x in enumerate(v) if x) for v in vecs]
+    cm = c_matrix(ProjPointSet(field=Q, n=4, reps=vecs, first_one=first))
+    c = cm.c
+
+    def groups(h):
+        # points i and j share the prefix up to h iff they first differ later
+        return {frozenset(j for j in range(6) if j == i or c[i][j] > h)
+                for i in range(6)}
+
+    def partition(*blocks):
+        return {frozenset(b) for b in blocks}
+
+    assert groups(0) == partition([0, 1, 2], [3, 4], [5])
+    assert groups(1) == partition([0, 2], [1], [3, 4], [5])
+    assert groups(2) == partition([0, 2], [1], [3, 4], [5])
+    assert groups(3) == partition([0], [2], [1], [3], [4], [5])
+    assert cm.comparisons <= 4 * 6 + 36
     assert c[0][1] == 1 and c[0][2] == 3 and c[3][4] == 3 and c[0][5] == 0
 
 
@@ -334,7 +346,6 @@ def test_bm_staircase_property(six_points):
 def test_x_squared_independent_of_other_quadratics(six_points):
     # evaluation rows of z^2, yz, xz, y^2, xy do not span x^2(P), so the
     # interpolation run accepts x^2 into the degree-2 basis
-    from projzero import solve_in_rowspace
     others = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0)]
     def values(mono):
         return six_points.eval_form(Form.monomial(Q, 3, mono))

@@ -10,11 +10,12 @@ from projzero import (Form, IdealPresentation, Matrix, MonomialOrder, Options,
                       binomial_expansion, gb_degree_bound, hilbert_scan,
                       ideal_piece, initial_ideal_min_generators,
                       macaulay_growth, monomials_of_degree,
-                      normal_form_by_degree, parse_form, solve_in_rowspace)
+                      normal_form_by_degree, parse_form)
 from projzero.errors import CapExceeded, InputError
 from projzero.polyring import mono_divides
 from projzero.quotient import macaulay_rows
 from tests.conftest import ideal_from
+from tests.rref_oracle import coeff_vector, solve_in_rowspace
 
 from projzero.fields import RationalField
 
@@ -68,7 +69,7 @@ def test_normal_form_difference_in_rowspace(main_ideal, order3):
         f = Form(Q, 3, 3, {m: Fraction(rng.randint(-5, 5)) for m in monos})
         nf = normal_form_by_degree(f, piece)
         diff = f - nf
-        vec = diff.coeff_vector(monos)
+        vec = coeff_vector(diff, monos)
         assert solve_in_rowspace(vec, piece.echelon) is not None
 
 
@@ -197,11 +198,13 @@ def test_macaulay_bound_on_random_instances(scan_pool):
 
 
 def test_gb_degree_bound_values(main_ideal, embedded_ideal):
+    # max(d*, m), d* the stabilization degree
     scan_main = hilbert_scan(main_ideal)
-    assert gb_degree_bound(scan_main, 1) == 3      # max(post, m) = max(1, 3)
+    assert (scan_main.stabilization_degree, scan_main.m) == (3, 3)
+    assert gb_degree_bound(scan_main) == 3         # equal inputs
     scan_emb = hilbert_scan(embedded_ideal)
-    assert gb_degree_bound(scan_emb, 3) == 3       # max(3, 1)
-    assert gb_degree_bound(scan_main, 3) == 3      # equal inputs
+    assert (scan_emb.stabilization_degree, scan_emb.m) == (3, 1)
+    assert gb_degree_bound(scan_emb) == 3          # max(3, 1)
 
 
 def test_initial_ideal_min_generators_main(main_ideal):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projzero import (Matrix, Options, bm_triplet, build_triplet,
-                      common_eigenvectors, eigenpoints_from_matrices,
-                      filter_points, normalize, parse_form, solve,
-                      vanishing_ideal)
+                      common_eigenvectors, filter_points, normalize,
+                      parse_form, solve, vanishing_ideal)
 from projzero.cli import parse_ideal_file, parse_points_file
 from projzero.errors import ProjzeroError
 from projzero.fields import PrimeField, RationalField
 from projzero import solver
 from projzero.linalg import char_poly, eigenspace
 from tests import eigen_oracle
+from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.conftest import ideal_from
 
 Q = RationalField()

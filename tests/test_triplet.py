@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from projzero import (Form, Matrix, MonomialOrder, Options, build_triplet,
-                      fast_normal_form, find_surjective_linear, ideal_piece,
-                      l_combination, l_map_matrix, normal_form_by_degree,
-                      parse_form)
+                      fast_normal_form, ideal_piece, l_combination,
+                      l_map_matrix, normal_form_by_degree, parse_form)
 from projzero import linalg, triplet
 from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
@@ -47,7 +46,7 @@ def test_find_surjective_main(main_ideal, order3):
         assert l_map_matrix(l, p1, p2).rank() < 3
     good = parse_form("y + z", XYZ, Q)
     assert l_map_matrix(good, p1, p2).rank() == 3
-    found = find_surjective_linear(main_ideal, p1, p2, seed=4)
+    found = triplet._first_triplet(triplet._draws(main_ideal, 4, 200), p1, p2)
     assert found.d == 1 and l_map_matrix(found.l, p1, p2).rank() == 3
 
 
@@ -81,19 +80,21 @@ def test_each_draw_costs_one_l_map_and_one_rref(monkeypatch):
     _spy(monkeypatch, triplet, "l_map_matrix", maps)
     for module in (linalg, triplet):
         _spy(monkeypatch, module, "rref", rrefs)
-    with pytest.raises(NoSurjectionFound) as exc:
-        find_surjective_linear(I, p3, p4, seed=1, max_trials=5)
-    assert exc.value.trials == 5 and len(maps) == len(rrefs) == 5
+    assert triplet._first_triplet(triplet._draws(I, 1, 5), p3, p4) is None
+    assert len(maps) == len(rrefs) == 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 9, 2024])
 def test_find_surjective_linear_is_the_search_build_triplet_runs(
         main_ideal, seed):
     """At d = 1, the first degree with hf(d) >= hf(d+1), the first_surjective
-    triplet is the one the seeded search finds there."""
-    found = find_surjective_linear(main_ideal, main_ideal.piece(1),
-                                   main_ideal.piece(2), seed)
-    assert found == build_triplet(main_ideal, Options(seed=seed))
+    triplet is the one the seeded search finds there: the first of the
+    seed's draws of l that is surjective."""
+    options = Options(seed=seed)
+    found = triplet._first_triplet(
+        triplet._draws(main_ideal, seed, options.max_trials),
+        main_ideal.piece(1), main_ideal.piece(2))
+    assert found == build_triplet(main_ideal, options)
 
 
 def test_find_surjective_embedded(embedded_ideal, order3):

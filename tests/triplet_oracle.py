@@ -13,12 +13,12 @@
 """
 
 from projzero.errors import NoSurjectionFound
-from projzero.linalg import Matrix, solve_in_rowspace
+from projzero.linalg import Matrix
 from projzero.polyring import Form
 from projzero.quotient import (HilbertScan, IdealPresentation, Options,
                                ideal_piece)
-from projzero.triplet import Triplet, find_surjective_linear, l_map_matrix
-from tests.rref_oracle import standard_coords
+from projzero.triplet import Triplet, _draws, _first_triplet, l_map_matrix
+from tests.rref_oracle import solve_in_rowspace, standard_coords
 
 
 def normalized_linear_forms(field, nvars):
@@ -110,8 +110,11 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, options: Options,
                          ideal_piece(I, d + 1, I.order))
     l = options.linear_form
     if l is None:
-        l = find_surjective_linear(I, piece_d, piece_d1, options.seed,
-                                   options.max_trials).l
+        found = _first_triplet(_draws(I, options.seed, options.max_trials),
+                               piece_d, piece_d1)
+        if found is None:
+            raise NoSurjectionFound(options.max_trials, degree=d)
+        l = found.l
     elif l_map_matrix(l, piece_d, piece_d1).rank() < piece_d1.hf:
         raise NoSurjectionFound(1, degree=d)
     E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
