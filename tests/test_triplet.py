@@ -82,6 +82,9 @@ def test_each_draw_costs_one_l_map_and_one_rref(monkeypatch):
         _spy(monkeypatch, module, "rref", rrefs)
     assert triplet._first_triplet(triplet._draws(I, 1, 5), p3, p4) is None
     assert len(maps) == len(rrefs) == 5
+    with pytest.raises(NoSurjectionFound) as exc:
+        build_triplet(I, Options(seed=1, max_trials=5))
+    assert (exc.value.trials, exc.value.degree) == (5, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 9, 2024])
