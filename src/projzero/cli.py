@@ -130,6 +130,8 @@ def parse_points_file(text):
 
 def _var_names(text):
     names = tuple(text.split())
+    if not names:
+        raise InputError("vars names no variable")
     if len(set(names)) != len(names):
         raise InputError(f"vars repeats a name: {' '.join(names)}")
     return names
@@ -147,8 +149,6 @@ def _make_order(kind, ranking_names, var_names):
             raise InputError(f"ranking uses unknown variable {exc}") from exc
         if sorted(ranking) != list(range(nv)):
             raise InputError("ranking must mention every variable once")
-    if kind not in ("degrevlex", "lex"):
-        raise InputError(f"unknown order {kind!r}")
     return MonomialOrder(kind=kind, ranking=ranking)
 
 
@@ -169,12 +169,13 @@ def _emit(doc, args, text_lines):
 
 
 def _apply_order_flags(order, args, var_names):
-    if not (args.order or args.vars_ranking):
-        return order
+    """The order with the kind `--order` names and the ranking
+    `--vars-ranking` names; what no flag names stays as the file has it."""
     kind = args.order or order.kind
-    names = tuple(n.strip() for n in args.vars_ranking.split(",")) \
-        if args.vars_ranking else None
-    return _make_order(kind, names, var_names)
+    if args.vars_ranking:
+        names = tuple(n.strip() for n in args.vars_ranking.split(","))
+        return _make_order(kind, names, var_names)
+    return replace(order, kind=kind)
 
 
 def _ideal(args):

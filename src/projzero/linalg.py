@@ -41,11 +41,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
 
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
     def copy_rows(self):
         return [list(r) for r in self.rows]
 
@@ -97,10 +92,6 @@ class Matrix:
         N, D = _power(base, e, one, _zmatmul)
         return Matrix(self.field, [[Fraction(v, D) for v in r] for r in N],
                       ncols=n)
-
-    def is_zero(self):
-        f = self.field
-        return all(f.is_zero(v) for r in self.rows for v in r)
 
     def rank(self):
         return rref(self)[1]

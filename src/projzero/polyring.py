@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (FormSyntax, InvariantViolation, NotHomogeneous,
-                     UnknownVariable)
+from .errors import (FormSyntax, InputError, InvariantViolation,
+                     NotHomogeneous, UnknownVariable)
 from .linalg import evaluate_terms
 
 
@@ -47,9 +47,9 @@ class MonomialOrder:
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+            raise InputError(f"unknown order kind {self.kind!r}")
         if sorted(self.ranking) != list(range(len(self.ranking))):
-            raise ValueError("ranking must be a permutation of the variable indices")
+            raise InputError("ranking must be a permutation of the variable indices")
 
     @classmethod
     def default(cls, nvars, kind="degrevlex"):

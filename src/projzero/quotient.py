@@ -66,6 +66,8 @@ class IdealPresentation:
                              compare=False)
 
     def __post_init__(self):
+        if not self.vars:
+            raise InputError("vars names no variable")
         if not self.generators:
             raise InputError("need at least one generator")
         n = len(self.vars)
@@ -327,7 +329,7 @@ def gb_degree_bound(scan: HilbertScan) -> int:
 
 
 def initial_ideal_min_generators(I: IdealPresentation, up_to: int,
-                                 scan: HilbertScan | None = None):
+                                 scan: HilbertScan):
     """Minimal generators (monomial, degree) of the initial ideal up to a degree.
 
     Degrees come from the Macaulay pieces, except above the certificate
@@ -340,7 +342,7 @@ def initial_ideal_min_generators(I: IdealPresentation, up_to: int,
     """
     if up_to < I.max_gen_degree:
         raise ValueError("up_to must reach the generator degrees")
-    trip = scan.triplet if scan is not None else None
+    trip = scan.triplet
     top = up_to if trip is None else min(up_to, trip.d)
     mins = []
     for d in range(1, top + 1):

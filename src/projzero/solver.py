@@ -10,11 +10,13 @@ M = sum c_j A_j: one char poly, one root search, one kernel per in-field
 root mu. This is exact without any genericity assumption, and it never
 assumes that the matrices commute. A joint eigenspace E(l) with l in K^{n+1}
 lies in ker(M - mu) for mu = sum c_j l_j, a root in K, and the kernels for
-distinct mu meet only in 0, so every E(l) is found once. A one-dimensional
-kernel holds a joint eigenvector only if its spanning vector is one, which is
-checked exactly on every A_j. A larger kernel is descended as before: it is
-intersected with a full eigenspace of each A_j in turn. An unlucky draw only
-sends more roots down that descent.
+distinct mu meet only in 0, so every E(l) is found once. Each kernel goes
+through one split. A one-dimensional space holds a joint eigenvector only if
+its spanning vector is one, which is checked exactly on the remaining A_j. A
+larger space with rows W is split by each in-field eigenvalue lambda of the
+next A_j inside itself: its lambda-part {aW : a(W A_j^T - lambda W) = 0} is
+one kernel with dim W columns. An unlucky draw only sends more roots into
+the split.
 
 A point's multiplicity is the dimension of its joint generalized eigenspace
 V_l = {v : (A_j - l_j)^m v = 0 for all j} (m x m matrices), read off the
@@ -24,9 +26,9 @@ mu(l) = sum c_j l_j; eigenvectors for distinct l are independent, and the
 dimension of a kernel does not depend on the field. So dim_K ker(M - mu) = 1
 means that exactly one l has mu(l) = mu, the generalized eigenspace of M for
 mu is V_l, and mu's multiplicity in the char poly of M, which the root
-search returns, is dim V_l. A point found by the descent gets the dimension
-of the intersection of the ker(A_j - l_j)^m: that is V_l, exactly and
-without a draw.
+search returns, is dim V_l. A point found below the top of the split gets
+the dimension of the intersection of the ker(A_j - l_j)^m: that is V_l,
+exactly and without a draw.
 The V_l are independent, so on commuting matrices the multiplicities sum to
 at most m. On matrices that do not commute (a first_surjective triplet
 below stability) the same numbers are algebraic multiplicities on the
@@ -69,24 +71,6 @@ class EigenSearch:
     residual_degree: int  # degree of the combination's non-split char poly part
 
 
-def _intersect(basis_a, basis_b, field):
-    """Intersection of two column-span subspaces, as a canonical row basis.
-
-    A kernel vector (alpha, beta) of [a | b] gives alpha a = -beta b, a
-    vector of both spans.
-    """
-    if not basis_a or not basis_b:
-        return []
-    k = len(basis_a)
-    span_a = Matrix(field, basis_a)
-    out = [vec for combo in kernel(Matrix(field, zip(*basis_a, *basis_b)))
-           if any(vec := vec_matmul(combo[:k], span_a))]
-    if not out:
-        return []
-    R, rank, _ = rref(Matrix(field, out))
-    return [list(r) for r in R.rows[:rank]]
-
-
 def _joint_eigenvector(w, transposes, field):
     """(w, lambdas) if the normalized w is an eigenvector of every A_j, else
     None. lambda_j is (A_j w)_i at the first nonzero w_i = 1; A_j w is
@@ -105,13 +89,13 @@ def _joint_eigenvector(w, transposes, field):
 def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     """Joint eigenspaces of A_0..A_n with eigenvalues in the field.
 
-    Draws the combination M = sum c_j A_j from `seed` and takes ker(M - mu)
-    for each in-field root mu of its char poly. A one-dimensional kernel is
-    kept when its vector is a joint eigenvector; a larger one is descended
-    through the eigenspaces of A_0, A_1, ..., which are computed only then.
-    One-dimensional joint eigenspaces are reported as vectors with their
-    multiplicities (see the module docstring), larger ones as blocks, both
-    sorted by their eigenvalue tuples. The residual flag is
+    Draws the combination M = sum c_j A_j from `seed` and splits ker(M - mu)
+    for each in-field root mu of its char poly (see the module docstring).
+    The char poly of A_j is computed only when a space larger than one
+    dimension reaches A_j. One-dimensional joint eigenspaces are reported as
+    vectors with their multiplicities, mu's multiplicity at the top and the
+    joint generalized eigenspace's dimension below it; larger ones as
+    blocks, both sorted by their eigenvalue tuples. The residual flag is
     set when they span less than m; none of these depends on the draw (see
     the module docstring). The residual degree is that of the part of M's
     char poly without roots in the field.
@@ -123,17 +107,39 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     report = roots_in_field(char_poly(M), field)
     search = EigenSearch(vectors=[], blocks=[], residual=False,
                          residual_degree=report.residual_degree)
-    eigs = {}
     transposes = [Aj.transpose() for Aj in A]
-    for mu, mult in report.pairs:
-        W = eigenspace(M, mu)
+    eigenvalues = {}  # in-field roots of A_j's char poly, on first use
+
+    def split(W, lambdas, mult=None):
+        j = len(lambdas)
         if len(W) == 1:
             found = _joint_eigenvector(normalize_vector(W[0], field),
-                                       transposes, field)
+                                       transposes[j:], field)
             if found is not None:
-                search.vectors.append((*found, mult))
+                v, rest = found
+                lambdas = lambdas + rest
+                if mult is None:
+                    mult = _joint_multiplicity(A, lambdas, field)
+                search.vectors.append((v, lambdas, mult))
+        elif j == len(A):
+            search.blocks.append(JointBlock(basis=W, lambdas=lambdas))
         else:
-            _descend(W, 0, [], A, eigs, field, search)
+            if j not in eigenvalues:
+                eigenvalues[j] = [lam for lam, _ in
+                                  roots_in_field(char_poly(A[j]), field).pairs]
+            span = Matrix(field, W)
+            cols = span.transpose()
+            image = A[j] @ cols  # column i is A_j w_i
+            for lam in eigenvalues[j]:
+                # a with (A_j - lambda) W^T a^T = 0: the lambda-part is aW
+                alphas = kernel(linear_combination([1, -lam], [image, cols]))
+                if alphas:
+                    R, rank, _ = rref(Matrix(field, [vec_matmul(a, span)
+                                                     for a in alphas]))
+                    split(R.rows[:rank], lambdas + [lam])
+
+    for mu, mult in report.pairs:
+        split(eigenspace(M, mu), [], mult)
 
     def by_lambdas(lambdas):
         return [field.sort_key(x) for x in lambdas]
@@ -143,24 +149,6 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
     spanned = len(search.vectors) + sum(len(b.basis) for b in search.blocks)
     search.residual = spanned < m
     return search
-
-
-def _descend(space, j, lambdas, A, eigs, field, search):
-    if j == len(A):
-        if len(space) == 1:
-            v = normalize_vector(space[0], field)
-            search.vectors.append(
-                (v, lambdas, _joint_multiplicity(A, lambdas, field)))
-        else:
-            search.blocks.append(JointBlock(basis=space, lambdas=lambdas))
-        return
-    if j not in eigs:  # (eigenvalue, eigenspace) per root
-        report = roots_in_field(char_poly(A[j]), field)
-        eigs[j] = [(lam, eigenspace(A[j], lam)) for lam, _ in report.pairs]
-    for lam, spc in eigs[j]:
-        sub = _intersect(space, spc, field)
-        if sub:
-            _descend(sub, j + 1, lambdas + [lam], A, eigs, field, search)
 
 
 def _joint_multiplicity(A, lambdas, field):

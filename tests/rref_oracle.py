@@ -12,7 +12,8 @@ nf_oracle.py and triplet_oracle.py and for the l-map tests; it reads a
 form's coefficient vector with `coeff_vector`. `solve_in_rowspace` is the
 row-space solve of the points and triplet oracles. `poly_mul`
 multiplies coefficient lists (lowest degree first) for the tests that build
-polynomials from their roots or expand determinants.
+polynomials from their roots or expand determinants. `zero_matrix` and
+`is_zero_matrix` build and test zero matrices for the tests.
 """
 
 from projzero.linalg import Matrix
@@ -69,6 +70,15 @@ def solve_in_rowspace(v, rows: Matrix):
     for r, pc in enumerate(pivot_cols):
         c[pc] = red[r][rows.nrows]
     return c
+
+
+def zero_matrix(field, nrows, ncols):
+    return Matrix(field, [[field.zero] * ncols for _ in range(nrows)],
+                  ncols=ncols)
+
+
+def is_zero_matrix(M):
+    return all(M.field.is_zero(v) for r in M.rows for v in r)
 
 
 def vec_matmul(row, M):
@@ -169,7 +179,7 @@ def standard_coords(f, piece):
 def linear_combination(coeffs, mats):
     """sum_j c_j M_j, one field multiply-add per term."""
     f = mats[0].field
-    acc = Matrix.zero(f, mats[0].nrows, mats[0].ncols).rows
+    acc = zero_matrix(f, mats[0].nrows, mats[0].ncols).rows
     for c, M in zip(coeffs, mats):
         acc = [[f.add(a, f.mul(c, v)) for a, v in zip(ra, rm)]
                for ra, rm in zip(acc, M.rows)]

@@ -24,6 +24,7 @@ from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
 from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.points_oracle import eval_normal_form
+from tests.rref_oracle import is_zero_matrix, zero_matrix
 from tests.triplet_oracle import normalized_linear_forms
 
 Q = RationalField()
@@ -212,7 +213,8 @@ def test_criterion_10_gb_bound(capsys, data_dir, scan_pool):
         assert len(scan_pool) >= 200
         for inst in scan_pool:
             bound = max(inst.scan.stabilization_degree, inst.scan.m)
-            mins = initial_ideal_min_generators(inst.ideal, bound + 1)
+            mins = initial_ideal_min_generators(inst.ideal, bound + 1,
+                                                inst.scan)
             assert max(d for _, d in mins) <= bound
 
 
@@ -345,9 +347,9 @@ def test_criterion_11h_cayley_hamilton():
                                    [[rng.randrange(7) for _ in range(n)]
                                     for _ in range(n)])
                     p = char_poly(M)
-                    acc = Matrix.zero(field, n, n)
+                    acc = zero_matrix(field, n, n)
                     power = Matrix.identity(field, n)
                     for coeff in p:
                         acc = acc + power.scale(coeff)
                         power = power @ M
-                    assert acc.is_zero()
+                    assert is_zero_matrix(acc)

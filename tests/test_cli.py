@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import (Form, InputError, Matrix, Options, build_triplet,
-                      fast_normal_form, linalg, normalize, parse_form)
+from projzero import (Form, IdealPresentation, InputError, Matrix,
+                      MonomialOrder, Options, build_triplet, fast_normal_form,
+                      linalg, normalize, parse_form)
 from projzero.cli import (build_parser, main, parse_ideal_file,
                           parse_points_file)
 from projzero.fields import RationalField
@@ -516,6 +517,66 @@ def test_usage_errors_exit_1(capsys, data_dir, argv, message):
     assert f"error: {message}" in err
 
 
+IDEAL = "field Q\nvars x y\n"
+POINTS = "field Q\ncoords 2\n"
+MALFORMED = {
+    "no_generators": ("hilbert", "bad.ideal", IDEAL),
+    "gf_composite": ("hilbert", "bad.ideal", "field GF(6)\nvars x y\nx\n"),
+    "gf_too_large": ("hilbert", "bad.ideal",
+                     "field GF(2147483659)\nvars x y\nx\n"),
+    "field_r": ("hilbert", "bad.ideal", "field R\nvars x y\nx\n"),
+    "ranking_unknown": ("hilbert", "bad.ideal", IDEAL + "ranking x w\nx\n"),
+    "ranking_repeated": ("hilbert", "bad.ideal", IDEAL + "ranking x x\nx\n"),
+    "order_unknown": ("hilbert", "bad.ideal", IDEAL + "order grevlex\nx\n"),
+    "dangling_slash": ("hilbert", "bad.ideal", IDEAL + "x + 3/\n"),
+    "stray_character": ("hilbert", "bad.ideal", IDEAL + "x $ y\n"),
+    "missing_operator": ("hilbert", "bad.ideal", IDEAL + "2 x\n"),
+    "dangling_star": ("hilbert", "bad.ideal", IDEAL + "x*\n"),
+    "coords_not_a_number": ("vanish", "bad.pts", "field Q\ncoords x\n1 : 2\n"),
+    "point_before_field": ("vanish", "bad.pts", "1 : 2\nfield Q\n"),
+    "field_without_points": ("vanish", "bad.pts", POINTS),
+    "point_longer_than_coords": ("vanish", "bad.pts", POINTS + "1 : 2 : 3\n"),
+    "points_of_differing_lengths": ("vanish", "bad.pts",
+                                    "field Q\n1 : 2\n1 : 2 : 3\n"),
+    "linear_form_of_degree_2": ("solve", "three_quadrics.ideal", None,
+                                "--linear-form", "x^2"),
+    "linear_form_vanishing_at_a_point": ("vanish", "six_points.pts", None,
+                                         "--linear-form", "x"),
+    "not_utf8": ("hilbert", "bad.ideal", b"field Q\nvars x y\nx\xff\n"),
+    "empty_vars_hilbert": ("hilbert", "bad.ideal", "field Q\nvars\n1\n"),
+    "empty_vars_solve": ("solve", "bad.ideal", "field Q\nvars\n1\n"),
+    "empty_vars_nf": ("nf", "bad.ideal", "field Q\nvars\n1\n", "1"),
+    "empty_vars_points": ("vanish", "bad.pts", "field Q\nvars\n1 : 2\n"),
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_error_line(capsys, tmp_path, data_dir, row):
+    """Each malformed file, form or flag exits 1 with nothing on stdout and
+    one `error:` line on stderr, never a traceback. A row without text
+    reads a fixture."""
+    command, name, text, *flags = row
+    path = data_dir / name
+    if text is not None:
+        path = tmp_path / name
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_empty_vars_is_an_input_error_in_the_library():
+    with pytest.raises(InputError, match="vars names no variable"):
+        IdealPresentation(Q, (), [Form.monomial(Q, 0, ())])
+
+
+@pytest.mark.parametrize("kind, ranking", [("grevlex", (0, 1)),
+                                           ("lex", (0, 0))])
+def test_a_bad_monomial_order_is_an_input_error(kind, ranking):
+    with pytest.raises(InputError):
+        MonomialOrder(kind=kind, ranking=ranking)
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["vanish", "--help"]])
 def test_help_exits_0(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -548,3 +609,16 @@ def test_parse_ideal_file_headers():
 def test_parse_points_file_vars_and_colons():
     P, names = parse_points_file("field Q\nvars u v w\n1:2:3\n0 1 2\n")
     assert names == ("u", "v", "w") and P.size == 2
+
+
+def test_order_flag_keeps_the_ranking_header(capsys, tmp_path, data_dir):
+    """--order sets only the kind: the file's ranking stays."""
+    text = (data_dir / "three_quadrics.ideal").read_text().replace(
+        "vars x y z\n", "vars x y z\nranking z y x\n")
+    plain = run_file(capsys, tmp_path, "bound", "ranked.ideal", text)
+    flagged = run_file(capsys, tmp_path, "bound", "ranked.ideal", text,
+                       "--order", "degrevlex")
+    assert flagged == plain
+    assert plain[1].splitlines()[-1] == (
+        "initial ideal minimal generators: "
+        "z^2(d=2) y*z(d=2) x*z(d=2) x*y^2(d=3)")

@@ -208,21 +208,23 @@ def test_gb_degree_bound_values(main_ideal, embedded_ideal):
 
 
 def test_initial_ideal_min_generators_main(main_ideal):
-    mins = initial_ideal_min_generators(main_ideal, 4)
+    mins = initial_ideal_min_generators(main_ideal, 4,
+                                        hilbert_scan(main_ideal))
     assert sorted(d for _, d in mins) == [2, 2, 2, 3]
     assert set(m for m, d in mins if d == 2) == {(2, 0, 0), (1, 1, 0), (1, 0, 1)}
     assert [m for m, d in mins if d == 3] == [(0, 2, 1)]
 
 
 def test_initial_ideal_min_generators_embedded(embedded_ideal):
-    mins = initial_ideal_min_generators(embedded_ideal, 4)
+    mins = initial_ideal_min_generators(embedded_ideal, 4,
+                                        hilbert_scan(embedded_ideal))
     assert len(mins) == 5
     assert max(d for _, d in mins) == 3
 
 
 def test_initial_ideal_principal():
     I = ideal_from(["x0^2"], ("x0", "x1"))
-    mins = initial_ideal_min_generators(I, 4)
+    mins = initial_ideal_min_generators(I, 4, hilbert_scan(I))
     assert mins == [((2, 0), 2)]
 
 

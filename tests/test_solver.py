@@ -15,6 +15,7 @@ from projzero import solver
 from projzero.linalg import char_poly, eigenspace
 from tests import eigen_oracle
 from tests.eigen_oracle import eigenpoints_from_matrices
+from tests.rref_oracle import zero_matrix
 from tests.conftest import ideal_from
 
 Q = RationalField()
@@ -430,3 +431,26 @@ def test_solve_searches_one_combination(name, monkeypatch):
     assert calls["roots_in_field"] == 1
     assert calls["char_poly"] == 1
     assert shifted and not any(M == Aj for M in shifted for Aj in rep.triplet.A)
+
+
+def test_a_zero_draw_splits_the_whole_space_without_eigenspaces_of_A(
+        main_triplet, monkeypatch):
+    """M = 0 sends the whole space into the split, which finds each
+    lambda-part inside the space: the only eigenspace taken is M's."""
+    A = main_triplet.A
+    shifted = []
+
+    def recorded(M, lam):
+        shifted.append(M)
+        return eigenspace(M, lam)
+
+    def zero_draw(field, n, rng):
+        return [field.zero] * n
+
+    monkeypatch.setattr(solver, "eigenspace", recorded)
+    monkeypatch.setattr(solver, "_draw_coefficients", zero_draw)
+    found = common_eigenvectors(A)
+    assert len(shifted) == 1 and shifted[0] == zero_matrix(Q, 3, 3)
+    assert not any(M is Aj for M in shifted for Aj in A)
+    assert [(v, l) for v, l, _ in found.vectors] \
+        == eigen_oracle.common_eigenvectors(A).vectors

@@ -11,6 +11,7 @@ from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from tests import nf_oracle
+from tests.rref_oracle import zero_matrix
 from tests.triplet_oracle import (exhaustive_surjective_linear,
                                   multiplication_matrix,
                                   normalized_linear_forms,
@@ -136,7 +137,7 @@ def test_build_triplet_false_point_example(false_point_ideal):
     assert t.d == 1
     assert t.E_monomials == [(1, 0, 0), (0, 1, 0)]
     assert t.A[0] == qm([[1, 0], [0, 0]])
-    assert t.A[1] == Matrix.zero(Q, 2, 2)
+    assert t.A[1] == zero_matrix(Q, 2, 2)
     assert t.A[2] == qm([[0, 0], [0, 1]])
 
 
