@@ -134,8 +134,7 @@ def common_eigenvectors(A: list, seed=0) -> EigenSearch:
                 # a with (A_j - lambda) W^T a^T = 0: the lambda-part is aW
                 alphas = kernel(linear_combination([1, -lam], [image, cols]))
                 if alphas:
-                    R, rank, _ = rref(Matrix(field, [vec_matmul(a, span)
-                                                     for a in alphas]))
+                    R, rank, _ = rref(Matrix(field, alphas) @ span)
                     split(R.rows[:rank], lambdas + [lam])
 
     for mu, mult in report.pairs:
