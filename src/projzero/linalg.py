@@ -77,7 +77,9 @@ class Matrix:
         """self^e by repeated squaring. Over Q the powers are carried as
         (integer matrix N, denominator D) with gcd(D, entries of N) = 1, so
         each product is integer dot products plus one content division, and
-        the entries become Fractions once, at the end."""
+        the entries become Fractions once, at the end. The result keeps the
+        columns of N over D as its cleared product columns, so a product
+        with it clears nothing again."""
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
         if e < 0:
@@ -90,8 +92,10 @@ class Matrix:
         base = ([nums[i * n:(i + 1) * n] for i in range(n)], d)
         one = ([[int(i == j) for j in range(n)] for i in range(n)], 1)
         N, D = _power(base, e, one, _zmatmul)
-        return Matrix(self.field, [[Fraction(v, D) for v in r] for r in N],
-                      ncols=n)
+        out = Matrix(self.field, [[Fraction(v, D) for v in r] for r in N],
+                     ncols=n)
+        out._cols = [(col, D) for col in zip(*N)]
+        return out
 
     def rank(self):
         return rref(self)[1]
@@ -111,12 +115,13 @@ class Matrix:
         return Matrix(f, [r[n:] for r in red], ncols=n)
 
 
-# The kernels below hold the field-specialised arithmetic on vectors and
-# matrices. Over GF(p) they sum in C and reduce once; they take any int
-# residues and return canonical ones. Over Q the products clear denominators
-# once per vector, take the dot products on Python ints, and build one
-# Fraction per output entry, instead of one Fraction multiply-add (and gcd)
-# per term (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+# The kernels below hold the field-specialised arithmetic on vectors,
+# matrices and forms. Over GF(p) they sum in C and reduce once; they take
+# any int residues and return canonical ones. Over Q the products clear
+# denominators once per vector, take the dot products on Python ints, and
+# build one Fraction per output entry, instead of one Fraction multiply-add
+# (and gcd) per term (von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 5).
 
 def vec_matmul(row, M):
     """Row vector times matrix, one dot product per column of M; returns a
@@ -177,6 +182,53 @@ def evaluate_terms(terms, degree, rep, field):
     return Fraction(sum(c * prod(x**e for x, e in zip(xs, m) if e)
                         for c, m in zip(cs, terms)),
                     cd * d**degree)
+
+
+def multiply_terms(factors, nvars, field):
+    """The product of forms in nvars variables, each factor given as its
+    (monomial, coefficient) terms, which share one degree; returns
+    {monomial: coefficient} without zero terms, {1: 1} for no factors.
+
+    Each distinct monomial is packed once into the int sum e_i b^i, with
+    base b = 1 + the product's total degree, so no exponent of a partial
+    product carries and a product of monomials is one int addition. The
+    coefficients multiply and add as ints: over GF(p) with one reduction
+    per output term of each factor's step; over Q on each factor's cleared
+    numerators, with one Fraction per output term at the end. The keys are
+    unpacked once."""
+    p = field.size
+    factors = [list(terms) for terms in factors]
+    if not all(factors):
+        return {}
+    base = 1 + sum(sum(terms[0][0]) for terms in factors)
+    weights = [base**i for i in range(nvars)]
+    packed = {}
+    den = 1
+    acc = {0: 1}
+    for terms in factors:
+        nums = [c for _, c in terms]
+        if p is None:
+            nums, d = _cleared(nums)
+            den *= d
+        out = {}
+        get = out.get
+        for (m, _), c2 in zip(terms, nums):
+            k2 = packed.get(m)
+            if k2 is None:
+                k2 = packed[m] = sum(map(mul, m, weights))
+            for k1, c1 in acc.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        acc = ({k: r for k, c in out.items() if (r := c % p)}
+               if p is not None else {k: c for k, c in out.items() if c})
+    product = {}
+    for k, c in acc.items():
+        m = []
+        for _ in range(nvars):
+            k, e = divmod(k, base)
+            m.append(e)
+        product[tuple(m)] = c if p is not None else Fraction(c, den)
+    return product
 
 
 def _cleared(vec):

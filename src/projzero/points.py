@@ -6,14 +6,16 @@ below) is well defined. The module covers the non-zero-divisor sweep, the
 per-degree interpolation variant of the Buchberger-Moeller algorithm that
 returns multiplication matrices and, run one degree further, the reduced
 Groebner basis of the vanishing ideal, and the separator construction with
-its comparison-counted prefix table.
+its comparison-counted prefix table, whose products of linear factors run
+in one call of linalg's `multiply_terms` per separator.
 """
 
 from dataclasses import dataclass
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
                      InvariantViolation, ZeroPoint)
-from .linalg import Matrix, entrywise, kernel, normalize_vector, vec_matmul
+from .linalg import (Matrix, entrywise, kernel, multiply_terms,
+                     normalize_vector, vec_matmul)
 from .polyring import Form, MonomialOrder, mono_one
 from .quotient import IdealPresentation, _interpolate
 from .triplet import Triplet, assemble
@@ -201,19 +203,21 @@ def separators(P: ProjPointSet, scaled=False):
 
     Each factor S_ij is a linear form read off the normalized coordinates at
     the first position where p_i and p_j differ; no elimination is involved.
-    With scaled=True each Q_i is divided by Q_i(p_i).
+    The m-1 factors of Q_i are handed to linalg's `multiply_terms` as term
+    lists in one call, so no scalar is combined here. With scaled=True each
+    Q_i is divided by Q_i(p_i).
     """
     f = P.field
     m = P.size
     nv = P.n + 1
     cm = c_matrix(P)
-
-    def var(i):
-        return Form.variable(f, nv, i)
+    x = [tuple(int(k == h) for k in range(nv)) for h in range(nv)]
+    minus_one = f.neg(f.one)
 
     out = []
     for i in range(m):
-        Q = Form.monomial(f, nv, mono_one(nv))
+        hp = P.first_one[i]
+        factors = []
         for j in range(m):
             if j == i:
                 continue
@@ -221,14 +225,13 @@ def separators(P: ProjPointSet, scaled=False):
             pih = P.reps[i][h]
             pjh = P.reps[j][h]
             if f.is_zero(pih):
-                hp = P.first_one[i]
-                S = var(hp).scale(pjh) - var(h).scale(P.reps[j][hp])
+                S = [(x[hp], pjh), (x[h], f.neg(P.reps[j][hp]))]
             elif f.is_zero(pjh):
-                S = var(h)
-            else:
-                hp = P.first_one[i]  # shared: both points are 1 here
-                S = var(hp).scale(pjh) - var(h)
-            Q = Q * S
+                S = [(x[h], f.one)]
+            else:  # both points are 1 at hp
+                S = [(x[hp], pjh), (x[h], minus_one)]
+            factors.append(S)
+        Q = Form(f, nv, m - 1, multiply_terms(factors, nv, f))
         if scaled:
             Q = Q.scale(f.inv(Q.evaluate(P.reps[i])))
         out.append(Q)

@@ -4,7 +4,9 @@ A monomial is a tuple of exponents of length nvars. A Form maps monomials to
 nonzero coefficients and carries a fixed total degree; homogeneity is
 enforced at construction. Evaluation always happens at a fixed affine
 representative of a projective point, so repeated evaluations of the same
-class are consistent.
+class are consistent. Values and products of forms run in linalg's
+kernels (`evaluate_terms`, `multiply_terms`); sums, scalings and powers
+still call the field per scalar.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from math import comb
 
 from .errors import (FormSyntax, InputError, InvariantViolation,
                      NotHomogeneous, UnknownVariable)
-from .linalg import evaluate_terms
+from .linalg import evaluate_terms, multiply_terms
 
 
 def mono_degree(m):
@@ -116,12 +118,6 @@ class Form:
         return cls(field, nvars, mono_degree(mono), {mono: c})
 
     @classmethod
-    def variable(cls, field, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls.monomial(field, nvars, tuple(e))
-
-    @classmethod
     def linear(cls, field, coeffs):
         """sum_i coeffs[i] x_i."""
         n = len(coeffs)
@@ -164,18 +160,11 @@ class Form:
                     {m: f.mul(c, v) for m, v in self.terms.items()})
 
     def __mul__(self, other):
+        """The product, one call of linalg's `multiply_terms`."""
         self._check_compatible(other)
-        f = self.field
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = f.mul(c1, c2)
-                if m in terms:
-                    terms[m] = f.add(terms[m], prod)
-                else:
-                    terms[m] = prod
-        return Form(f, self.nvars, self.degree + other.degree, terms)
+        return Form(self.field, self.nvars, self.degree + other.degree,
+                    multiply_terms([self.terms.items(), other.terms.items()],
+                                   self.nvars, self.field))
 
     def power(self, e):
         """self^e by the multinomial theorem.

@@ -7,16 +7,19 @@ accepted so far in its degree and solves for every matrix row separately;
 against the Macaulay piece of the generators found so far, in every degree
 up to |P|. `eval_monomial` is the per-point monomial evaluation both used.
 Both run on every coordinate. `eval_normal_form` interpolates a form on a
-basis of its degree through its values at the points.
+basis of its degree through its values at the points. `separators` builds
+each Q_i as m - 1 pairwise products of `Form` factors, the construction
+before the factors went to linalg's `multiply_terms` in one call.
 """
 
 from projzero.errors import InvariantViolation
 from projzero.linalg import Matrix, _rref_rows, kernel
-from projzero.points import ProjPointSet, nzd_sweep
+from projzero.points import ProjPointSet, c_matrix, nzd_sweep
 from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
 from projzero.triplet import Triplet
+from tests.polyring_oracle import form_mul, variable
 from tests.rref_oracle import solve_in_rowspace
 
 
@@ -160,4 +163,39 @@ def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
     for c, e in zip(coeffs, basis):
         if not fld.is_zero(c):
             out = out + e.scale(c)
+    return out
+
+
+def separators(P: ProjPointSet, scaled=False):
+    """Q_i as the product of its factors S_ij, one pairwise product of
+    `Form`s per factor, each factor built from scaled variables."""
+    f = P.field
+    m = P.size
+    nv = P.n + 1
+    cm = c_matrix(P)
+
+    def var(i):
+        return variable(f, nv, i)
+
+    out = []
+    for i in range(m):
+        Q = Form.monomial(f, nv, mono_one(nv))
+        for j in range(m):
+            if j == i:
+                continue
+            h = cm.c[i][j]
+            pih = P.reps[i][h]
+            pjh = P.reps[j][h]
+            if f.is_zero(pih):
+                hp = P.first_one[i]
+                S = var(hp).scale(pjh) - var(h).scale(P.reps[j][hp])
+            elif f.is_zero(pjh):
+                S = var(h)
+            else:
+                hp = P.first_one[i]  # shared: both points are 1 here
+                S = var(hp).scale(pjh) - var(h)
+            Q = form_mul(Q, S)
+        if scaled:
+            Q = Q.scale(f.inv(Q.evaluate(P.reps[i])))
+        out.append(Q)
     return out

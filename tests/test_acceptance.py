@@ -24,6 +24,7 @@ from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
 from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.points_oracle import eval_normal_form
+from tests.polyring_oracle import variable
 from tests.rref_oracle import is_zero_matrix, zero_matrix
 from tests.triplet_oracle import normalized_linear_forms
 
@@ -139,7 +140,7 @@ def test_criterion_6_multiplicities(mixed_2var_ideal):
 def test_criterion_7_six_point_triplet(six_points):
     with criterion(7, "six-point run: hf=1,3,6, B_2, eigenvalues, exact nf"):
         t, B, _ = bm_triplet(six_points, MonomialOrder.default(3),
-                             l=Form.variable(Q, 3, 1))
+                             l=variable(Q, 3, 1))
         assert [len(b) for b in B] == [1, 3, 6] and t.d == 2
         assert set(B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
                              (1, 1, 0), (2, 0, 0)}

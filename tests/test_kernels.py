@@ -226,6 +226,20 @@ def test_q_mat_pow_matches_repeated_products(n, e, data):
     assert M.rows == before
 
 
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.data())
+def test_q_power_gives_the_products_of_its_rows(n, e, c, data):
+    """A power keeps its (N, D) pair as its product columns; a product
+    with it, as a matrix or row by row, equals the one with the same
+    matrix rebuilt from its rows."""
+    M = data.draw(q_matrices(n, n))
+    A = data.draw(q_matrices(c, n))
+    power = M.mat_pow(e)
+    rebuilt = Matrix(Q, power.rows, ncols=n)
+    assert A @ power == A @ rebuilt
+    for row in A.rows:
+        assert vec_matmul(row, power) == vec_matmul(row, rebuilt)
+
+
 def test_mat_pow_of_an_idempotent_keeps_its_size(main_triplet, monkeypatch):
     """A_x of the three quadrics with l = y + z is idempotent (x/l is 0, 1,
     1 at the three points) and has denominator 2; the content reduction keeps

@@ -12,6 +12,7 @@ from projzero.fields import PrimeField, RationalField
 from projzero.linalg import vec_matmul
 from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.points_oracle import eval_normal_form
+from tests.polyring_oracle import variable
 from tests.rref_oracle import solve_in_rowspace
 from tests.triplet_oracle import normalized_linear_forms
 
@@ -70,7 +71,7 @@ def test_nzd_sweep_z3_example():
 def test_nzd_sweep_six_points(six_points):
     l = nzd_sweep(six_points)
     assert all(not Q.is_zero(l.evaluate(r)) for r in six_points.reps)
-    y = Form.variable(Q, 3, 1)
+    y = variable(Q, 3, 1)
     assert all(not Q.is_zero(y.evaluate(r)) for r in six_points.reps)
 
 
@@ -93,7 +94,7 @@ def test_nzd_sweep_sweep_path():
 
 def test_bm_triplet_six_points(six_points):
     t, B, initials = bm_triplet(six_points, MonomialOrder.default(3),
-                                l=Form.variable(Q, 3, 1))
+                                l=variable(Q, 3, 1))
     assert [len(b) for b in B] == [1, 3, 6] and t.d == 2
     assert set(B[1]) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert set(B[2]) == {(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0),
@@ -173,9 +174,9 @@ def test_eval_normal_form_rank_deficient(six_points):
 def test_eval_normal_form_matches_matrix_route(six_points):
     # push nf(x^2) and nf(z^2) four degrees up through the matrices
     t, _, _ = bm_triplet(six_points, MonomialOrder.default(3),
-                         l=Form.variable(Q, 3, 1))
+                         l=variable(Q, 3, 1))
     basis_monos = t.E_monomials
-    y4 = Form.variable(Q, 3, 1).power(4)
+    y4 = variable(Q, 3, 1).power(4)
     basis6 = [y4 * Form.monomial(Q, 3, m) for m in basis_monos]
     idx = {m: i for i, m in enumerate(basis_monos)}
     row_x = [Q.zero] * 6
@@ -262,8 +263,8 @@ def test_separators_four_point_example():
 def test_separators_two_points():
     P = qpts([[1, 0], [0, 1]])
     q1, q2 = separators(P)
-    assert q1 == Form.variable(Q, 2, 0)
-    assert q2 == Form.variable(Q, 2, 1)
+    assert q1 == variable(Q, 2, 0)
+    assert q2 == variable(Q, 2, 1)
 
 
 def test_separators_random_vanishing_pattern():

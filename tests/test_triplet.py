@@ -11,6 +11,7 @@ from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from tests import nf_oracle
+from tests.polyring_oracle import variable
 from tests.rref_oracle import zero_matrix
 from tests.triplet_oracle import (exhaustive_surjective_linear,
                                   multiplication_matrix,
@@ -147,7 +148,7 @@ def test_l_combination_is_identity(main_triplet, mixed_2var_triplet):
 
 
 def test_multiplication_matrix_monomial_bases(main_ideal):
-    E1 = [Form.variable(Q, 3, i) for i in range(3)]
+    E1 = [variable(Q, 3, i) for i in range(3)]
     F2 = [parse_form(s, XYZ, Q) for s in ("y^2", "y*z", "z^2")]
     M_x = multiplication_matrix(E1[0], E1, F2, main_ideal)
     M_y = multiplication_matrix(E1[1], E1, F2, main_ideal)
@@ -164,7 +165,7 @@ def test_matrices_recomputed_independently(main_ideal, main_triplet):
     # row i of A_j must express nf(x_j e_i) in the basis {nf(l e_k)}
     t = main_triplet
     for j in range(3):
-        xj = Form.variable(Q, 3, j)
+        xj = variable(Q, 3, j)
         E = [Form.monomial(Q, 3, e) for e in t.E_monomials]
         M = multiplication_matrix(xj, E, [t.l * e for e in E], main_ideal)
         assert M == t.A[j]

@@ -18,6 +18,7 @@ from projzero.polyring import Form
 from projzero.quotient import (HilbertScan, IdealPresentation, Options,
                                ideal_piece)
 from projzero.triplet import Triplet, _draws, _first_triplet, l_map_matrix
+from tests.polyring_oracle import variable
 from tests.rref_oracle import solve_in_rowspace, standard_coords
 
 
@@ -90,7 +91,7 @@ def rebuild_at_next_degree(triplet, I: IdealPresentation):
     piece = ideal_piece(I, triplet.d + 2, I.order)
     out = []
     for j in range(I.nvars):
-        xj = Form.variable(I.field, I.nvars, j)
+        xj = variable(I.field, I.nvars, j)
         out.append(multiplication_matrix(xj, E_up, F_up, I,
                                          piece_target=piece))
     return out
@@ -119,7 +120,7 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, options: Options,
         raise NoSurjectionFound(1, degree=d)
     E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
     F = [l * e for e in E]
-    A = [multiplication_matrix(Form.variable(I.field, I.nvars, j), E, F, I,
+    A = [multiplication_matrix(variable(I.field, I.nvars, j), E, F, I,
                                piece_target=piece_d1)
          for j in range(I.nvars)]
     return Triplet(E_monomials=list(piece_d.standard_monomials), l=l, A=A)
