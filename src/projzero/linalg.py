@@ -187,7 +187,7 @@ def evaluate_terms(terms, degree, rep, field):
 def multiply_terms(factors, nvars, field):
     """The product of forms in nvars variables, each factor given as its
     (monomial, coefficient) terms, which share one degree; returns
-    {monomial: coefficient} without zero terms, {1: 1} for no factors.
+    {monomial: coefficient} without zero terms, the form 1 for no factors.
 
     Each distinct monomial is packed once into the int sum e_i b^i, with
     base b = 1 + the product's total degree, so no exponent of a partial

@@ -57,11 +57,6 @@ def canonical(coeffs, field):
     return all(type(c) is int and 0 < c < field.size for c in coeffs)
 
 
-def oracle_product(field, nvars, forms):
-    one = Form.monomial(field, nvars, mono_one(nvars))
-    return reduce(form_mul, forms, one)
-
-
 @given(field_index, st.integers(1, 4), st.data())
 def test_multiply_terms_matches_the_pairwise_product(fi, nvars, data):
     field = FIELDS[fi]
@@ -70,12 +65,12 @@ def test_multiply_terms_matches_the_pairwise_product(fi, nvars, data):
                   {m: field.from_int(c) if field.size else c
                    for m, c in terms})
              for d, terms in drawn]
-    want = oracle_product(field, nvars, forms)
+    one = Form.monomial(field, nvars, mono_one(nvars))
+    want = reduce(form_mul, forms, one)
     got = multiply_terms([terms for _, terms in drawn], nvars, field)
     assert got == want.terms
     assert canonical(got.values(), field)
-    assert reduce(Form.__mul__, forms,
-                  Form.monomial(field, nvars, mono_one(nvars))) == want
+    assert reduce(Form.__mul__, forms, one) == want
 
 
 @pytest.mark.parametrize("field,text,want", [
