@@ -127,10 +127,10 @@ class PrimeField:
     """GF(p) for a prime p < 2^31; values are residues in range(p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= MAX_PRIME:  # before the trial division
+            raise InputError(f"prime modulus must be < 2^31, got {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise InputError(f"{p} is not prime")
-        if p >= MAX_PRIME:
-            raise InputError(f"prime modulus must be < 2^31, got {p}")
         self.p = p
         self.name = f"GF({p})"
         self.size = p

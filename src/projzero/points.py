@@ -11,6 +11,7 @@ in one call of linalg's `multiply_terms` per separator.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (DuplicatePoint, FieldTooSmall, InputError,
                      InvariantViolation, ZeroPoint)
@@ -205,7 +206,7 @@ def separators(P: ProjPointSet, scaled=False):
     the first position where p_i and p_j differ; no elimination is involved.
     The m-1 factors of Q_i are handed to linalg's `multiply_terms` as term
     lists in one call, so no scalar is combined here. With scaled=True each
-    Q_i is divided by Q_i(p_i).
+    Q_i is divided by Q_i(p_i), its terms scaled by linalg's `entrywise`.
     """
     f = P.field
     m = P.size
@@ -233,7 +234,9 @@ def separators(P: ProjPointSet, scaled=False):
             factors.append(S)
         Q = Form(f, nv, m - 1, multiply_terms(factors, nv, f))
         if scaled:
-            Q = Q.scale(f.inv(Q.evaluate(P.reps[i])))
+            c = f.inv(Q.evaluate(P.reps[i]))
+            Q = Form(f, nv, m - 1, dict(zip(
+                Q.terms, entrywise(repeat(c), Q.terms.values(), f))))
         out.append(Q)
     return out
 

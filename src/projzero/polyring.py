@@ -4,9 +4,9 @@ A monomial is a tuple of exponents of length nvars. A Form maps monomials to
 nonzero coefficients and carries a fixed total degree; homogeneity is
 enforced at construction. Evaluation always happens at a fixed affine
 representative of a projective point, so repeated evaluations of the same
-class are consistent. Values and products of forms run in linalg's
-kernels (`evaluate_terms`, `multiply_terms`); sums, scalings and powers
-still call the field per scalar.
+class are consistent. A Form is data: its values run in linalg's
+`evaluate_terms`, and its products and powers in `multiply_terms`, so no
+method here adds or multiplies scalars.
 """
 
 from dataclasses import dataclass
@@ -109,15 +109,6 @@ class Form:
         self.terms = clean
 
     @classmethod
-    def zero(cls, field, nvars, degree):
-        return cls(field, nvars, degree, {})
-
-    @classmethod
-    def monomial(cls, field, nvars, mono, coeff=None):
-        c = field.one if coeff is None else coeff
-        return cls(field, nvars, mono_degree(mono), {mono: c})
-
-    @classmethod
     def linear(cls, field, coeffs):
         """sum_i coeffs[i] x_i."""
         n = len(coeffs)
@@ -135,30 +126,6 @@ class Form:
     def __hash__(self):
         return hash((self.degree, tuple(sorted(self.terms.items()))))
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if other.degree != self.degree:
-            raise NotHomogeneous("sum of forms of different degrees")
-        f = self.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = f.add(terms.get(m, f.zero), c)
-        return Form(f, self.nvars, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def scale(self, c):
-        f = self.field
-        if f.is_zero(c):
-            return Form.zero(f, self.nvars, self.degree)
-        return Form(f, self.nvars, self.degree,
-                    {m: f.mul(c, v) for m, v in self.terms.items()})
-
     def __mul__(self, other):
         """The product, one call of linalg's `multiply_terms`."""
         self._check_compatible(other)
@@ -167,47 +134,13 @@ class Form:
                                    self.nvars, self.field))
 
     def power(self, e):
-        """self^e by the multinomial theorem.
-
-        Walks the compositions (k_1, ..., k_t) of e over the t terms c_i m_i
-        and adds e! / (k_1! ... k_t!) prod c_i^k_i times prod m_i^k_i. The
-        multinomial coefficient is built as an exact integer, a product of
-        binomials, and mapped into the field once, so coefficients divisible
-        by p vanish in GF(p); nothing is divided in the field. For a linear
-        form every composition is a distinct output monomial.
-        """
+        """self^e, one call of linalg's `multiply_terms` on e copies of the
+        terms; the form 1 for e = 0."""
         if e < 0:
             raise ValueError("negative power")
-        f = self.field
-        items = list(self.terms.items())
-        powers = []  # powers[i][k] = c_i^k
-        for _, c in items:
-            row = [f.one]
-            for _ in range(e):
-                row.append(f.mul(row[-1], c))
-            powers.append(row)
-        last = len(items) - 1
-        terms = {}
-
-        def walk(i, rest, mono, coeff, multi):
-            m_i, pw = items[i][0], powers[i]
-            if i == last:  # the last term takes the rest
-                mono = tuple(a + rest * b for a, b in zip(mono, m_i))
-                c = f.mul(f.from_int(multi), f.mul(coeff, pw[rest]))
-                terms[mono] = f.add(terms[mono], c) if mono in terms else c
-                return
-            binom = 1  # C(rest, k)
-            for k in range(rest + 1):
-                walk(i + 1, rest - k,
-                     tuple(a + k * b for a, b in zip(mono, m_i)),
-                     f.mul(coeff, pw[k]), multi * binom)
-                binom = binom * (rest - k) // (k + 1)
-
-        if items:
-            walk(0, e, mono_one(self.nvars), f.one, 1)
-        elif e == 0:
-            terms[mono_one(self.nvars)] = f.one
-        return Form(f, self.nvars, self.degree * e, terms)
+        return Form(self.field, self.nvars, self.degree * e,
+                    multiply_terms([self.terms.items()] * e, self.nvars,
+                                   self.field))
 
     def evaluate(self, rep):
         """Evaluate at a fixed affine representative (list of scalars)."""

@@ -39,7 +39,7 @@ from functools import cached_property
 from .errors import (ArtinianQuotient, CapExceeded, DegreeTooLow,
                      InvariantViolation, NoSurjectionFound, ProjzeroError)
 from .linalg import Matrix, linear_combination, rref, vec_matmul
-from .polyring import Form, MonomialOrder, mono_degree
+from .polyring import Form, MonomialOrder, form_from_coeffs, mono_degree
 from .quotient import (DegreePiece, HilbertScan, IdealPresentation, Options,
                        hilbert_scan)
 
@@ -240,8 +240,9 @@ class FastNormalForm:
     """Coordinates of a normal form in the basis {l^k e_i}.
 
     The represented element sum_i c_i l^k e_i is expanded only when `form`
-    is first read: C(k + n, n) terms for n + 1 variables, against the
-    O(|f| n m^3 log k) field operations of the coordinates.
+    is first read, as l^k times sum_i c_i e_i on linalg's `multiply_terms`:
+    l^k takes k kernel steps and has C(k + n, n) terms for n + 1 variables,
+    against the O(|f| n m^3 log k) field operations of the coordinates.
     """
 
     coords: list       # coordinates in the basis {l^k e_i}
@@ -251,14 +252,11 @@ class FastNormalForm:
 
     @cached_property
     def form(self) -> Form:
-        """The represented element sum_i c_i l^k e_i, expanded."""
+        """The represented element l^k * sum_i c_i e_i, expanded."""
         l = self.l
-        lk = l.power(self.k)
-        rep = Form.zero(l.field, l.nvars, sum(self.E_monomials[0]) + self.k)
-        for c, e in zip(self.coords, self.E_monomials):
-            if not l.field.is_zero(c):
-                rep = rep + lk * Form.monomial(l.field, l.nvars, e, c)
-        return rep
+        return l.power(self.k) * form_from_coeffs(
+            l.field, l.nvars, mono_degree(self.E_monomials[0]),
+            self.E_monomials, self.coords)
 
 
 def _split_monomial(mono, d, order: MonomialOrder):

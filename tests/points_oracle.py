@@ -19,7 +19,8 @@ from projzero.polyring import (Form, MonomialOrder, mono_divides, mono_one,
                                monomials_of_degree)
 from projzero.quotient import IdealPresentation, ideal_piece
 from projzero.triplet import Triplet
-from tests.polyring_oracle import form_mul, variable
+from tests.polyring_oracle import (form_add, form_mul, form_scale, form_sub,
+                                   monomial, variable, zero)
 from tests.rref_oracle import solve_in_rowspace
 
 
@@ -159,10 +160,10 @@ def eval_normal_form(f: Form, P: ProjPointSet, basis) -> Form:
     if V.rank() != P.size:
         raise ValueError(f"basis evaluation matrix has rank below {P.size}")
     coeffs = solve_in_rowspace(P.eval_form(f), V)
-    out = Form.zero(fld, f.nvars, f.degree)
+    out = zero(fld, f.nvars, f.degree)
     for c, e in zip(coeffs, basis):
         if not fld.is_zero(c):
-            out = out + e.scale(c)
+            out = form_add(out, form_scale(e, c))
     return out
 
 
@@ -179,7 +180,7 @@ def separators(P: ProjPointSet, scaled=False):
 
     out = []
     for i in range(m):
-        Q = Form.monomial(f, nv, mono_one(nv))
+        Q = monomial(f, nv, mono_one(nv))
         for j in range(m):
             if j == i:
                 continue
@@ -188,14 +189,15 @@ def separators(P: ProjPointSet, scaled=False):
             pjh = P.reps[j][h]
             if f.is_zero(pih):
                 hp = P.first_one[i]
-                S = var(hp).scale(pjh) - var(h).scale(P.reps[j][hp])
+                S = form_sub(form_scale(var(hp), pjh),
+                             form_scale(var(h), P.reps[j][hp]))
             elif f.is_zero(pjh):
                 S = var(h)
             else:
                 hp = P.first_one[i]  # shared: both points are 1 here
-                S = var(hp).scale(pjh) - var(h)
+                S = form_sub(form_scale(var(hp), pjh), var(h))
             Q = form_mul(Q, S)
         if scaled:
-            Q = Q.scale(f.inv(Q.evaluate(P.reps[i])))
+            Q = form_scale(Q, f.inv(Q.evaluate(P.reps[i])))
         out.append(Q)
     return out

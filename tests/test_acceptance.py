@@ -12,19 +12,20 @@ from math import comb
 
 import pytest
 
-from projzero import (Form, Matrix, MonomialOrder, Options,
-                      binomial_expansion, bm_triplet, build_triplet, c_matrix,
-                      char_poly, fast_normal_form, hilbert_scan,
-                      ideal_piece, initial_ideal_min_generators,
-                      l_combination, l_map_matrix, macaulay_growth,
-                      normal_form_by_degree, normalize, nzd_sweep,
-                      parse_form, roots_in_field, separators, solve)
+from projzero import (Matrix, MonomialOrder, Options, binomial_expansion,
+                      bm_triplet, build_triplet, c_matrix, char_poly,
+                      fast_normal_form, hilbert_scan, ideal_piece,
+                      initial_ideal_min_generators, l_combination,
+                      l_map_matrix, macaulay_growth, normal_form_by_degree,
+                      normalize, nzd_sweep, parse_form, roots_in_field,
+                      separators, solve)
 from projzero.cli import main
 from projzero.errors import FieldTooSmall
 from projzero.fields import PrimeField, RationalField
 from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.points_oracle import eval_normal_form
-from tests.polyring_oracle import variable
+from tests.polyring_oracle import (form_add, form_scale, monomial, variable,
+                                   zero)
 from tests.rref_oracle import is_zero_matrix, zero_matrix
 from tests.triplet_oracle import normalized_linear_forms
 
@@ -160,9 +161,9 @@ def test_criterion_7_six_point_triplet(six_points):
         }
         basis = [parse_form(s, XYZ, Q) for s in coeffs]
         nf = eval_normal_form(parse_form("x^6 + z^6", XYZ, Q), six_points, basis)
-        expected = Form.zero(Q, 3, 6)
+        expected = zero(Q, 3, 6)
         for s, c in coeffs.items():
-            expected = expected + parse_form(s, XYZ, Q).scale(c)
+            expected = form_add(expected, form_scale(parse_form(s, XYZ, Q), c))
         assert nf == expected
 
 
@@ -178,7 +179,7 @@ def test_criterion_8_separators_and_comparisons(instance_pool):
                     * parse_form("x1", names, Q))
         mono, c = next(iter(q1.terms.items()))
         scale = Q.div(expected.terms[mono], c)
-        assert not Q.is_zero(scale) and q1.scale(scale) == expected
+        assert not Q.is_zero(scale) and form_scale(q1, scale) == expected
         cm = c_matrix(P)
         assert cm.comparisons <= P.n * P.size + P.size ** 2
         assert len(instance_pool) >= 100
@@ -233,7 +234,7 @@ def test_criterion_11a_fast_nf_oracle(main_ideal, order3, main_triplet,
                 deg = rng.randint(*degs)
                 cuts = sorted(rng.randint(0, deg) for _ in range(nv - 1))
                 mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
-                f = Form.monomial(I.field, nv, mono)
+                f = monomial(I.field, nv, mono)
                 res = fast_normal_form(f, I, trip)
                 piece = pieces.setdefault(deg, ideal_piece(I, deg, order))
                 assert normal_form_by_degree(f, piece) \

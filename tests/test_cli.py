@@ -13,6 +13,7 @@ from projzero.cli import (build_parser, main, parse_ideal_file,
                           parse_points_file)
 from projzero.fields import RationalField
 from tests.eigen_oracle import eigenpoints_from_matrices
+from tests.polyring_oracle import monomial
 
 Q = RationalField()
 
@@ -524,6 +525,9 @@ MALFORMED = {
     "gf_composite": ("hilbert", "bad.ideal", "field GF(6)\nvars x y\nx\n"),
     "gf_too_large": ("hilbert", "bad.ideal",
                      "field GF(2147483659)\nvars x y\nx\n"),
+    # 2^61 - 1 is prime: refused by its size, not after a trial division
+    "gf_huge_prime": ("hilbert", "bad.ideal",
+                      "field GF(2305843009213693951)\nvars x y\nx\n"),
     "field_r": ("hilbert", "bad.ideal", "field R\nvars x y\nx\n"),
     "ranking_unknown": ("hilbert", "bad.ideal", IDEAL + "ranking x w\nx\n"),
     "ranking_repeated": ("hilbert", "bad.ideal", IDEAL + "ranking x x\nx\n"),
@@ -567,7 +571,7 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, data_dir, row):
 
 def test_empty_vars_is_an_input_error_in_the_library():
     with pytest.raises(InputError, match="vars names no variable"):
-        IdealPresentation(Q, (), [Form.monomial(Q, 0, ())])
+        IdealPresentation(Q, (), [monomial(Q, 0, ())])
 
 
 @pytest.mark.parametrize("kind, ranking", [("grevlex", (0, 1)),

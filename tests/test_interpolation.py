@@ -14,15 +14,15 @@ from hypothesis import assume, given, settings, strategies as st
 import projzero.linalg
 import projzero.points
 import projzero.quotient
-from projzero import (Form, MonomialOrder, Options, bm_triplet,
-                      build_triplet, hilbert_scan, ideal_piece,
-                      initial_ideal_min_generators, normalize, solve,
-                      vanishing_ideal)
+from projzero import (MonomialOrder, Options, bm_triplet, build_triplet,
+                      hilbert_scan, ideal_piece, initial_ideal_min_generators,
+                      normalize, solve, vanishing_ideal)
 from projzero.cli import parse_points_file
 from projzero.errors import DuplicatePoint, FieldTooSmall, ZeroPoint
 from projzero.fields import PrimeField, RationalField
 from projzero.polyring import mono_divides, mono_one, monomials_of_degree
 from tests import interp_oracle, points_oracle as oracle
+from tests.polyring_oracle import monomial
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 Q = RationalField()
@@ -131,7 +131,7 @@ def test_engine_matches_loop_on_triplet(data):
     I = vanishing_ideal(P, order)
     scan = hilbert_scan(I)
     if scan.triplet is None:
-        x0 = Form.monomial(field, width, (1,) + (0,) * (width - 1))
+        x0 = monomial(field, width, (1,) + (0,) * (width - 1))
         scan = dataclasses.replace(scan, triplet=build_triplet(
             I, Options(linear_form=x0), scan))
     runs, engine = [], projzero.quotient._interpolate

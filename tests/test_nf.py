@@ -1,12 +1,13 @@
-"""Form.power by the multinomial theorem and the coordinates-only fast normal
-form, against the successive-multiplication oracle in tests/nf_oracle.py."""
+"""Form.power on linalg's `multiply_terms` and the coordinates-only fast
+normal form, against the per-scalar successive-multiplication oracle in
+tests/nf_oracle.py."""
 
 from hypothesis import given, strategies as st
 
 from projzero import Form, fast_normal_form
 from projzero.fields import PrimeField, RationalField
 from tests import nf_oracle
-from tests.polyring_oracle import variable
+from tests.polyring_oracle import form_add, monomial, variable, zero
 
 FIELDS = [RationalField(), PrimeField(2), PrimeField(3), PrimeField(7),
           PrimeField(32003)]
@@ -57,11 +58,12 @@ def test_power_frobenius_and_zero_form():
     for p in (2, 3, 7):
         F = PrimeField(p)
         x, y = variable(F, 2, 0), variable(F, 2, 1)
-        assert (x + y).power(p) == x.power(p) + y.power(p)
-        assert (x + y).power(3 * p) == (x.power(p) + y.power(p)).power(3)
-    zero = Form.zero(RationalField(), 2, 1)
-    assert zero.power(0) == Form.monomial(RationalField(), 2, (0, 0))
-    assert zero.power(3) == Form.zero(RationalField(), 2, 3)
+        s = form_add(x, y)
+        assert s.power(p) == form_add(x.power(p), y.power(p))
+        assert s.power(3 * p) == form_add(x.power(p), y.power(p)).power(3)
+    z = zero(RationalField(), 2, 1)
+    assert z.power(0) == monomial(RationalField(), 2, (0, 0))
+    assert z.power(3) == zero(RationalField(), 2, 3)
 
 
 @st.composite

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from projzero import (Form, Matrix, MonomialOrder, ProjPointSet, bm_triplet,
+from projzero import (Matrix, MonomialOrder, ProjPointSet, bm_triplet,
                       c_matrix, char_poly, hilbert_scan, ideal_piece,
                       normalize, nzd_sweep, parse_form, roots_in_field,
                       separators, vanishing_ideal)
@@ -12,7 +12,8 @@ from projzero.fields import PrimeField, RationalField
 from projzero.linalg import vec_matmul
 from tests.eigen_oracle import eigenpoints_from_matrices
 from tests.points_oracle import eval_normal_form
-from tests.polyring_oracle import variable
+from tests.polyring_oracle import (form_add, form_scale, monomial, variable,
+                                   zero)
 from tests.rref_oracle import solve_in_rowspace
 from tests.triplet_oracle import normalized_linear_forms
 
@@ -145,9 +146,9 @@ SIX_POINT_NF_COEFFS = {
 
 
 def _expected_six_point_nf():
-    acc = Form.zero(Q, 3, 6)
+    acc = zero(Q, 3, 6)
     for s, c in SIX_POINT_NF_COEFFS.items():
-        acc = acc + parse_form(s, XYZ, Q).scale(c)
+        acc = form_add(acc, form_scale(parse_form(s, XYZ, Q), c))
     return acc
 
 
@@ -177,7 +178,7 @@ def test_eval_normal_form_matches_matrix_route(six_points):
                          l=variable(Q, 3, 1))
     basis_monos = t.E_monomials
     y4 = variable(Q, 3, 1).power(4)
-    basis6 = [y4 * Form.monomial(Q, 3, m) for m in basis_monos]
+    basis6 = [y4 * monomial(Q, 3, m) for m in basis_monos]
     idx = {m: i for i, m in enumerate(basis_monos)}
     row_x = [Q.zero] * 6
     row_x[idx[(2, 0, 0)]] = Q.one           # nf(x^2) = x^2
@@ -186,9 +187,9 @@ def test_eval_normal_form_matches_matrix_route(six_points):
     A_x, _, A_z = t.A
     out_x = vec_matmul(row_x, A_x.mat_pow(4))
     out_z = vec_matmul(row_z, A_z.mat_pow(4))
-    acc = Form.zero(Q, 3, 6)
+    acc = zero(Q, 3, 6)
     for c1, c2, b in zip(out_x, out_z, basis6):
-        acc = acc + b.scale(Q.add(c1, c2))
+        acc = form_add(acc, form_scale(b, Q.add(c1, c2)))
     assert acc == _expected_six_point_nf()
 
 
@@ -256,7 +257,7 @@ def test_separators_four_point_example():
         scale = Q.div(expected.terms[m], c)
         break
     assert scale is not None and not Q.is_zero(scale)
-    assert got.scale(scale) == expected
+    assert form_scale(got, scale) == expected
     assert all(s.degree == 3 for s in seps)
 
 
@@ -349,7 +350,7 @@ def test_x_squared_independent_of_other_quadratics(six_points):
     # interpolation run accepts x^2 into the degree-2 basis
     others = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0)]
     def values(mono):
-        return six_points.eval_form(Form.monomial(Q, 3, mono))
+        return six_points.eval_form(monomial(Q, 3, mono))
 
     rows = Matrix(Q, [values(m) for m in others], ncols=6)
     assert solve_in_rowspace(values((2, 0, 0)), rows) is None

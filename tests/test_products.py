@@ -1,8 +1,9 @@
 """Products of forms on linalg's packed-exponent kernel `multiply_terms`,
 against the per-scalar product in tests/polyring_oracle.py, and the
-separators built on it against the pairwise construction in
-tests/points_oracle.py. Over GF(p) the kernel takes residues outside
-range(p) and must still return canonical ones."""
+separators, powers and fast-normal-form expansions built on it against the
+oracles in tests/points_oracle.py and tests/nf_oracle.py. Over GF(p) the
+kernel takes residues outside range(p) and must still return canonical
+ones."""
 
 import random
 from fractions import Fraction
@@ -11,13 +12,14 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from projzero import Form, MonomialOrder, normalize, parse_form, separators
+from projzero import (Form, MonomialOrder, build_triplet, fast_normal_form,
+                      normalize, parse_form, separators, vanishing_ideal)
 from projzero.errors import DuplicatePoint, ZeroPoint
 from projzero.fields import PrimeField, RationalField
 from projzero.linalg import multiply_terms, normalize_vector
 from projzero.polyring import mono_one, monomials_of_degree
-from tests import points_oracle
-from tests.polyring_oracle import form_mul
+from tests import nf_oracle, points_oracle
+from tests.polyring_oracle import form_mul, monomial
 
 Q = RationalField()
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003), Q]
@@ -65,7 +67,7 @@ def test_multiply_terms_matches_the_pairwise_product(fi, nvars, data):
                   {m: field.from_int(c) if field.size else c
                    for m, c in terms})
              for d, terms in drawn]
-    one = Form.monomial(field, nvars, mono_one(nvars))
+    one = monomial(field, nvars, mono_one(nvars))
     want = reduce(form_mul, forms, one)
     got = multiply_terms([terms for _, terms in drawn], nvars, field)
     assert got == want.terms
@@ -158,17 +160,31 @@ def random_points(field, m, rng):
 @pytest.mark.parametrize("field,m", [(PrimeField(32003), 11), (Q, 8)],
                          ids=["GF(32003)-11", "Q-8"])
 def test_separators_make_no_scalar_arithmetic(field, m, monkeypatch):
-    """The factors of each Q_i go to the kernel as term lists: separators
-    calls none of the field's add, sub and mul."""
+    """The forms built on linalg's kernels call none of the field's add, sub
+    and mul: separators, also scaled, a power of a form, and the expansion
+    of a fast normal form. Each agrees with its per-scalar oracle."""
     P = random_points(field, m, random.Random(11))
+    I = vanishing_ideal(P)
+    t = build_triplet(I)
+    res = fast_normal_form(monomial(field, 3, (7, 3, 2)), I, t)
+    l = Form.linear(field, [field.from_int(c) for c in (2, -3, 5)])
+    runs = {"separators": lambda: separators(P),
+            "scaled": lambda: separators(P, scaled=True),
+            "power": lambda: l.power(13),
+            "form": lambda: res.form}
     calls = {}
     cls = type(field)
     for name in ("add", "sub", "mul"):
         def counted(*args, _fn=getattr(cls, name), _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls.setdefault(case, set()).add(_name)
             return _fn(*args)
         monkeypatch.setattr(cls, name, counted)
-    seps = separators(P)
+    got = {}
+    for case, run in runs.items():
+        got[case] = run()
     monkeypatch.undo()
     assert calls == {}
-    assert seps == points_oracle.separators(P)
+    assert got == {"separators": points_oracle.separators(P),
+                   "scaled": points_oracle.separators(P, scaled=True),
+                   "power": nf_oracle.power_by_multiplication(l, 13),
+                   "form": nf_oracle.expand(res.coords, res.k, t)}

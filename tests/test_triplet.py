@@ -11,7 +11,7 @@ from projzero.errors import (DegreeTooLow, InvariantViolation,
                              NoSurjectionFound)
 from projzero.fields import PrimeField, RationalField
 from tests import nf_oracle
-from tests.polyring_oracle import variable
+from tests.polyring_oracle import monomial, variable
 from tests.rref_oracle import zero_matrix
 from tests.triplet_oracle import (exhaustive_surjective_linear,
                                   multiplication_matrix,
@@ -166,7 +166,7 @@ def test_matrices_recomputed_independently(main_ideal, main_triplet):
     t = main_triplet
     for j in range(3):
         xj = variable(Q, 3, j)
-        E = [Form.monomial(Q, 3, e) for e in t.E_monomials]
+        E = [monomial(Q, 3, e) for e in t.E_monomials]
         M = multiplication_matrix(xj, E, [t.l * e for e in E], main_ideal)
         assert M == t.A[j]
 
@@ -214,14 +214,14 @@ def test_fast_normal_form_basis_elements(main_ideal, main_triplet):
     for k in (0, 2):
         lk = t.l.power(k)
         for i, e in enumerate(t.E_monomials):
-            res = fast_normal_form(lk * Form.monomial(Q, 3, e), main_ideal, t)
+            res = fast_normal_form(lk * monomial(Q, 3, e), main_ideal, t)
             want = [Q.one if j == i else Q.zero for j in range(t.size)]
             assert res.coords == want and res.k == k
 
 
 def test_fast_normal_form_degree_too_low(main_ideal, main_triplet):
     with pytest.raises(DegreeTooLow):
-        fast_normal_form(Form.monomial(Q, 3, (0, 0, 0)), main_ideal,
+        fast_normal_form(monomial(Q, 3, (0, 0, 0)), main_ideal,
                          main_triplet)
 
 
@@ -237,7 +237,7 @@ def test_fast_normal_form_macaulay_oracle(main_ideal, order3, main_triplet):
     for _ in range(30):
         deg = rng.randint(1, 7)
         mono = _random_monomial(rng, 3, deg)
-        f = Form.monomial(Q, 3, mono)
+        f = monomial(Q, 3, mono)
         res = fast_normal_form(f, main_ideal, main_triplet)
         if deg not in pieces:
             pieces[deg] = ideal_piece(main_ideal, deg, order3)
@@ -253,7 +253,7 @@ def test_fast_normal_form_oracle_mixed(mixed_2var_ideal, order2,
     for _ in range(20):
         deg = rng.randint(5, 10)
         mono = _random_monomial(rng, 2, deg)
-        f = Form.monomial(Q, 2, mono)
+        f = monomial(Q, 2, mono)
         res = fast_normal_form(f, mixed_2var_ideal, mixed_2var_triplet)
         if deg not in pieces:
             pieces[deg] = ideal_piece(mixed_2var_ideal, deg, order2)

@@ -18,7 +18,7 @@ from projzero.polyring import Form
 from projzero.quotient import (HilbertScan, IdealPresentation, Options,
                                ideal_piece)
 from projzero.triplet import Triplet, _draws, _first_triplet, l_map_matrix
-from tests.polyring_oracle import variable
+from tests.polyring_oracle import monomial, variable
 from tests.rref_oracle import solve_in_rowspace, standard_coords
 
 
@@ -85,7 +85,7 @@ def rebuild_at_next_degree(triplet, I: IdealPresentation):
     For a triplet built at a degree where the Hilbert function has stabilized
     this returns entry-identical matrices.
     """
-    E_up = [triplet.l * Form.monomial(I.field, I.nvars, e)
+    E_up = [triplet.l * monomial(I.field, I.nvars, e)
             for e in triplet.E_monomials]
     F_up = [triplet.l * g for g in E_up]
     piece = ideal_piece(I, triplet.d + 2, I.order)
@@ -118,7 +118,7 @@ def triplet_at_gotzmann_degree(I: IdealPresentation, options: Options,
         l = found.l
     elif l_map_matrix(l, piece_d, piece_d1).rank() < piece_d1.hf:
         raise NoSurjectionFound(1, degree=d)
-    E = [Form.monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
+    E = [monomial(I.field, I.nvars, s) for s in piece_d.standard_monomials]
     F = [l * e for e in E]
     A = [multiplication_matrix(variable(I.field, I.nvars, j), E, F, I,
                                piece_target=piece_d1)
